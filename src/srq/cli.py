@@ -21,18 +21,6 @@ from .geometry import (classical_moebius, poincare_distance, regular_moebius)
 from .quaternion import Quaternion
 from .rational import RegularQuotient
 
-DEFAULT_SEED = 0
-
-
-def _env_seed() -> int:
-    raw = os.environ.get("SRQ_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        return DEFAULT_SEED
-
 
 def _parse_quat(text: str) -> Quaternion:
     return Quaternion.parse(text)
@@ -171,24 +159,19 @@ def _cmd_verify(args) -> int:
     tol = args.tol if args.tol is not None else verify_mod.DEFAULT_TOL
     if args.suite == "all":
         doc = verify_mod.run_all(args.seed, args.samples, tol)
-        rows = [("suite", "seed", "samples", "pass", "worst_margin")]
-        rows.extend((r["suite"], r["seed"], r["samples"], r["pass"], r["worst_margin"])
-                    for r in doc["suites"])
-        pretty = "\n".join(
-            f"{r['suite']:<18} {'PASS' if r['pass'] else 'FAIL'}  "
-            f"samples={r['samples']} worst_margin={r['worst_margin']:.3e}"
-            for r in doc["suites"])
-        pretty += f"\noverall            {'PASS' if doc['pass'] else 'FAIL'}"
-        _emit(args, pretty, doc, rows)
-        return 0 if doc["pass"] else 1
-    report = verify_mod.run_suite(args.suite, args.seed, args.samples, tol)
-    d = report.to_json_dict()
-    pretty = (f"{d['suite']} {'PASS' if d['pass'] else 'FAIL'}  "
-              f"samples={d['samples']} worst_margin={d['worst_margin']:.3e}")
-    rows = [("suite", "seed", "samples", "pass", "worst_margin"),
-            (d["suite"], d["seed"], d["samples"], d["pass"], d["worst_margin"])]
-    _emit(args, pretty, d, rows)
-    return 0 if d["pass"] else 1
+        reports, width = doc["suites"], 18
+    else:
+        doc = verify_mod.run_suite(args.suite, args.seed, args.samples, tol).to_json_dict()
+        reports, width = [doc], 0
+    lines = [f"{r['suite']:<{width}} {'PASS' if r['pass'] else 'FAIL'}  "
+             f"samples={r['samples']} worst_margin={r['worst_margin']:.3e}" for r in reports]
+    if args.suite == "all":
+        lines.append(f"{'overall':<{width}} {'PASS' if doc['pass'] else 'FAIL'}")
+    rows = [("suite", "seed", "samples", "pass", "worst_margin")]
+    rows.extend((r["suite"], r["seed"], r["samples"], r["pass"], r["worst_margin"])
+                for r in reports)
+    _emit(args, "\n".join(lines), doc, rows)
+    return 0 if doc["pass"] else 1
 
 
 # -- parser ---------------------------------------------------------------------------
@@ -256,9 +239,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="run verification suites")
     p.add_argument("suite", choices=verify_mod.SUITE_NAMES + ("all",))
-    p.add_argument("--seed", type=int, default=_env_seed())
+    # a string default goes through type=int, so a malformed SRQ_SEED is a usage error
+    p.add_argument("--seed", type=int, default=os.environ.get("SRQ_SEED", "0"),
+                   help="random seed (default: $SRQ_SEED, else 0)")
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--tol", type=_positive_float, default=None)
+    p.add_argument("--tol", type=_positive_float, default=None,
+                   help=f"violation tolerance of the inequality suites (default "
+                        f"{verify_mod.DEFAULT_TOL:g}); slice-regularity keeps its own "
+                        f"finite-difference bound of 1e-5")
     _add_format_flags(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -160,7 +160,7 @@ def right_action(f, A: QuaternionMatrix2) -> RegularQuotient:
     go through generic ring arithmetic.
     """
     _require_invertible(A)
-    f = as_quotient(f) if not isinstance(f, RegularQuotient) else f
+    f = as_quotient(f)
     if f.is_pair and f.side == "left":
         den = f.num * A.c + f.den * A.d
         num = f.num * A.a + f.den * A.b
@@ -205,7 +205,9 @@ def hermitian_coincidence_check(f, A: QuaternionMatrix2, *, points=None,
     """For Hermitian A (real diagonal, c = conj(b)) the two actions coincide.
 
     Evaluates both composites on a fixed sample grid in the unit ball and
-    reports whether they agree pointwise.
+    reports whether they agree pointwise.  Points at a pole of either
+    composite are skipped; if every point is skipped the check raises
+    ``PoleError`` rather than pass with nothing compared.
     """
     scale = 1.0 + A.entry_scale()
     if (A.a.imag_norm() > 1e-9 * scale or A.d.imag_norm() > 1e-9 * scale
@@ -215,14 +217,20 @@ def hermitian_coincidence_check(f, A: QuaternionMatrix2, *, points=None,
     l = left_action(A.transpose(), f)
     if points is None:
         points = _default_grid()
+    if not points:
+        raise ValueError("no sample points given")
+    compared = 0
     for q in points:
         try:
             rv = r.evaluate(q)
             lv = l.evaluate(q)
         except PoleError:
             continue
+        compared += 1
         if (rv - lv).norm() > tol * (1.0 + rv.norm()):
             return False
+    if not compared:
+        raise PoleError("every sample point is a pole of the composites")
     return True
 
 

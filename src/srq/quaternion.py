@@ -116,6 +116,9 @@ class Quaternion:
         return NotImplemented
 
     def __hash__(self):
+        # a real quaternion equals its float, so it must hash like one
+        if self.x == 0.0 and self.y == 0.0 and self.z == 0.0:
+            return hash(self.w)
         return hash((self.w, self.x, self.y, self.z))
 
     # -- metrics and involutions --------------------------------------------

@@ -153,9 +153,6 @@ class RegularQuotient:
         return RegularQuotient.from_expanded(self.sym * self.sym,
                                              self.conum.symmetrization())
 
-    def symmetrization_value(self, q) -> Quaternion:
-        return self.symmetrization().evaluate(q)
-
     def reciprocal(self) -> "RegularQuotient":
         if self.is_pair:
             # (f^{-*}*g)^{-*} = g^{-*}*f and (g*h^{-*})^{-*} = h*g^{-*}

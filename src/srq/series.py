@@ -94,13 +94,6 @@ class RegularPolynomial:
 
     __call__ = evaluate
 
-    def evaluate_complex(self, z: complex) -> complex:
-        """Horner evaluation on a slice; requires real coefficients."""
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = z * acc + c.w
-        return acc
-
     # -- vector-space operations --------------------------------------------------
 
     def __add__(self, other):

@@ -15,7 +15,7 @@ from srq.geometry import (classical_moebius, moebius_expansion_coefficients,
 from srq.quaternion import I, J, Quaternion
 from srq.rational import RegularQuotient, sphere_zero_set, zeros_on_sphere
 from srq.series import RegularPolynomial
-from srq.verify import run_schwarz_pick, sample_ball, sample_unit, stream
+from srq.verify import run_suite, sample_ball, sample_unit, stream
 
 Q = RegularPolynomial.identity()
 
@@ -138,7 +138,7 @@ def test_criterion_4_sp11_characterization():
 def test_criterion_5_schwarz_pick_suite():
     """1e4 sampled triples, zero violations; equality margins < 1e-8."""
     start = time.perf_counter()
-    report = run_schwarz_pick(42, 10000, tol=1e-9)
+    report = run_suite("schwarz-pick", 42, 10000, tol=1e-9)
     elapsed = time.perf_counter() - start
     assert report.samples >= 10000
     assert report.passed

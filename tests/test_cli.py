@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +178,20 @@ def test_env_seed_default(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 77
 
 
+def test_malformed_env_seed_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SRQ_SEED", "4x2")
+    code, out, err = run_cli(capsys, "verify", "slice-regularity", "--samples", "25",
+                             "--json")
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err
+    # an explicit seed still overrides the environment
+    code, out, _ = run_cli(capsys, "verify", "slice-regularity", "--samples", "25",
+                           "--json", "--seed", "5")
+    assert code == 0
+    assert json.loads(out)["seed"] == 5
+
+
 def test_expand_real_center_exits_1(capsys):
     code, _, err = run_cli(capsys, "expand", "--f", "q^2", "--center", "0.5",
                            "--nmax", "2")
@@ -200,3 +215,12 @@ def test_star_wildcard_import():
 
     missing = [name for name in srq.__all__ if not hasattr(srq, name)]
     assert missing == []
+
+
+def test_verify_all_matches_golden_document(capsys):
+    # pins the draw order and arithmetic of every suite across versions
+    golden = Path(__file__).parent / "data" / "verify_all_seed42_samples200.json"
+    code, out, _ = run_cli(capsys, "verify", "all", "--seed", "42", "--samples", "200",
+                           "--json")
+    assert code == 0
+    assert out == golden.read_text()

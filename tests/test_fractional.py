@@ -207,6 +207,16 @@ def test_hermitian_coincidence():
         hermitian_coincidence_check(Q, QuaternionMatrix2(I, ZERO, ZERO, ONE))
 
 
+def test_hermitian_coincidence_refuses_vacuous_pass():
+    # every point of the list is a pole of the composites, so nothing is compared
+    f = RegularQuotient(RegularPolynomial([-I, ONE]), RegularPolynomial([ONE]), "left")
+    herm = QuaternionMatrix2(2, J, -J, 1)
+    with pytest.raises(PoleError):
+        hermitian_coincidence_check(f, herm, points=[I, J, -I])
+    with pytest.raises(ValueError):
+        hermitian_coincidence_check(f, herm, points=[])
+
+
 def test_self_map_identity_two_quotient_forms():
     # (1 - f conj(a))^{-*} * (f - a) = (f - a) * (1 - conj(a) * f)^{-*} for self-maps
     rng = random.Random(10)

@@ -147,3 +147,12 @@ def test_json_roundtrip():
     assert Quaternion.from_json(q.to_json()) == q
     with pytest.raises(ParseError):
         Quaternion.from_json([1, 2, 3])
+
+
+def test_real_quaternion_hashes_like_its_float():
+    # equal objects must hash equally, or sets and dicts hold both
+    for x in (1, 0.5, -2.0, 0.0):
+        assert Quaternion(x) == x
+        assert hash(Quaternion(x)) == hash(x)
+    assert len({Quaternion(1), 1}) == 1
+    assert len({Quaternion(1, 2), Quaternion(1.0, 2.0)}) == 1

@@ -271,7 +271,7 @@ def test_quotient_symmetrization_at_real_points():
     quotient = RegularQuotient(f, g, "left")
     for x in (0.5, -1.25, 2.0):
         q = Quaternion(x)
-        value = quotient.symmetrization_value(q)
+        value = quotient.symmetrization().evaluate(q)
         expected = f.symmetrization().evaluate(q).inverse() * g.symmetrization().evaluate(q)
         assert value.is_real(1e-9 * (1 + value.norm()))
         assert value.isclose(expected, rel_tol=1e-10)
