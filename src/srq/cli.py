@@ -33,6 +33,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _sample_count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"sample count must be >= 0, got {text}")
+    return value
+
+
 def _add_format_flags(sub):
     sub.add_argument("--json", action="store_true", help="emit JSON")
     sub.add_argument("--csv", action="store_true", help="emit CSV")
@@ -242,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # a string default goes through type=int, so a malformed SRQ_SEED is a usage error
     p.add_argument("--seed", type=int, default=os.environ.get("SRQ_SEED", "0"),
                    help="random seed (default: $SRQ_SEED, else 0)")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_sample_count, default=1000)
     p.add_argument("--tol", type=_positive_float, default=None,
                    help=f"violation tolerance of the inequality suites (default "
                         f"{verify_mod.DEFAULT_TOL:g}); slice-regularity keeps its own "

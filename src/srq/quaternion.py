@@ -1,8 +1,18 @@
 """Quaternion arithmetic, slice decomposition, and text/JSON formats.
 
 Every value in the package ultimately reduces to the :class:`Quaternion`
-defined here.  Instances are immutable in practice (nothing in the package
-mutates them), so they are safe for unrestricted concurrent use.
+defined here.  There are two ways to build one:
+
+* the public constructor ``Quaternion(w, x, y, z)`` coerces each argument
+  with ``float()`` and checks each component for NaN/Inf;
+* the internal ``_make(w, x, y, z)`` takes components that are already
+  Python floats (the results of arithmetic on existing quaternions, or
+  outside scalars passed through ``float()`` first) and makes one exact
+  finiteness check for all four.
+
+Both keep the same invariant: every component is a finite, exact Python
+``float``, and the instance is immutable, so it is safe for unrestricted
+concurrent use.
 """
 
 from __future__ import annotations
@@ -21,8 +31,10 @@ DIVISION_EPS = 1e-12
 class Quaternion:
     """A quaternion w + x*i + y*j + z*k with double-precision components.
 
-    Construction rejects NaN/Inf so a non-finite value can never leave an
-    operation silently.
+    Components are finite Python floats and cannot be reassigned.  The
+    public constructor coerces and checks its arguments; arithmetic results
+    come from ``_make``, which checks finiteness once.  Either way a NaN/Inf
+    can never leave an operation silently: it raises ``ValueError``.
     """
 
     __slots__ = ("w", "x", "y", "z")
@@ -42,57 +54,65 @@ class Quaternion:
     def __setattr__(self, name, value):
         raise AttributeError("Quaternion is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Quaternion is immutable")
+
     # -- algebra -----------------------------------------------------------
+    # Outside scalars go through float() once, so a float subclass such as
+    # numpy.float64 never ends up stored as a component.
 
     def __add__(self, other):
         if isinstance(other, Quaternion):
-            return Quaternion(self.w + other.w, self.x + other.x,
-                              self.y + other.y, self.z + other.z)
+            return _make(self.w + other.w, self.x + other.x,
+                         self.y + other.y, self.z + other.z)
         if isinstance(other, (int, float)):
-            return Quaternion(self.w + other, self.x, self.y, self.z)
+            return _make(self.w + float(other), self.x, self.y, self.z)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Quaternion):
-            return Quaternion(self.w - other.w, self.x - other.x,
-                              self.y - other.y, self.z - other.z)
+            return _make(self.w - other.w, self.x - other.x,
+                         self.y - other.y, self.z - other.z)
         if isinstance(other, (int, float)):
-            return Quaternion(self.w - other, self.x, self.y, self.z)
+            return _make(self.w - float(other), self.x, self.y, self.z)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, float)):
-            return Quaternion(other - self.w, -self.x, -self.y, -self.z)
+            return _make(float(other) - self.w, -self.x, -self.y, -self.z)
         return NotImplemented
 
     def __neg__(self):
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+        return _make(-self.w, -self.x, -self.y, -self.z)
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
             w1, x1, y1, z1 = self.w, self.x, self.y, self.z
             w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-            return Quaternion(
+            return _make(
                 w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
                 w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
                 w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
                 w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
         if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
+            s = float(other)
+            return _make(self.w * s, self.x * s, self.y * s, self.z * s)
         return NotImplemented
 
     def __rmul__(self, other):
         # real scalars commute, so left multiplication needs no special case
         if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
+            s = float(other)
+            return _make(self.w * s, self.x * s, self.y * s, self.z * s)
         return NotImplemented
 
     def __truediv__(self, other):
         # quotient by a quaternion is ambiguous (left vs right); use inverse()
         if isinstance(other, (int, float)):
-            return Quaternion(self.w / other, self.x / other, self.y / other, self.z / other)
+            s = float(other)
+            return _make(self.w / s, self.x / s, self.y / s, self.z / s)
         return NotImplemented
 
     def __pow__(self, n):
@@ -124,7 +144,7 @@ class Quaternion:
     # -- metrics and involutions --------------------------------------------
 
     def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
+        return _make(self.w, -self.x, -self.y, -self.z)
 
     def norm_sq(self) -> float:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
@@ -139,10 +159,10 @@ class Quaternion:
         n2 = self.norm_sq()
         if n2 <= eps * eps:
             raise ZeroDivisionError(f"quaternion too small to invert (|q| = {math.sqrt(n2):g})")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        return _make(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
 
     def imag(self) -> "Quaternion":
-        return Quaternion(0.0, self.x, self.y, self.z)
+        return _make(0.0, self.x, self.y, self.z)
 
     def imag_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
@@ -166,7 +186,7 @@ class Quaternion:
         y0 = self.imag_norm()
         if y0 == 0.0:
             return SliceCoordinates(self.w, 0.0, I)
-        axis = Quaternion(0.0, self.x / y0, self.y / y0, self.z / y0)
+        axis = _make(0.0, self.x / y0, self.y / y0, self.z / y0)
         return SliceCoordinates(self.w, y0, axis)
 
     # -- formats ---------------------------------------------------------------
@@ -230,6 +250,31 @@ class Quaternion:
 
     def __repr__(self):
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
+
+
+_new = object.__new__
+_set_w = Quaternion.__dict__["w"].__set__
+_set_x = Quaternion.__dict__["x"].__set__
+_set_y = Quaternion.__dict__["y"].__set__
+_set_z = Quaternion.__dict__["z"].__set__
+
+
+def _make(w: float, x: float, y: float, z: float) -> Quaternion:
+    """Internal constructor for components that are already Python floats.
+
+    ``0.0*w + 0.0*x + 0.0*y + 0.0*z`` is 0 when all four are finite and NaN
+    otherwise, so one ``isfinite`` replaces four.  The slots are filled
+    through their member descriptors, which skips ``__init__`` and the
+    immutability guard in ``__setattr__`` without weakening it.
+    """
+    if not math.isfinite(0.0 * w + 0.0 * x + 0.0 * y + 0.0 * z):
+        raise ValueError(f"non-finite quaternion component in ({w}, {x}, {y}, {z})")
+    q = _new(Quaternion)
+    _set_w(q, w)
+    _set_x(q, x)
+    _set_y(q, y)
+    _set_z(q, z)
+    return q
 
 
 _TERM = re.compile(

@@ -10,7 +10,7 @@ spherical expansion this is the algebraic core of the package.
 from __future__ import annotations
 
 from .errors import DegenerateCenter, RealPoint
-from .quaternion import ONE, ZERO, Quaternion, as_quaternion
+from .quaternion import ONE, ZERO, Quaternion, _make, as_quaternion
 
 
 class RegularPolynomial:
@@ -83,14 +83,27 @@ class RegularPolynomial:
     # -- evaluation -------------------------------------------------------------
 
     def evaluate(self, q) -> Quaternion:
-        """Horner evaluation a_0 + q(a_1 + q(a_2 + ...)), q multiplying from the left."""
+        """Horner evaluation a_0 + q(a_1 + q(a_2 + ...)), q multiplying from the left.
+
+        Each step ``acc = q * acc + a_n`` runs on unpacked floats in the exact
+        operation order of the Hamilton product and sum, so the result is
+        bit-identical to the quaternion-level loop; only the result is built
+        as a quaternion (which checks that it is finite: a NaN/Inf, once
+        produced, reaches every later component).
+        """
         q = as_quaternion(q)
-        if not self.coeffs:
-            return ZERO
-        acc = self.coeffs[-1]
-        for n in range(len(self.coeffs) - 2, -1, -1):
-            acc = q * acc + self.coeffs[n]
-        return acc
+        coeffs = self.coeffs
+        if len(coeffs) < 2:
+            return coeffs[0] if coeffs else ZERO
+        qw, qx, qy, qz = q.w, q.x, q.y, q.z
+        top = coeffs[-1]
+        w, x, y, z = top.w, top.x, top.y, top.z
+        for c in coeffs[-2::-1]:
+            w, x, y, z = (qw * w - qx * x - qy * y - qz * z + c.w,
+                          qw * x + qx * w + qy * z - qz * y + c.x,
+                          qw * y - qx * z + qy * w + qz * x + c.y,
+                          qw * z + qx * y - qy * x + qz * w + c.z)
+        return _make(w, x, y, z)
 
     __call__ = evaluate
 
@@ -133,11 +146,19 @@ class RegularPolynomial:
         if isinstance(other, RegularPolynomial):
             if self.is_zero or other.is_zero:
                 return RegularPolynomial()
-            out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+            # out[k + l] + a * b on four float lists, in the quaternion-level
+            # operation order, so every coefficient is bit-identical to it
+            size = len(self.coeffs) + len(other.coeffs) - 1
+            ow, ox, oy, oz = [0.0] * size, [0.0] * size, [0.0] * size, [0.0] * size
+            rhs = [(b.w, b.x, b.y, b.z) for b in other.coeffs]
             for k, a in enumerate(self.coeffs):
-                for l, b in enumerate(other.coeffs):
-                    out[k + l] = out[k + l] + a * b
-            return RegularPolynomial(out)
+                w1, x1, y1, z1 = a.w, a.x, a.y, a.z
+                for n, (w2, x2, y2, z2) in enumerate(rhs, k):
+                    ow[n] = ow[n] + (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2)
+                    ox[n] = ox[n] + (w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2)
+                    oy[n] = oy[n] + (w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2)
+                    oz[n] = oz[n] + (w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
+            return RegularPolynomial([_make(*c) for c in zip(ow, ox, oy, oz)])
         return NotImplemented
 
     def __rmul__(self, other):

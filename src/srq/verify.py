@@ -182,6 +182,12 @@ def _merge_reports(suite: str, seed: int, total: int, reports, extra=None) -> Ve
 # -- single-input checks -------------------------------------------------------------
 
 
+def _require_samples(sample_count: int) -> None:
+    # a sampled property that checked no point would pass vacuously
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
+
+
 def check_schwarz_pick(f, q0, sample_count: int = 100, *, rng=None,
                        tol: float = DEFAULT_TOL, seed: int = 0) -> VerificationReport:
     """Check the three self-map inequalities for one map at one base point.
@@ -197,6 +203,7 @@ def check_schwarz_pick(f, q0, sample_count: int = 100, *, rng=None,
     For a regular self-map in normal form the remainder and derivative bounds
     hold with equality, which callers can read off ``max_abs_margin``.
     """
+    _require_samples(sample_count)
     rng = rng or stream(seed, "schwarz-points")
     q0 = as_quaternion(q0)
     fq = as_quotient(f)
@@ -245,6 +252,7 @@ def check_zero_case(f, q0, sample_count: int = 100, *, rng=None,
     |M^{-*} * f| <= 1 on samples, |d_c f(q0)| <= 1/(1-|q0|^2), and for
     non-real q0 also |d_s f(q0)| <= 1/|1 - conj(q0)^2|.
     """
+    _require_samples(sample_count)
     rng = rng or stream(seed, "zero-case-points")
     q0 = as_quaternion(q0)
     fq = as_quotient(f)
@@ -285,6 +293,7 @@ def check_modulus_product(h, f, g, sample_count: int = 100, *, rng=None,
     The hypothesis is verified on the sample set first; a hypothesis failure
     is an input error, not a reported violation.
     """
+    _require_samples(sample_count)
     rng = rng or stream(seed, "modulus-points")
     points = [sample_ball(rng, 0.95) for _ in range(sample_count)]
     for q in points:
@@ -306,6 +315,7 @@ def check_reg_preservation(f, A: QuaternionMatrix2, sample_count: int = 100, *,
 
     Also checks that the regular conjugate of f stays a self-map.
     """
+    _require_samples(sample_count)
     if not A.is_sp11(1e-9):
         raise ValueError("matrix does not preserve the ball; precondition violated")
     rng = rng or stream(seed, "preservation-points")
@@ -344,6 +354,7 @@ def check_slice_regularity(f, sample_count: int = 100, *, rng=None,
     non-regular map (such as pointwise conjugation) fails with residual
     around one.
     """
+    _require_samples(sample_count)
     rng = rng or stream(seed, "slice-points")
     t = _Tracker("slice_regularity", 0.0)
     for _ in range(sample_count):

@@ -149,6 +149,19 @@ def test_bad_tolerance_exits_2(capsys):
     assert code == 2
 
 
+def test_negative_samples_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "slice-regularity", "--samples", "-5",
+                             "--json")
+    assert code == 2
+    assert out == ""
+    assert "--samples" in err
+    # zero still runs the one-batch minimum
+    code, out, _ = run_cli(capsys, "verify", "slice-regularity", "--samples", "0",
+                           "--json")
+    assert code == 0
+    assert json.loads(out)["samples"] == 25
+
+
 def test_bad_expression_exits_2(capsys):
     code, _, err = run_cli(capsys, "eval", "--f", "q +* 2", "--at", "1")
     assert code == 2

@@ -3,10 +3,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from srq.errors import ParseError
-from srq.quaternion import I, J, K, ONE, ZERO, Quaternion
+from srq.quaternion import I, J, K, ONE, ZERO, Quaternion, _make
 
 
 def rand_quat(rng, scale=1.0):
@@ -156,3 +159,69 @@ def test_real_quaternion_hashes_like_its_float():
         assert hash(Quaternion(x)) == hash(x)
     assert len({Quaternion(1), 1}) == 1
     assert len({Quaternion(1, 2), Quaternion(1.0, 2.0)}) == 1
+
+
+# -- the internal constructor ------------------------------------------------------
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+finite = st.floats(min_value=-1e150, max_value=1e150)
+quats = st.builds(Quaternion, finite, finite, finite, finite)
+
+
+def bits(q):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return tuple(c.hex() for c in (q.w, q.x, q.y, q.z))
+
+
+@given(any_float, any_float, any_float, any_float)
+def test_make_checks_finiteness_exactly_like_the_public_constructor(w, x, y, z):
+    finite_input = all(math.isfinite(c) for c in (w, x, y, z))
+    if finite_input:
+        assert bits(_make(w, x, y, z)) == bits(Quaternion(w, x, y, z))
+    else:
+        with pytest.raises(ValueError):
+            _make(w, x, y, z)
+        with pytest.raises(ValueError):
+            Quaternion(w, x, y, z)
+
+
+@given(quats, quats)
+def test_hamilton_product_matches_its_formula_bit_for_bit(p, q):
+    expected = Quaternion(p.w * q.w - p.x * q.x - p.y * q.y - p.z * q.z,
+                          p.w * q.x + p.x * q.w + p.y * q.z - p.z * q.y,
+                          p.w * q.y - p.x * q.z + p.y * q.w + p.z * q.x,
+                          p.w * q.z + p.x * q.y - p.y * q.x + p.z * q.w)
+    assert bits(p * q) == bits(expected)
+    assert bits(p + q) == bits(Quaternion(p.w + q.w, p.x + q.x, p.y + q.y, p.z + q.z))
+    assert bits(p - q) == bits(Quaternion(p.w - q.w, p.x - q.x, p.y - q.y, p.z - q.z))
+
+
+def test_arithmetic_overflow_raises():
+    big = Quaternion(1e300, 1e300, 1e300, 1e300)
+    with pytest.raises(ValueError):
+        big * big
+    with pytest.raises(ValueError):
+        Quaternion(1.5e308) + Quaternion(1.5e308)
+    with pytest.raises(ValueError):
+        big * 1e10
+
+
+def test_components_stay_python_floats():
+    scale = np.float64(0.5)
+    q = Quaternion(1, 2, 3, 4)
+    results = [q * scale, scale * q, q + scale, q - scale, 1 - q, q / scale, q * 2, q + True,
+               q.inverse(), q.conjugate(), -q, q.imag()]
+    for r in results:
+        assert all(type(c) is float for c in (r.w, r.x, r.y, r.z)), repr(r)
+    assert repr(q * scale) == "Quaternion(0.5, 1.0, 1.5, 2.0)"
+    assert str(q * scale) == "0.5+i+1.5j+2k"
+
+
+def test_arithmetic_results_are_immutable():
+    for r in (I * J, ONE + I, -J, K.inverse(), Quaternion(1, 2).conjugate()):
+        with pytest.raises(AttributeError):
+            r.w = 3.0
+        with pytest.raises(AttributeError):
+            del r.x
+    q = I * J
+    assert q == K

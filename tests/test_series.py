@@ -3,7 +3,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from srq.errors import DegenerateCenter, RealPoint
 from srq.quaternion import I, J, K, ONE, ZERO, Quaternion
@@ -307,3 +310,72 @@ def test_expansion_beyond_degree_pads_with_zeros():
     assert len(e.coefficients) == 10
     for c in e.coefficients[3:]:
         assert c.isclose(ZERO, abs_tol=1e-15)
+
+
+# -- the float-level kernels against quaternion-level oracles --------------------------
+#
+# evaluate and the star product run on unpacked floats; these oracles are the
+# quaternion-level loops they replace, and the two must agree bit for bit.
+
+
+def horner_oracle(f, q):
+    if f.is_zero:
+        return ZERO
+    acc = f.coeffs[-1]
+    for c in reversed(f.coeffs[:-1]):
+        acc = q * acc + c
+    return acc
+
+
+def star_oracle(f, g):
+    if f.is_zero or g.is_zero:
+        return RegularPolynomial()
+    out = [ZERO] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for k, a in enumerate(f.coeffs):
+        for l, b in enumerate(g.coeffs):
+            out[k + l] = out[k + l] + a * b
+    return RegularPolynomial(out)
+
+
+def bits(q):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return tuple(c.hex() for c in (q.w, q.x, q.y, q.z))
+
+
+component = st.floats(min_value=-1e6, max_value=1e6)
+quats = st.builds(Quaternion, component, component, component, component)
+polys = st.lists(quats, max_size=9).map(RegularPolynomial)
+
+
+@given(polys, quats)
+def test_evaluate_matches_quaternion_horner_bit_for_bit(f, q):
+    value = f.evaluate(q)
+    expected = horner_oracle(f, q)
+    assert value == expected
+    assert bits(value) == bits(expected)
+
+
+@given(polys, polys)
+def test_star_product_matches_quaternion_convolution_bit_for_bit(f, g):
+    product = f * g
+    expected = star_oracle(f, g)
+    assert product == expected
+    assert [bits(c) for c in product.coeffs] == [bits(c) for c in expected.coeffs]
+
+
+def test_overflow_still_raises():
+    big = Quaternion(1e300, 1e300, -1e300, 1e300)
+    f = RegularPolynomial([big, big, big])
+    with pytest.raises(ValueError):
+        f.evaluate(big)
+    with pytest.raises(ValueError):
+        f * f
+
+
+def test_evaluation_components_stay_python_floats():
+    f = RegularPolynomial([ONE, I, J + K])
+    for at in (np.float64(0.5), Quaternion(np.float64(0.5), np.float64(0.25))):
+        value = f.evaluate(at)
+        assert all(type(c) is float for c in (value.w, value.x, value.y, value.z))
+    product = f * RegularPolynomial([Quaternion(np.float64(0.5))])
+    assert all(type(c) is float for q in product.coeffs for c in (q.w, q.x, q.y, q.z))

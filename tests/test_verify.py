@@ -140,6 +140,22 @@ def test_reg_preservation():
         check_reg_preservation(f, QuaternionMatrix2(Quaternion(2), ZERO, ZERO, ONE), 10)
 
 
+@pytest.mark.parametrize("check", [
+    lambda n: check_schwarz_pick(Q * Q, ZERO, n, seed=1),
+    lambda n: check_zero_case(Q * Q, ZERO, n, seed=7),
+    lambda n: check_modulus_product(RegularPolynomial([ONE + I]), Q * 0.5, Q, n, seed=22),
+    lambda n: check_reg_preservation(Q * 0.5, random_sp11(random.Random(3)), n, seed=3),
+    lambda n: check_slice_regularity(Q * Q, n, seed=18),
+], ids=["schwarz-pick", "zero-case", "modulus-product", "reg-preservation",
+        "slice-regularity"])
+def test_checks_refuse_an_empty_sample(check):
+    # a sampled property that checked no point must not pass vacuously
+    assert check(1).passed
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="sample_count"):
+            check(n)
+
+
 def test_moebius_orbit_of_identity_stays_in_ball():
     rng = stream(17, "orbit")
     from srq.fractional import right_action
