@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -27,14 +28,20 @@ def _parse_quat(text: str) -> Quaternion:
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text}")
+    try:
+        value = float(text)
+    except ValueError:  # argparse would name this function in its message
+        raise argparse.ArgumentTypeError(f"tolerance must be a number, got {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text}")
     return value
 
 
 def _sample_count(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"sample count must be an integer, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"sample count must be >= 0, got {text}")
     return value
@@ -253,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_positive_float, default=None,
                    help=f"violation tolerance of the inequality suites (default "
                         f"{verify_mod.DEFAULT_TOL:g}); slice-regularity keeps its own "
-                        f"finite-difference bound of 1e-5")
+                        f"finite-difference bound of {verify_mod._SLICE_TOL:g}")
     _add_format_flags(p)
     p.set_defaults(func=_cmd_verify)
 

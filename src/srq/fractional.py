@@ -13,15 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (DegenerateComposite, DegenerateSwap, NotHermitian,
-                     NotSp11, OutsideBall, PoleError, SingularMatrix)
-from .quaternion import ONE, ZERO, Quaternion, as_quaternion
+                     NotSp11, PoleError, SingularMatrix)
+from .geometry import _require_inside_ball, _require_unit
+from .quaternion import EPS, ONE, ZERO, Quaternion, _Frozen, as_quaternion
 from .rational import RegularQuotient, as_quotient
 from .series import RegularPolynomial
 
-_SINGULAR_EPS = 1e-12
 
-
-class QuaternionMatrix2:
+class QuaternionMatrix2(_Frozen):
     """Quaternionic 2x2 matrix with rows (a, c) and (b, d)."""
 
     __slots__ = ("a", "c", "b", "d")
@@ -31,9 +30,6 @@ class QuaternionMatrix2:
         object.__setattr__(self, "c", as_quaternion(c))
         object.__setattr__(self, "b", as_quaternion(b))
         object.__setattr__(self, "d", as_quaternion(d))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuaternionMatrix2 is immutable")
 
     @classmethod
     def identity(cls) -> "QuaternionMatrix2":
@@ -109,7 +105,7 @@ class MoebiusNormalForm:
 
 
 def _require_invertible(A: QuaternionMatrix2):
-    if A.dieudonne_det() <= _SINGULAR_EPS * (1.0 + A.entry_scale()) ** 2:
+    if A.dieudonne_det() <= EPS * (1.0 + A.entry_scale()) ** 2:
         raise SingularMatrix(f"matrix has vanishing Dieudonne determinant: {A!r}")
 
 
@@ -125,7 +121,7 @@ def classical_fractional(A: QuaternionMatrix2, q) -> Quaternion:
     """Pointwise classical value (qc+d)^{-1} (qa+b)."""
     q = as_quaternion(q)
     den = q * A.c + A.d
-    if den.norm() < _SINGULAR_EPS * (1.0 + A.entry_scale()) * (1.0 + q.norm()):
+    if den.norm() < EPS * (1.0 + A.entry_scale()) * (1.0 + q.norm()):
         raise PoleError(f"classical denominator vanishes at {q}")
     return den.inverse() * (q * A.a + A.b)
 
@@ -136,8 +132,7 @@ def generator(kind: str, param=None) -> QuaternionMatrix2:
         return QuaternionMatrix2(ONE, ZERO, as_quaternion(param), ONE)
     if kind == "rotation":
         a = as_quaternion(param)
-        if abs(a.norm() - 1.0) > 1e-9:
-            raise ValueError(f"rotation factor must be unit, got |a| = {a.norm():g}")
+        _require_unit(a, "rotation factor")
         return QuaternionMatrix2(a, ZERO, ZERO, ONE)
     if kind == "dilation":
         r = float(param)
@@ -185,7 +180,7 @@ def left_action(A: QuaternionMatrix2, f) -> RegularQuotient:
     """
     _require_invertible(A)
     A = A.transpose()
-    if isinstance(f, RegularPolynomial) or isinstance(f, (int, float, Quaternion)):
+    if not isinstance(f, RegularQuotient):
         f = RegularQuotient(RegularPolynomial([ONE]), f, "right")
     if f.is_pair and f.side == "right":
         num = A.a * f.num + A.b * f.den
@@ -200,8 +195,7 @@ def left_action(A: QuaternionMatrix2, f) -> RegularQuotient:
     return num * den.reciprocal()
 
 
-def hermitian_coincidence_check(f, A: QuaternionMatrix2, *, points=None,
-                                tol: float = 1e-10) -> bool:
+def hermitian_coincidence_check(f, A: QuaternionMatrix2, *, points=None) -> bool:
     """For Hermitian A (real diagonal, c = conj(b)) the two actions coincide.
 
     Evaluates both composites on a fixed sample grid in the unit ball and
@@ -227,7 +221,7 @@ def hermitian_coincidence_check(f, A: QuaternionMatrix2, *, points=None,
         except PoleError:
             continue
         compared += 1
-        if (rv - lv).norm() > tol * (1.0 + rv.norm()):
+        if (rv - lv).norm() > 1e-10 * (1.0 + rv.norm()):
             return False
     if not compared:
         raise PoleError("every sample point is a pole of the composites")
@@ -257,7 +251,7 @@ def left_right_convert(A: QuaternionMatrix2) -> QuaternionMatrix2:
     """
     _require_invertible(A)
     scale = 1.0 + A.entry_scale()
-    if A.c.norm() <= _SINGULAR_EPS * scale:
+    if A.c.norm() <= EPS * scale:
         dinv = A.d.inverse()
         return QuaternionMatrix2(dinv * A.a, dinv * A.b, ZERO, ONE)
     cinv = A.c.inverse()
@@ -266,7 +260,7 @@ def left_right_convert(A: QuaternionMatrix2) -> QuaternionMatrix2:
     p = -(cinv * A.d)
     pbar = p.conjugate()
     lead = beta - pbar * alpha + (2.0 * p.w) * alpha
-    if lead.norm() <= _SINGULAR_EPS * (1.0 + alpha.norm() + beta.norm()) * (1.0 + p.norm()):
+    if lead.norm() <= EPS * (1.0 + alpha.norm() + beta.norm()) * (1.0 + p.norm()):
         raise DegenerateSwap("factor swap hit a singular linear solve")
     ptilde = lead.inverse() * (pbar * beta + p.norm_sq() * alpha)
     delta = beta - pbar * alpha + alpha * ptilde
@@ -284,16 +278,14 @@ def from_normal_form(q0, u) -> QuaternionMatrix2:
     """
     q0 = as_quaternion(q0)
     u = as_quaternion(u)
-    if q0.norm() >= 1.0:
-        raise OutsideBall(f"|q0| = {q0.norm():g} is not inside the unit ball")
-    if abs(u.norm() - 1.0) > 1e-9:
-        raise ValueError(f"phase must be unit, got |u| = {u.norm():g}")
+    _require_inside_ball(q0)
+    _require_unit(u, "phase")
     lam = 1.0 / (1.0 - q0.norm_sq()) ** 0.5
     return QuaternionMatrix2(u * lam, -q0.conjugate() * lam,
                              -(q0 * u) * lam, Quaternion(lam))
 
 
-def normal_form(A: QuaternionMatrix2, tol: float = 1e-9) -> MoebiusNormalForm:
+def normal_form(A: QuaternionMatrix2) -> MoebiusNormalForm:
     """Recover the unique (q0, u) with F_A = (1 - q conj(q0))^{-*} * (q - q0) u.
 
     q0 is the unique zero of F_A in the ball.  The numerator qa+b vanishes at
@@ -302,12 +294,12 @@ def normal_form(A: QuaternionMatrix2, tol: float = 1e-9) -> MoebiusNormalForm:
     phase then comes from F_A(0) = -q0 u, or from a real probe point when q0
     is at the origin.
     """
-    if not A.is_sp11(tol):
+    if not A.is_sp11():
         raise NotSp11("matrix does not satisfy the defining identity")
     # |a|^2 = 1 + |b|^2 >= 1 for these matrices, so a is invertible
     w = -(A.b * A.a.inverse())
     fw = w * A.c + A.d
-    if fw.norm() < _SINGULAR_EPS * (1.0 + A.entry_scale()):
+    if fw.norm() < EPS * (1.0 + A.entry_scale()):
         raise NotSp11("denominator vanishes inside the ball")
     q0 = fw.inverse() * w * fw
     if q0.norm() >= 1.0:

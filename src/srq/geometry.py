@@ -12,19 +12,27 @@ from __future__ import annotations
 import math
 
 from .errors import CoincidentPoints, DegenerateCenter, OutsideBall, RealPoint
-from .quaternion import ONE, Quaternion, as_quaternion
+from .quaternion import EPS, ONE, Quaternion, _Frozen, as_quaternion
 from .rational import RegularQuotient
 from .series import RegularPolynomial, SphericalExpansion
 
-#: Points with |q| beyond 1 - BOUNDARY_EPS are rejected, not extrapolated.
-BOUNDARY_EPS = 1e-12
-
 
 def _in_ball(q, name: str) -> Quaternion:
+    """Coerce an evaluation point; beyond |q| = 1 - EPS it is rejected, not extrapolated."""
     q = as_quaternion(q)
-    if q.norm() > 1.0 - BOUNDARY_EPS:
+    if q.norm() > 1.0 - EPS:
         raise OutsideBall(f"{name} = {q} is not inside the open unit ball")
     return q
+
+
+def _require_inside_ball(q0: Quaternion) -> None:
+    if q0.norm() >= 1.0:
+        raise OutsideBall(f"|q0| = {q0.norm():g} is not inside the unit ball")
+
+
+def _require_unit(u: Quaternion, name: str) -> None:
+    if abs(u.norm() - 1.0) > 1e-9:
+        raise ValueError(f"{name} must be unit, got modulus {u.norm():g}")
 
 
 def pseudo_distance_sq(q1, q2) -> float:
@@ -47,9 +55,8 @@ def classical_moebius(q0, u, v, q) -> Quaternion:
     q = _in_ball(q, "q")
     u = as_quaternion(u)
     v = as_quaternion(v)
-    for name, w in (("u", u), ("v", v)):
-        if abs(w.norm() - 1.0) > 1e-9:
-            raise ValueError(f"{name} must be unit, got modulus {w.norm():g}")
+    _require_unit(u, "u")
+    _require_unit(v, "v")
     return v.inverse() * ((ONE - q * q0.conjugate()).inverse() * ((q - q0) * u))
 
 
@@ -69,10 +76,8 @@ def regular_moebius_map(q0, u=ONE, side: str = "left") -> RegularQuotient:
     """
     q0 = as_quaternion(q0)
     u = as_quaternion(u)
-    if q0.norm() >= 1.0:
-        raise OutsideBall(f"|q0| = {q0.norm():g} is not inside the unit ball")
-    if abs(u.norm() - 1.0) > 1e-9:
-        raise ValueError(f"u must be unit, got modulus {u.norm():g}")
+    _require_inside_ball(q0)
+    _require_unit(u, "u")
     den = RegularPolynomial([ONE, -q0.conjugate()])
     num = RegularPolynomial([-(q0 * u), u])
     return RegularQuotient(den, num, side)
@@ -111,8 +116,7 @@ def moebius_expansion_coefficients(q0, n_max: int) -> SphericalExpansion:
     remainder-based expansion: A_0 .. A_{2*n_max+1}.
     """
     q0 = as_quaternion(q0)
-    if q0.norm() >= 1.0:
-        raise OutsideBall(f"|q0| = {q0.norm():g} is not inside the unit ball")
+    _require_inside_ball(q0)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     sc = q0.slice_decompose()
@@ -143,13 +147,13 @@ def conformality_defect(q0) -> tuple:
     every non-real center, so the map is not conformal there.
     """
     q0 = _in_ball(q0, "q0")
-    if q0.imag_norm() <= 1e-12 * (1.0 + q0.norm()):
+    if q0.imag_norm() <= EPS * (1.0 + q0.norm()):
         raise RealPoint(f"conformality defect is undefined at the real point {q0}")
     qc = q0.conjugate()
     return (1.0 / (1.0 - q0.norm_sq()), 1.0 / (ONE - qc * qc).norm())
 
 
-class GeodesicSegment:
+class GeodesicSegment(_Frozen):
     """The non-Euclidean segment between two points of the ball.
 
     Built by transporting the first endpoint to the origin with a classical
@@ -163,9 +167,6 @@ class GeodesicSegment:
         object.__setattr__(self, "q1", q1)
         object.__setattr__(self, "q2", q2)
         object.__setattr__(self, "_image", _moebius_to_zero(q1, q2))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GeodesicSegment is immutable")
 
     def point(self, t: float) -> Quaternion:
         if not 0.0 <= t <= 1.0:

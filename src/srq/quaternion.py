@@ -24,11 +24,23 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 
-#: Below this (scale-aware) threshold, inversion refuses to divide.
-DIVISION_EPS = 1e-12
+#: The relative size at which a quantity counts as zero, scaled by what each test guards.
+EPS = 1e-12
 
 
-class Quaternion:
+class _Frozen:
+    """Immutable base: constructors fill slots through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Quaternion(_Frozen):
     """A quaternion w + x*i + y*j + z*k with double-precision components.
 
     Components are finite Python floats and cannot be reassigned.  The
@@ -50,12 +62,6 @@ class Quaternion:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Quaternion is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Quaternion is immutable")
 
     # -- algebra -----------------------------------------------------------
     # Outside scalars go through float() once, so a float subclass such as
@@ -154,10 +160,10 @@ class Quaternion:
 
     __abs__ = norm
 
-    def inverse(self, eps: float = DIVISION_EPS) -> "Quaternion":
-        """q^{-1} = conj(q)/|q|^2; refuses when |q| is below ``eps``."""
+    def inverse(self) -> "Quaternion":
+        """q^{-1} = conj(q)/|q|^2; refuses when |q| is below ``EPS``."""
         n2 = self.norm_sq()
-        if n2 <= eps * eps:
+        if n2 <= EPS * EPS:
             raise ZeroDivisionError(f"quaternion too small to invert (|q| = {math.sqrt(n2):g})")
         return _make(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
 
@@ -265,7 +271,7 @@ def _make(w: float, x: float, y: float, z: float) -> Quaternion:
     ``0.0*w + 0.0*x + 0.0*y + 0.0*z`` is 0 when all four are finite and NaN
     otherwise, so one ``isfinite`` replaces four.  The slots are filled
     through their member descriptors, which skips ``__init__`` and the
-    immutability guard in ``__setattr__`` without weakening it.
+    immutability guard of ``_Frozen`` without weakening it.
     """
     if not math.isfinite(0.0 * w + 0.0 * x + 0.0 * y + 0.0 * z):
         raise ValueError(f"non-finite quaternion component in ({w}, {x}, {y}, {z})")

@@ -18,15 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NonConvergence, PoleError
-from .quaternion import ONE, ZERO, Quaternion, as_quaternion
-from .series import RegularPolynomial
+from .quaternion import EPS, ONE, ZERO, Quaternion, _Frozen, as_quaternion
+from .series import RegularPolynomial, _lift
 
-#: Scale factor for the pole guard: evaluation refuses when
-#: |sym(q)| < POLE_EPS * (1 + sum |sym coefficients|).
-POLE_EPS = 1e-12
+#: Relative distance within which roots merge, or count as real.
+_CLUSTER_TOL = 1e-6
 
 
-class RegularQuotient:
+class RegularQuotient(_Frozen):
     """A quotient of regular polynomials under the star product.
 
     ``side="left"`` is f^{-*}*g with den=f, num=g, evaluating as
@@ -59,10 +58,7 @@ class RegularQuotient:
         object.__setattr__(self, "sym", sym)
         object.__setattr__(self, "conum", conum)
         object.__setattr__(self, "_pole_scale",
-                           POLE_EPS * (1.0 + sym.coefficient_norm_sum()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RegularQuotient is immutable")
+                           EPS * (1.0 + sym.coefficient_norm_sum()))
 
     # -- constructors ---------------------------------------------------------
 
@@ -72,7 +68,7 @@ class RegularQuotient:
         conum = _as_poly(conum)
         if sym.is_zero:
             raise ValueError("expanded denominator is identically zero")
-        if not sym.is_real(1e-12 * (1.0 + sym.coefficient_norm_sum())):
+        if not sym.is_real(EPS * (1.0 + sym.coefficient_norm_sum())):
             raise ValueError("expanded denominator must have real coefficients")
         obj = cls.__new__(cls)
         obj._install(None, None, "expanded", sym, conum)
@@ -80,7 +76,7 @@ class RegularQuotient:
 
     @classmethod
     def from_polynomial(cls, p) -> "RegularQuotient":
-        return cls(RegularPolynomial([ONE]), _as_poly(p), "left")
+        return cls(RegularPolynomial([ONE]), p, "left")
 
     @classmethod
     def from_json(cls, obj) -> "RegularQuotient":
@@ -124,14 +120,14 @@ class RegularQuotient:
         if self.side == "left":
             w = star_transform(self.den, q)
             fw = self.den.evaluate(w)
-            if fw.norm() < POLE_EPS * (1.0 + self.den.coefficient_norm_sum()):
+            if fw.norm() < EPS * (1.0 + self.den.coefficient_norm_sum()):
                 raise PoleError(f"{q} maps onto a zero of the denominator")
             return fw.inverse() * self.num.evaluate(w)
         s = self.sym.evaluate(q)
         if s.norm() < self._pole_scale:
             raise PoleError(f"{q} lies on the zero set of the denominator symmetrization")
         gq = self.num.evaluate(q)
-        if gq.norm() < POLE_EPS * (1.0 + self.num.coefficient_norm_sum()):
+        if gq.norm() < EPS * (1.0 + self.num.coefficient_norm_sum()):
             raise ValueError("transform route for a right quotient needs a nonzero numerator value")
         w = gq.inverse() * q * gq
         return s.inverse() * (gq * self.den.conjugate().evaluate(w))
@@ -232,19 +228,17 @@ class RegularQuotient:
 
 
 def _as_poly(value) -> RegularPolynomial:
-    if isinstance(value, RegularPolynomial):
-        return value
-    if isinstance(value, (int, float, Quaternion)):
-        return RegularPolynomial([as_quaternion(value)])
-    raise TypeError(f"cannot interpret {value!r} as a regular polynomial")
+    poly = _lift(value)
+    if poly is NotImplemented:
+        raise TypeError(f"cannot interpret {value!r} as a regular polynomial")
+    return poly
 
 
 def _as_quotient(value):
     if isinstance(value, RegularQuotient):
         return value
-    if isinstance(value, (int, float, Quaternion, RegularPolynomial)):
-        return RegularQuotient.from_polynomial(_as_poly(value))
-    return NotImplemented
+    poly = _lift(value)
+    return poly if poly is NotImplemented else RegularQuotient.from_polynomial(poly)
 
 
 def as_quotient(value) -> RegularQuotient:
@@ -266,7 +260,7 @@ def star_transform(f: RegularPolynomial, q) -> Quaternion:
     q = as_quaternion(q)
     fc = f.conjugate()
     v = fc.evaluate(q)
-    if v.norm() < POLE_EPS * (1.0 + fc.coefficient_norm_sum()):
+    if v.norm() < EPS * (1.0 + fc.coefficient_norm_sum()):
         raise PoleError(f"conjugate denominator vanishes at {q}")
     return v.inverse() * q * v
 
@@ -304,12 +298,12 @@ class SphereZeroSet:
         return len(self.entries)
 
 
-def durand_kerner(coeffs, max_iter: int = 500, tol: float = 1e-12):
+def durand_kerner(coeffs):
     """All complex roots of sum_n coeffs[n] z^n by simultaneous iteration.
 
     Robustness beats speed here: degrees stay small, so the quadratic
-    per-sweep cost is irrelevant.  Raises NonConvergence when a residual
-    stays above ``tol`` (scaled by the coefficient size).
+    per-sweep cost is irrelevant.  Raises NonConvergence when after 500
+    sweeps a residual stays above ``EPS`` (scaled by the coefficient size).
     """
     c = [complex(v) for v in coeffs]
     while c and abs(c[-1]) == 0.0:
@@ -332,7 +326,7 @@ def durand_kerner(coeffs, max_iter: int = 500, tol: float = 1e-12):
             acc = acc * z + v
         return acc
 
-    for _ in range(max_iter):
+    for _ in range(500):
         shift = 0.0
         new_roots = list(roots)
         for k in range(n):
@@ -350,19 +344,19 @@ def durand_kerner(coeffs, max_iter: int = 500, tol: float = 1e-12):
             break
     scale = 1.0 + sum(abs(v) for v in monic)
     for z in roots:
-        if abs(value(z)) > tol * scale:
+        if abs(value(z)) > EPS * scale:
             raise NonConvergence(
                 f"root iteration stalled with residual {abs(value(z)):g} at {z}")
     return roots
 
 
-def _cluster(roots, tol: float):
+def _cluster(roots):
     """Greedy clustering of complex roots within an absolute-ish tolerance."""
     remaining = sorted(roots, key=lambda z: (z.real, z.imag))
     clusters = []
     for z in remaining:
         for group in clusters:
-            if abs(z - group[0]) <= tol * (1.0 + abs(z)):
+            if abs(z - group[0]) <= _CLUSTER_TOL * (1.0 + abs(z)):
                 group.append(z)
                 break
         else:
@@ -370,17 +364,16 @@ def _cluster(roots, tol: float):
     return clusters
 
 
-def _zero_set_of_real_polynomial(sym: RegularPolynomial,
-                                 cluster_tol: float = 1e-6) -> SphereZeroSet:
+def _zero_set_of_real_polynomial(sym: RegularPolynomial) -> SphereZeroSet:
     if sym.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
     if sym.degree == 0:
         return SphereZeroSet(())
     roots = durand_kerner(sym.real_coefficients())
     entries = []
-    for group in _cluster(roots, cluster_tol):
+    for group in _cluster(roots):
         center = sum(group) / len(group)
-        if abs(center.imag) <= cluster_tol * (1.0 + abs(center)):
+        if abs(center.imag) <= _CLUSTER_TOL * (1.0 + abs(center)):
             entries.append(ZeroEntry(center.real, 0.0, len(group)))
         elif center.imag > 0.0:
             entries.append(ZeroEntry(center.real, center.imag, len(group)))
@@ -389,7 +382,7 @@ def _zero_set_of_real_polynomial(sym: RegularPolynomial,
     return SphereZeroSet(tuple(entries))
 
 
-def sphere_zero_set(f: RegularPolynomial, cluster_tol: float = 1e-6) -> SphereZeroSet:
+def sphere_zero_set(f: RegularPolynomial) -> SphereZeroSet:
     """Spheres x+yS (and real points) on which f has a zero.
 
     These are exactly the zeros of the symmetrization f^s, found as
@@ -398,10 +391,10 @@ def sphere_zero_set(f: RegularPolynomial, cluster_tol: float = 1e-6) -> SphereZe
     """
     if f.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
-    return _zero_set_of_real_polynomial(f.symmetrization(), cluster_tol)
+    return _zero_set_of_real_polynomial(f.symmetrization())
 
 
-def zeros_on_sphere(f: RegularPolynomial, x: float, y: float, tol: float = 1e-6):
+def zeros_on_sphere(f: RegularPolynomial, x: float, y: float):
     """Zeros of f on the sphere x + y*S.
 
     Writing f(x+yI) = b + I c with b, c independent of I, either c != 0 and
@@ -409,8 +402,9 @@ def zeros_on_sphere(f: RegularPolynomial, x: float, y: float, tol: float = 1e-6)
     imaginary), or b = c = 0 and the whole sphere vanishes.  Returns
     ``(is_spherical, zeros)``.
     """
+    tol = 1e-6
     scale = 1.0 + f.coefficient_norm_sum()
-    if abs(y) <= 1e-12:
+    if abs(y) <= EPS:
         v = f.evaluate(Quaternion(x))
         return (False, [Quaternion(x)] if v.norm() <= tol * scale else [])
     z = complex(x, y)

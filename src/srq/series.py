@@ -10,10 +10,10 @@ spherical expansion this is the algebraic core of the package.
 from __future__ import annotations
 
 from .errors import DegenerateCenter, RealPoint
-from .quaternion import ONE, ZERO, Quaternion, _make, as_quaternion
+from .quaternion import EPS, ONE, ZERO, Quaternion, _Frozen, _make, as_quaternion
 
 
-class RegularPolynomial:
+class RegularPolynomial(_Frozen):
     """Finite sequence of right coefficients (a_0, ..., a_N) for sum q^n a_n.
 
     Trailing zero coefficients are stripped so the degree is normalized; the
@@ -27,9 +27,6 @@ class RegularPolynomial:
         while lifted and lifted[-1] == ZERO:
             lifted.pop()
         object.__setattr__(self, "coeffs", tuple(lifted))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RegularPolynomial is immutable")
 
     # -- constructors --------------------------------------------------------
 
@@ -71,11 +68,11 @@ class RegularPolynomial:
     def is_real(self, tol: float = 0.0) -> bool:
         return all(c.imag_norm() <= tol for c in self.coeffs)
 
-    def real_coefficients(self, tol: float = 1e-9) -> list:
+    def real_coefficients(self) -> list:
         scale = 1.0 + self.coefficient_norm_sum()
         out = []
         for c in self.coeffs:
-            if c.imag_norm() > tol * scale:
+            if c.imag_norm() > 1e-9 * scale:
                 raise ValueError(f"coefficient {c} is not real within tolerance")
             out.append(c.w)
         return out
@@ -182,16 +179,16 @@ class RegularPolynomial:
         """Regular conjugate f^c: the same powers with conjugated coefficients."""
         return RegularPolynomial([c.conjugate() for c in self.coeffs])
 
-    def symmetrization(self, tol: float = 1e-9) -> "RegularPolynomial":
+    def symmetrization(self) -> "RegularPolynomial":
         """f^s = f * f^c, which has real coefficients.
 
         The floating-point convolution leaves an imaginary residue of rounding
-        size; it is checked against ``tol`` (scale-aware) and then dropped.
+        size; it is checked against 1e-9 (scale-aware) and then dropped.
         """
         prod = self * self.conjugate()
         scale = 1.0 + prod.coefficient_norm_sum()
         worst = max((c.imag_norm() for c in prod.coeffs), default=0.0)
-        if worst > tol * scale:
+        if worst > 1e-9 * scale:
             raise ValueError(f"symmetrization has imaginary residue {worst:g}")
         return RegularPolynomial([Quaternion(c.w) for c in prod.coeffs])
 
@@ -275,7 +272,7 @@ def _lift(value):
     return NotImplemented
 
 
-class SphericalExpansion:
+class SphericalExpansion(_Frozen):
     """Coefficients A_n of f(q) = sum_n [(q-x0)^2 + y0^2]^n [A_2n + (q-q0) A_2n+1].
 
     The bracket [(q-x0)^2 + y0^2] vanishes exactly on the sphere x0 + y0*S
@@ -293,9 +290,6 @@ class SphericalExpansion:
         sc = center.slice_decompose()
         object.__setattr__(self, "x0", sc.x0)
         object.__setattr__(self, "y0", sc.y0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SphericalExpansion is immutable")
 
     def evaluate(self, q) -> Quaternion:
         q = as_quaternion(q)
@@ -333,7 +327,7 @@ def spherical_derivative_at(f, q) -> Quaternion:
     """(2 Im q)^{-1} (f(q) - f(conj q)); undefined at real points."""
     q = as_quaternion(q)
     im = q.imag()
-    if im.norm() <= 1e-12 * (1.0 + q.norm()):
+    if im.norm() <= EPS * (1.0 + q.norm()):
         raise RealPoint(f"spherical derivative is undefined at the real point {q}")
     return (2.0 * im).inverse() * (evaluate_any(f, q) - evaluate_any(f, q.conjugate()))
 

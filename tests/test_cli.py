@@ -237,3 +237,23 @@ def test_verify_all_matches_golden_document(capsys):
                            "--json")
     assert code == 0
     assert out == golden.read_text()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "Infinity"])
+def test_non_finite_tolerance_exits_2(capsys, tol):
+    # no margin is below -nan or -inf, so such a tolerance would pass every suite
+    code, out, err = run_cli(capsys, "verify", "all", "--seed", "1", "--samples", "50",
+                             "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize("option, text", [("--samples", "x"), ("--samples", "2.5"),
+                                          ("--tol", "x")])
+def test_malformed_number_error_names_no_helper(capsys, option, text):
+    code, out, err = run_cli(capsys, "verify", "all", option, text)
+    assert code == 2
+    assert out == ""
+    assert option in err and repr(text) in err
+    assert "_sample_count" not in err and "_positive_float" not in err

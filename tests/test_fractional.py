@@ -358,3 +358,21 @@ def test_matrix_json_roundtrip():
     m = rand_matrix(rng)
     again = QuaternionMatrix2.from_json(m.to_json())
     assert again.isclose(m, 0.0)
+
+
+@pytest.mark.parametrize("junk", ["q", None, [1.0, 2.0]])
+def test_left_action_refuses_what_it_cannot_lift(junk):
+    m = from_normal_form(I * 0.5, ONE)
+    with pytest.raises(TypeError):
+        left_action(m, junk)
+    with pytest.raises(TypeError):
+        right_action(junk, m)
+
+
+def test_left_action_lifts_scalars_and_polynomials_like_a_right_pair():
+    m = from_normal_form(I * 0.5, J)
+    for f in (2.0, Q * Q + I):
+        got = left_action(m, f)
+        want = left_action(m, RegularQuotient(1, f, "right"))
+        assert (got.side, got.den, got.num, got.sym, got.conum) == \
+            (want.side, want.den, want.num, want.sym, want.conum)

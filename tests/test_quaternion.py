@@ -9,7 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from srq.errors import ParseError
+from srq.fractional import QuaternionMatrix2
+from srq.geometry import geodesic
 from srq.quaternion import I, J, K, ONE, ZERO, Quaternion, _make
+from srq.rational import RegularQuotient
+from srq.series import RegularPolynomial
 
 
 def rand_quat(rng, scale=1.0):
@@ -225,3 +229,22 @@ def test_arithmetic_results_are_immutable():
             del r.x
     q = I * J
     assert q == K
+
+
+_P = RegularPolynomial([ONE, I])
+_FROZEN = [(Quaternion(1, 2, 3, 4), "w"),
+           (_P, "coeffs"),
+           (_P.spherical_expansion(I * 0.5, 1), "x0"),
+           (RegularQuotient(_P, RegularPolynomial([J])), "sym"),
+           (QuaternionMatrix2.identity(), "a"),
+           (geodesic(ZERO, I * 0.5), "_image")]
+
+
+@pytest.mark.parametrize("value, attr", _FROZEN, ids=[type(v).__name__ for v, _ in _FROZEN])
+def test_value_classes_refuse_assignment_and_deletion(value, attr):
+    before = repr(value)
+    with pytest.raises(AttributeError, match="is immutable"):
+        setattr(value, attr, ONE)
+    with pytest.raises(AttributeError, match="is immutable"):
+        delattr(value, attr)
+    assert repr(value) == before

@@ -1,6 +1,7 @@
 """The randomized verification engine: generators, checks, and determinism."""
 
 import json
+import math
 import random
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from srq.geometry import regular_moebius_map
 from srq.quaternion import I, J, ONE, ZERO, Quaternion
 from srq.series import RegularPolynomial
-from srq.verify import (SUITE_NAMES, check_modulus_product, check_reg_preservation,
+from srq.verify import (SUITE_NAMES, _Tracker, check_modulus_product, check_reg_preservation,
                         check_schwarz_pick, check_slice_regularity, check_zero_case,
                         make_zero_case_map, random_self_map, random_sp11, run_all,
                         run_suite, sample_ball, sample_unit, stream)
@@ -230,3 +231,16 @@ def test_report_merging_is_order_independent():
     assert forward.witness == backward.witness
     assert forward.properties == backward.properties
     assert forward.passed == backward.passed
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+def test_tolerance_that_passes_every_margin_is_refused(tol):
+    assert _Tracker("x", 0.0).violations == 0
+    with pytest.raises(ValueError, match="tol"):
+        _Tracker("x", tol)
+    with pytest.raises(ValueError, match="tol"):
+        check_modulus_product(RegularPolynomial([ONE + I]), Q * 0.5, Q, 10, seed=22, tol=tol)
+    for name in SUITE_NAMES:
+        if name != "slice-regularity":  # tol does not reach its own residual bound
+            with pytest.raises(ValueError, match="tol"):
+                run_suite(name, 1, 50, tol=tol)
