@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -32,8 +31,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:  # argparse would name this function in its message
         raise argparse.ArgumentTypeError(f"tolerance must be a number, got {text!r}") from None
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text}")
+    if not 0.0 < value < 1.0:  # verify.py: tol is slack relative to 1 + |rhs|
+        raise argparse.ArgumentTypeError(f"tolerance must lie in (0, 1), got {text}")
     return value
 
 

@@ -15,6 +15,7 @@ pair-level conjugation and reciprocal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import NonConvergence, PoleError
@@ -23,6 +24,9 @@ from .series import RegularPolynomial, _lift
 
 #: Relative distance within which roots merge, or count as real.
 _CLUSTER_TOL = 1e-6
+#: Unit roundoff of IEEE double precision; the backward-error stop of
+#: ``durand_kerner`` compares residuals with it.
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 class RegularQuotient(_Frozen):
@@ -301,11 +305,23 @@ class SphereZeroSet:
 def durand_kerner(coeffs):
     """All complex roots of sum_n coeffs[n] z^n by simultaneous iteration.
 
-    Robustness beats speed here: degrees stay small, so the quadratic
-    per-sweep cost is irrelevant.  Raises NonConvergence when after 500
-    sweeps a residual stays above ``EPS`` (scaled by the coefficient size).
+    Each sweep moves every root by a Jacobi-style Weierstrass step.  The
+    iteration stops at the first of three events:
+
+    - the sweep is stalled: for the monic p = sum c_k z^k, every root's
+      computed residual |p(z)| is no larger than the rounding error of
+      computing it, ``u * sum |c_k| |z|^k`` with ``u = 2**-53`` (a
+      backward-error stop); the sweep's starting roots are returned, since
+      further steps only move rounding noise around;
+    - every step is below ``1e-14`` relative to the largest root;
+    - 500 sweeps have run.
+
+    Raises ValueError on a non-finite coefficient, and NonConvergence when a
+    final residual is above ``EPS`` (scaled by the coefficient size) or is NaN.
     """
     c = [complex(v) for v in coeffs]
+    if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in c):
+        raise ValueError(f"polynomial coefficients must be finite, got {coeffs!r}")
     while c and abs(c[-1]) == 0.0:
         c.pop()
     n = len(c) - 1
@@ -326,8 +342,17 @@ def durand_kerner(coeffs):
             acc = acc * z + v
         return acc
 
+    moduli = [abs(v) for v in reversed(monic)]
+
+    def rounding_bound(t):
+        acc = 0.0
+        for a in moduli:
+            acc = acc * t + a
+        return _UNIT_ROUNDOFF * acc
+
     for _ in range(500):
         shift = 0.0
+        stalled = True
         new_roots = list(roots)
         for k in range(n):
             denom = 1 + 0j
@@ -336,15 +361,20 @@ def durand_kerner(coeffs):
                     denom *= roots[k] - roots[l]
             if denom == 0:
                 denom = 1e-300
-            step = value(roots[k]) / denom
+            residual = value(roots[k])
+            if stalled:  # a NaN residual fails the comparison, so it never stalls
+                stalled = abs(residual) <= rounding_bound(abs(roots[k]))
+            step = residual / denom
             new_roots[k] = roots[k] - step
             shift = max(shift, abs(step))
+        if stalled:
+            break
         roots = new_roots
         if shift < 1e-14 * (1.0 + max(abs(z) for z in roots)):
             break
     scale = 1.0 + sum(abs(v) for v in monic)
     for z in roots:
-        if abs(value(z)) > EPS * scale:
+        if not abs(value(z)) <= EPS * scale:  # NaN roots fail here too
             raise NonConvergence(
                 f"root iteration stalled with residual {abs(value(z)):g} at {z}")
     return roots

@@ -8,7 +8,8 @@ min/max reductions only, so batch evaluation order does not matter.
 An inequality "margin" is always (right side) - (left side); a sample counts
 as a violation only when the margin drops below ``-tol * (1 + |rhs|)``, which
 keeps floating-point slack from either masking real violations or
-manufacturing false ones.
+manufacturing false ones.  ``tol`` lies in ``[0, 1)``: a slack as large as
+the scale ``1 + |rhs|`` itself is no floating-point slack.
 """
 
 from __future__ import annotations
@@ -117,8 +118,8 @@ class _Tracker:
     """Running minimum margin with its witness, plus a violation count."""
 
     def __init__(self, name: str, tol: float):
-        if not 0.0 <= tol < math.inf:  # a NaN or infinite tol passes every margin
-            raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+        if not 0.0 <= tol < 1.0:  # NaN or inf passes every margin; 1 or more is no slack
+            raise ValueError(f"tol must lie in [0, 1), got {tol!r}")
         self.name = name
         self.tol = tol
         self.worst = None

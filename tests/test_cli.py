@@ -249,6 +249,16 @@ def test_non_finite_tolerance_exits_2(capsys, tol):
     assert "--tol" in err
 
 
+def test_tolerance_of_one_or_more_exits_2(capsys):
+    # a finite slack as large as 1 + |rhs| passed every suite
+    for tol in ("1e300", "1", "1.0"):
+        code, out, err = run_cli(capsys, "verify", "all", "--seed", "1", "--samples", "50",
+                                 "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+
+
 @pytest.mark.parametrize("option, text", [("--samples", "x"), ("--samples", "2.5"),
                                           ("--tol", "x")])
 def test_malformed_number_error_names_no_helper(capsys, option, text):

@@ -5,8 +5,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from srq.errors import PoleError
+from srq.errors import NonConvergence, PoleError
 from srq.quaternion import I, J, K, ONE, ZERO, Quaternion
 from srq.rational import (RegularQuotient, durand_kerner, sphere_zero_set,
                           star_transform, star_transform_inverse, zeros_on_sphere)
@@ -145,6 +147,84 @@ def test_durand_kerner_against_companion_roots():
         assert len(mine) == len(ref)
         for a, b in zip(mine, ref):
             assert abs(a - complex(b)) < 1e-6
+
+
+def _separated_centres(rng, count):
+    """(x, y) sphere centres with y >= 0.2, pairwise at least 0.4 apart."""
+    centres = []
+    while len(centres) < count:
+        x, y = rng.uniform(-0.8, 0.8), rng.uniform(0.2, 0.9)
+        if all(math.hypot(x - a, y - b) >= 0.4 for a, b in centres):
+            centres.append((x, y))
+    return centres
+
+
+def test_durand_kerner_recovers_separated_conjugate_pairs():
+    rng = random.Random(61)
+    for _ in range(200):
+        wanted = [complex(x, y) for x, y in _separated_centres(rng, rng.randint(1, 4))]
+        coeffs = [1.0]
+        for r in wanted:  # times |r|^2 - 2 Re(r) z + z^2
+            quad = (abs(r) ** 2, -2.0 * r.real, 1.0)
+            coeffs = [sum(coeffs[n - k] * quad[k] for k in range(3) if 0 <= n - k < len(coeffs))
+                      for n in range(len(coeffs) + 2)]
+        roots = durand_kerner(coeffs)
+        assert len(roots) == 2 * len(wanted)
+        for r in wanted:
+            for root in (r, r.conjugate()):
+                assert min(abs(z - root) for z in roots) <= 1e-12 * (1.0 + abs(root))
+
+
+@pytest.mark.parametrize("coeffs", [[math.nan, 0.0, 1.0], [1.0, math.inf, 1.0],
+                                    [complex(0.0, math.nan), 1.0]])
+def test_durand_kerner_refuses_non_finite_coefficients(coeffs):
+    with pytest.raises(ValueError, match="finite"):
+        durand_kerner(coeffs)
+
+
+def test_durand_kerner_raises_on_nan_roots():
+    # the monic normalization overflows; NaN roots used to pass the residual check
+    with pytest.raises(NonConvergence):
+        durand_kerner([1e308, 1.0, 1e-300])
+
+
+def test_overflowing_zero_set_is_not_reported_empty():
+    # f vanishes on the sphere 0 + 1e300*S, which an empty set would hide
+    with pytest.raises(NonConvergence):
+        sphere_zero_set(RegularPolynomial([Quaternion(1e150), Quaternion(0, 1e-150)]))
+
+
+@st.composite
+def factor_products(draw):
+    """One to three factors (q - p_j)^{m_j}, m_j <= 2, on spheres 0.4 apart."""
+    count = draw(st.integers(1, 3))
+    centre = st.tuples(st.floats(-0.8, 0.8), st.floats(0.2, 0.9))
+    centres = draw(st.lists(centre, min_size=count, max_size=count))
+    assume(all(math.hypot(a[0] - b[0], a[1] - b[1]) >= 0.4
+               for n, a in enumerate(centres) for b in centres[:n]))
+    f = RegularPolynomial([ONE])
+    spheres = []
+    for x, y in centres:
+        axis = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+        norm = math.sqrt(sum(v * v for v in axis))
+        assume(norm > 0.1)
+        m = draw(st.integers(1, 2))
+        p = Quaternion(x, *(v * y / norm for v in axis))
+        for _ in range(m):
+            f = f * (Q - p)
+        spheres.append((x, y, m))
+    return f, spheres
+
+
+@given(factor_products())
+def test_zero_set_of_factor_products(case):
+    f, spheres = case
+    entries = list(sphere_zero_set(f))
+    assert len(entries) == len(spheres)
+    for x, y, m in spheres:  # spheres lie 0.4 apart, so the nearest entry is the match
+        entry = min(entries, key=lambda e: math.hypot(e.x - x, e.y - y))
+        assert abs(entry.x - x) <= 1e-6 and abs(entry.y - y) <= 1e-6
+        assert entry.multiplicity == m
 
 
 def test_sphere_zero_set_examples():

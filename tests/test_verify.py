@@ -244,3 +244,13 @@ def test_tolerance_that_passes_every_margin_is_refused(tol):
         if name != "slice-regularity":  # tol does not reach its own residual bound
             with pytest.raises(ValueError, match="tol"):
                 run_suite(name, 1, 50, tol=tol)
+
+
+def test_tolerance_of_one_or_more_is_refused():
+    # at tol=1e300 a margin of -5 against rhs=1 counted no violation
+    assert _Tracker("x", 0.5).tol == 0.5
+    for tol in (1.0, 1e300):
+        with pytest.raises(ValueError, match="tol"):
+            _Tracker("x", tol)
+        with pytest.raises(ValueError, match="tol"):
+            run_suite("schwarz-pick", 1, 50, tol=tol)
