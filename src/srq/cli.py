@@ -22,10 +22,6 @@ from .quaternion import Quaternion
 from .rational import RegularQuotient
 
 
-def _parse_quat(text: str) -> Quaternion:
-    return Quaternion.parse(text)
-
-
 def _positive_float(text: str) -> float:
     try:
         value = float(text)
@@ -46,61 +42,48 @@ def _sample_count(text: str) -> int:
     return value
 
 
-def _add_format_flags(sub):
-    sub.add_argument("--json", action="store_true", help="emit JSON")
-    sub.add_argument("--csv", action="store_true", help="emit CSV")
-
-
 def _emit(args, pretty: str, json_obj, csv_rows) -> None:
-    if getattr(args, "json", False):
+    if args.format == "json":
         print(json.dumps(json_obj, sort_keys=True))
-    elif getattr(args, "csv", False):
+    elif args.format == "csv":
         for row in csv_rows:
             print(",".join(str(v) for v in row))
     else:
         print(pretty)
 
 
-def _quat_rows(q: Quaternion):
-    return [("w", "x", "y", "z"), (q.w, q.x, q.y, q.z)]
+def _emit_quat(args, q: Quaternion) -> None:
+    _emit(args, str(q), q.to_json(), [("w", "x", "y", "z"), q.to_json()])
 
 
-def _poly_rows(p):
-    rows = [("power", "w", "x", "y", "z")]
-    for n, c in enumerate(p.coeffs):
-        rows.append((n, c.w, c.x, c.y, c.z))
-    return rows
+def _quat_table(key: str, labelled) -> list:
+    """CSV rows ``key,w,x,y,z``: a header, then one row per (label, quaternion)."""
+    return [(key, "w", "x", "y", "z")] + [(label, *q.to_json()) for label, q in labelled]
 
 
 # -- subcommand handlers -----------------------------------------------------------
 
 
 def _cmd_eval(args) -> int:
-    f = parse_polynomial(args.f)
-    q = _parse_quat(args.at)
-    value = f.evaluate(q)
-    _emit(args, str(value), value.to_json(), _quat_rows(value))
+    _emit_quat(args, parse_polynomial(args.f).evaluate(Quaternion.parse(args.at)))
     return 0
 
 
 def _cmd_star(args) -> int:
-    f = parse_polynomial(args.f)
-    g = parse_polynomial(args.g)
-    product = f * g
-    _emit(args, format_polynomial(product), product.to_json(), _poly_rows(product))
+    product = parse_polynomial(args.f) * parse_polynomial(args.g)
+    _emit(args, format_polynomial(product), product.to_json(),
+          _quat_table("power", enumerate(product.coeffs)))
     return 0
 
 
 def _cmd_quotient(args) -> int:
     quotient = RegularQuotient(parse_polynomial(args.den), parse_polynomial(args.num),
                                args.side)
-    q = _parse_quat(args.at)
+    q = Quaternion.parse(args.at)
     if args.route == "direct":
-        value = quotient.evaluate(q)
-        _emit(args, str(value), value.to_json(), _quat_rows(value))
+        _emit_quat(args, quotient.evaluate(q))
     elif args.route == "transform":
-        value = quotient.evaluate_via_transform(q)
-        _emit(args, str(value), value.to_json(), _quat_rows(value))
+        _emit_quat(args, quotient.evaluate_via_transform(q))
     else:
         direct = quotient.evaluate(q)
         via = quotient.evaluate_via_transform(q)
@@ -108,37 +91,34 @@ def _cmd_quotient(args) -> int:
         _emit(args,
               f"direct    = {direct}\ntransform = {via}\ngap       = {gap:.3e}",
               {"direct": direct.to_json(), "transform": via.to_json(), "gap": gap},
-              [("route", "w", "x", "y", "z"),
-               ("direct", direct.w, direct.x, direct.y, direct.z),
-               ("transform", via.w, via.x, via.y, via.z)])
+              _quat_table("route", [("direct", direct), ("transform", via)]))
     return 0
 
 
 def _cmd_mobius(args) -> int:
-    q0 = _parse_quat(args.q0)
-    q = _parse_quat(args.at)
-    u = _parse_quat(args.u)
+    q0 = Quaternion.parse(args.q0)
+    q = Quaternion.parse(args.at)
+    u = Quaternion.parse(args.u)
     if args.classical:
-        value = classical_moebius(q0, u, _parse_quat(args.v), q)
+        value = classical_moebius(q0, u, Quaternion.parse(args.v), q)
     else:
         value = regular_moebius(q0, u, q)
-    _emit(args, str(value), value.to_json(), _quat_rows(value))
+    _emit_quat(args, value)
     return 0
 
 
 def _cmd_distance(args) -> int:
-    d = poincare_distance(_parse_quat(args.q1), _parse_quat(args.q2))
+    d = poincare_distance(Quaternion.parse(args.q1), Quaternion.parse(args.q2))
     _emit(args, repr(d), {"distance": d}, [("distance",), (d,)])
     return 0
 
 
 def _cmd_expand(args) -> int:
     f = parse_polynomial(args.f)
-    expansion = f.spherical_expansion(_parse_quat(args.center), args.nmax)
+    expansion = f.spherical_expansion(Quaternion.parse(args.center), args.nmax)
     lines = [f"A_{n} = {c}" for n, c in enumerate(expansion.coefficients)]
-    rows = [("index", "w", "x", "y", "z")]
-    rows.extend((n, c.w, c.x, c.y, c.z) for n, c in enumerate(expansion.coefficients))
-    _emit(args, "\n".join(lines), expansion.to_json(), rows)
+    _emit(args, "\n".join(lines), expansion.to_json(),
+          _quat_table("index", enumerate(expansion.coefficients)))
     return 0
 
 
@@ -152,19 +132,14 @@ def _cmd_normal_form(args) -> int:
         nf = normal_form(matrix)
         _emit(args, f"q0 = {nf.q0}\nu  = {nf.u}",
               {"q0": nf.q0.to_json(), "u": nf.u.to_json()},
-              [("part", "w", "x", "y", "z"),
-               ("q0", nf.q0.w, nf.q0.x, nf.q0.y, nf.q0.z),
-               ("u", nf.u.w, nf.u.x, nf.u.y, nf.u.z)])
+              _quat_table("part", [("q0", nf.q0), ("u", nf.u)]))
         return 0
     if args.q0 is None or args.u is None:
         raise ParseError("normal-form needs either --matrix or both --q0 and --u")
-    matrix = from_normal_form(_parse_quat(args.q0), _parse_quat(args.u))
-    pretty = (f"a = {matrix.a}\nc = {matrix.c}\nb = {matrix.b}\nd = {matrix.d}")
-    rows = [("entry", "w", "x", "y", "z")]
-    for name in ("a", "c", "b", "d"):
-        e = getattr(matrix, name)
-        rows.append((name, e.w, e.x, e.y, e.z))
-    _emit(args, pretty, matrix.to_json(), rows)
+    matrix = from_normal_form(Quaternion.parse(args.q0), Quaternion.parse(args.u))
+    entries = [("a", matrix.a), ("c", matrix.c), ("b", matrix.b), ("d", matrix.d)]
+    _emit(args, "\n".join(f"{name} = {e}" for name, e in entries), matrix.to_json(),
+          _quat_table("entry", entries))
     return 0
 
 
@@ -190,6 +165,18 @@ def _cmd_verify(args) -> int:
 # -- parser ---------------------------------------------------------------------------
 
 
+def _command(subs, name: str, func, help: str) -> argparse.ArgumentParser:
+    """Add subcommand ``name`` run by ``func``, with its ``--json | --csv`` format."""
+    p = subs.add_parser(name, help=help)
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", dest="format", action="store_const", const="json",
+                     help="emit JSON")
+    fmt.add_argument("--csv", dest="format", action="store_const", const="csv",
+                     help="emit CSV")
+    p.set_defaults(func=func, format="pretty")
+    return p
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srq",
@@ -197,60 +184,47 @@ def _build_parser() -> argparse.ArgumentParser:
                     "hyperbolic geometry of the quaternionic unit ball.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("eval", help="evaluate a polynomial at a point")
+    p = _command(subs, "eval", _cmd_eval, help="evaluate a polynomial at a point")
     p.add_argument("--f", required=True, help="polynomial expression")
     p.add_argument("--at", required=True, help="quaternion point")
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_eval)
 
-    p = subs.add_parser("star", help="star product of two polynomials")
+    p = _command(subs, "star", _cmd_star, help="star product of two polynomials")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_star)
 
-    p = subs.add_parser("quotient", help="evaluate a regular quotient")
+    p = _command(subs, "quotient", _cmd_quotient, help="evaluate a regular quotient")
     p.add_argument("--den", required=True, help="denominator polynomial")
     p.add_argument("--num", required=True, help="numerator polynomial")
     p.add_argument("--side", choices=("left", "right"), default="left")
     p.add_argument("--at", required=True)
     p.add_argument("--route", choices=("direct", "transform", "both"), default="direct")
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_quotient)
 
-    p = subs.add_parser("mobius", help="evaluate a Moebius self-map of the ball")
+    p = _command(subs, "mobius", _cmd_mobius, help="evaluate a Moebius self-map of the ball")
     p.add_argument("--q0", required=True)
     p.add_argument("--at", required=True)
     p.add_argument("--u", default="1")
     p.add_argument("--v", default="1", help="extra phase for the classical map")
     p.add_argument("--classical", action="store_true",
                    help="use the pointwise classical map instead of the regular one")
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_mobius)
 
-    p = subs.add_parser("distance", help="hyperbolic distance between two points")
+    p = _command(subs, "distance", _cmd_distance,
+                 help="hyperbolic distance between two points")
     p.add_argument("q1")
     p.add_argument("q2")
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_distance)
 
-    p = subs.add_parser("expand", help="spherical expansion of a polynomial")
+    p = _command(subs, "expand", _cmd_expand, help="spherical expansion of a polynomial")
     p.add_argument("--f", required=True)
     p.add_argument("--center", required=True)
     p.add_argument("--nmax", type=int, default=2,
                    help="number of sphere powers (coefficients up to A_{2*nmax+1})")
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_expand)
 
-    p = subs.add_parser("normal-form",
-                        help="normal form of a ball-preserving matrix, or its inverse")
+    p = _command(subs, "normal-form", _cmd_normal_form,
+                 help="normal form of a ball-preserving matrix, or its inverse")
     p.add_argument("--matrix", help='matrix JSON {"a": [..], "c": [..], "b": [..], "d": [..]}')
     p.add_argument("--q0", help="build the matrix for this zero instead")
     p.add_argument("--u", help="phase for --q0")
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_normal_form)
 
-    p = subs.add_parser("verify", help="run verification suites")
+    p = _command(subs, "verify", _cmd_verify, help="run verification suites")
     p.add_argument("suite", choices=verify_mod.SUITE_NAMES + ("all",))
     # a string default goes through type=int, so a malformed SRQ_SEED is a usage error
     p.add_argument("--seed", type=int, default=os.environ.get("SRQ_SEED", "0"),
@@ -260,8 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"violation tolerance of the inequality suites (default "
                         f"{verify_mod.DEFAULT_TOL:g}); slice-regularity keeps its own "
                         f"finite-difference bound of {verify_mod._SLICE_TOL:g}")
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 
@@ -272,9 +244,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "json", False) and getattr(args, "csv", False):
-        print("error: --json and --csv are mutually exclusive", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ParseError as exc:

@@ -16,12 +16,12 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .quaternion import I, J, K, ONE, Quaternion
+from .quaternion import _NUMBER, I, J, K, ONE, Quaternion
 from .series import RegularPolynomial
 
 _TOKEN = re.compile(
     r"\s*(?:"
-    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)(?P<unit>[ijk])?"
+    r"(?P<num>" + _NUMBER + r")(?P<unit>[ijk])?"
     r"|(?P<name>[ijkq])"
     r"|(?P<op>[-+*^()])"
     r")")

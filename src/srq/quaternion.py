@@ -211,7 +211,11 @@ class Quaternion(_Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "Quaternion":
-        """Parse 'w+xi+yj+zk' with optional terms (e.g. '0.5i'), or JSON '[w,x,y,z]'."""
+        """Parse 'w+xi+yj+zk' with optional terms (e.g. '0.5i'), or JSON '[w,x,y,z]'.
+
+        Whitespace is allowed only at the ends and around the signs, so
+        '1 + 2i' parses but '1 2' and '1e 3' are refused.
+        """
         s = text.strip()
         if not s:
             raise ParseError("empty quaternion literal")
@@ -221,12 +225,12 @@ class Quaternion(_Frozen):
             except json.JSONDecodeError as exc:
                 raise ParseError(f"bad quaternion JSON {text!r}: {exc}") from exc
             return cls.from_json(obj)
-        compact = s.replace(" ", "")
+        body = text.rstrip()  # not stripped on the left, so offsets index ``text``
         comp = {"": 0.0, "i": 0.0, "j": 0.0, "k": 0.0}
         pos = 0
         first = True
-        while pos < len(compact):
-            m = _TERM.match(compact, pos)
+        while pos < len(body):
+            m = _TERM.match(body, pos)
             if m is None or (m.group("num") is None and not m.group("unit")):
                 raise ParseError(f"invalid quaternion literal {text!r} (at offset {pos})")
             if not first and not m.group("sign"):
@@ -283,10 +287,10 @@ def _make(w: float, x: float, y: float, z: float) -> Quaternion:
     return q
 
 
-_TERM = re.compile(
-    r"(?P<sign>[+-]?)"
-    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)?"
-    r"(?P<unit>[ijk]?)")
+# an unsigned decimal literal; the polynomial grammar in expression.py uses it too
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+# whitespace may surround the sign, but never splits a number from its digits or unit
+_TERM = re.compile(r"\s*(?P<sign>[+-]?)\s*(?P<num>" + _NUMBER + r")?(?P<unit>[ijk]?)")
 
 
 def _fmt_float(v: float) -> str:

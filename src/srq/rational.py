@@ -329,18 +329,27 @@ def durand_kerner(coeffs):
         return []
     lead = c[-1]
     monic = [v / lead for v in c]
-    if n == 1:
-        return [-monic[0]]
-    radius = 1.0 + max(abs(v) for v in monic[:-1])
-    seed = 0.4 + 0.9j
-    roots = [max(1.0, radius) * seed ** (k + 1) / abs(seed) ** (k + 1) * (0.95 ** k)
-             for k in range(n)]
 
     def value(z):
         acc = 0j
         for v in reversed(monic):
             acc = acc * z + v
         return acc
+
+    def checked(roots):
+        scale = 1.0 + sum(abs(v) for v in monic)
+        for z in roots:
+            if not abs(value(z)) <= EPS * scale:  # NaN roots fail here too
+                raise NonConvergence(
+                    f"root iteration stalled with residual {abs(value(z)):g} at {z}")
+        return roots
+
+    if n == 1:  # closed form; an overflowing normalization still fails the check
+        return checked([-monic[0]])
+    radius = 1.0 + max(abs(v) for v in monic[:-1])
+    seed = 0.4 + 0.9j
+    roots = [max(1.0, radius) * seed ** (k + 1) / abs(seed) ** (k + 1) * (0.95 ** k)
+             for k in range(n)]
 
     moduli = [abs(v) for v in reversed(monic)]
 
@@ -372,12 +381,7 @@ def durand_kerner(coeffs):
         roots = new_roots
         if shift < 1e-14 * (1.0 + max(abs(z) for z in roots)):
             break
-    scale = 1.0 + sum(abs(v) for v in monic)
-    for z in roots:
-        if not abs(value(z)) <= EPS * scale:  # NaN roots fail here too
-            raise NonConvergence(
-                f"root iteration stalled with residual {abs(value(z)):g} at {z}")
-    return roots
+    return checked(roots)
 
 
 def _cluster(roots):

@@ -267,3 +267,115 @@ def test_malformed_number_error_names_no_helper(capsys, option, text):
     assert out == ""
     assert option in err and repr(text) in err
     assert "_sample_count" not in err and "_positive_float" not in err
+
+
+_MATRIX = '{"a": [1.25, 0, 0, 0], "c": [0, 0.75, 0, 0], "b": [0, -0.75, 0, 0], "d": [1.25, 0, 0, 0]}'
+
+# (argv, {format flag: exact stdout}) on inputs whose results are exact or
+# correctly rounded, so every byte is platform independent
+_PINNED_OUTPUTS = [
+    (("star", "--f", "q - i", "--g", "q - j"), {
+        "": "q^2 + q*(-i-j) + k\n",
+        "--json": '{"coeffs": [[0.0, 0.0, 0.0, 1.0], [0.0, -1.0, -1.0, 0.0], '
+                  '[1.0, 0.0, 0.0, 0.0]]}\n',
+        "--csv": "power,w,x,y,z\n0,0.0,0.0,0.0,1.0\n1,0.0,-1.0,-1.0,0.0\n"
+                 "2,1.0,0.0,0.0,0.0\n"}),
+    (("eval", "--f", "q^2", "--at", "i"), {
+        "": "-1\n",
+        "--json": "[-1.0, 0.0, 0.0, 0.0]\n",
+        "--csv": "w,x,y,z\n-1.0,0.0,0.0,0.0\n"}),
+    (("quotient", "--den", "q - i", "--num", "q - j", "--at", "2", "--route", "both"), {
+        "": "direct    = 0.8+0.4i-0.4j-0.2k\ntransform = 0.8+0.4i-0.4j-0.2k\n"
+            "gap       = 0.000e+00\n",
+        "--json": '{"direct": [0.8, 0.4, -0.4, -0.2], "gap": 0.0, '
+                  '"transform": [0.8, 0.4, -0.4, -0.2]}\n',
+        "--csv": "route,w,x,y,z\ndirect,0.8,0.4,-0.4,-0.2\n"
+                 "transform,0.8,0.4,-0.4,-0.2\n"}),
+    (("quotient", "--den", "q - i", "--num", "q - j", "--at", "2", "--route", "direct"), {
+        "": "0.8+0.4i-0.4j-0.2k\n",
+        "--json": "[0.8, 0.4, -0.4, -0.2]\n",
+        "--csv": "w,x,y,z\n0.8,0.4,-0.4,-0.2\n"}),
+    (("quotient", "--den", "q - i", "--num", "q - j", "--at", "2", "--route", "transform"), {
+        "": "0.8+0.4i-0.4j-0.2k\n",
+        "--json": "[0.8, 0.4, -0.4, -0.2]\n",
+        "--csv": "w,x,y,z\n0.8,0.4,-0.4,-0.2\n"}),
+    (("mobius", "--q0", "0.5i", "--at", "0.5j"), {
+        "": "-0.4i+0.4j\n",
+        "--json": "[0.0, -0.4, 0.4, 0.0]\n",
+        "--csv": "w,x,y,z\n0.0,-0.4,0.4,0.0\n"}),
+    (("mobius", "--q0", "0.5i", "--at", "0.5j", "--classical"), {
+        "": "-0.5882352941176471i+0.3529411764705882j\n",
+        "--json": "[0.0, -0.5882352941176471, 0.3529411764705882, 0.0]\n",
+        "--csv": "w,x,y,z\n0.0,-0.5882352941176471,0.3529411764705882,0.0\n"}),
+    (("expand", "--f", "q^2", "--center", "0.5i", "--nmax", "1"), {
+        "": "A_0 = -0.25\nA_1 = 0\nA_2 = 1\nA_3 = 0\n",
+        "--json": '{"center": [0.0, 0.5, 0.0, 0.0], "coefficients": [[-0.25, 0.0, 0.0, 0.0], '
+                  '[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]}\n',
+        "--csv": "index,w,x,y,z\n0,-0.25,0.0,0.0,0.0\n1,0.0,0.0,0.0,0.0\n"
+                 "2,1.0,0.0,0.0,0.0\n3,0.0,0.0,0.0,0.0\n"}),
+    (("normal-form", "--q0", "0.6i", "--u", "1"), {
+        "": "a = 1.25\nc = 0.75i\nb = -0.75i\nd = 1.25\n",
+        "--json": '{"a": [1.25, 0.0, 0.0, 0.0], "b": [-0.0, -0.75, -0.0, -0.0], '
+                  '"c": [-0.0, 0.75, 0.0, 0.0], "d": [1.25, 0.0, 0.0, 0.0]}\n',
+        "--csv": "entry,w,x,y,z\na,1.25,0.0,0.0,0.0\nc,-0.0,0.75,0.0,0.0\n"
+                 "b,-0.0,-0.75,-0.0,-0.0\nd,1.25,0.0,0.0,0.0\n"}),
+    (("normal-form", "--matrix", _MATRIX), {
+        "": "q0 = 0.6000000000000001i\nu  = 1\n",
+        "--json": '{"q0": [0.0, 0.6000000000000001, 0.0, 0.0], "u": [1.0, -0.0, -0.0, -0.0]}\n',
+        "--csv": "part,w,x,y,z\nq0,0.0,0.6000000000000001,0.0,0.0\nu,1.0,-0.0,-0.0,-0.0\n"}),
+]
+
+
+def _library_outputs():
+    """Expected stdout of the commands whose values go through libm or sampling."""
+    from srq.geometry import poincare_distance
+    from srq.quaternion import Quaternion
+    from srq.verify import DEFAULT_TOL, run_all, run_suite
+
+    d = poincare_distance(Quaternion(0), Quaternion(0.5))
+    yield ("distance", "0", "0.5"), {
+        "": f"{d!r}\n", "--json": json.dumps({"distance": d}) + "\n",
+        "--csv": f"distance\n{d!r}\n"}
+
+    def rows(reports):
+        return "".join(f"{r['suite']},{r['seed']},{r['samples']},{r['pass']},"
+                       f"{r['worst_margin']!r}\n" for r in reports)
+
+    def line(r, width):
+        return (f"{r['suite']:<{width}} {'PASS' if r['pass'] else 'FAIL'}  "
+                f"samples={r['samples']} worst_margin={r['worst_margin']:.3e}\n")
+
+    doc = run_all(1, 10, DEFAULT_TOL)
+    yield ("verify", "all", "--seed", "1", "--samples", "10"), {
+        "": "".join(line(r, 18) for r in doc["suites"]) + f"{'overall':<18} PASS\n",
+        "--json": json.dumps(doc, sort_keys=True) + "\n",
+        "--csv": "suite,seed,samples,pass,worst_margin\n" + rows(doc["suites"])}
+    one = run_suite("zero-case", 1, 10, DEFAULT_TOL).to_json_dict()
+    yield ("verify", "zero-case", "--seed", "1", "--samples", "10"), {
+        "": line(one, 0), "--json": json.dumps(one, sort_keys=True) + "\n",
+        "--csv": "suite,seed,samples,pass,worst_margin\n" + rows([one])}
+
+
+@pytest.mark.parametrize("argv, outputs", [
+    pytest.param(argv, outputs, id=" ".join(argv))
+    for argv, outputs in _PINNED_OUTPUTS + list(_library_outputs())])
+@pytest.mark.parametrize("flag", ["", "--json", "--csv"], ids=["pretty", "json", "csv"])
+def test_every_command_output_is_pinned(capsys, argv, outputs, flag):
+    code, out, err = run_cli(capsys, *argv, *([flag] if flag else []))
+    assert (code, err) == (0, "")
+    assert out == outputs[flag]
+
+
+def test_quaternion_argument_with_split_digits_exits_2(capsys):
+    # "1 5" used to be read as 15, and "0.1 2" as 0.12
+    code, out, _ = run_cli(capsys, "eval", "--f", "q", "--at", "1 5")
+    assert (code, out) == (2, "")
+    code, out, _ = run_cli(capsys, "distance", "0.1 2", "0")
+    assert (code, out) == (2, "")
+
+
+def test_json_and_csv_together_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "star", "--f", "q", "--g", "q", "--json", "--csv")
+    assert code == 2
+    assert out == ""
+    assert "--json" in err and "--csv" in err

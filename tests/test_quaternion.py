@@ -139,6 +139,22 @@ def test_parse_rejects_garbage():
             Quaternion.parse(bad)
 
 
+@pytest.mark.parametrize("text", ["1 2", "1e 3", "1 2i", "0.5 i", "1 + 2 i", "- 1 2"])
+def test_parse_refuses_whitespace_inside_a_term(text):
+    # removing the spaces first read "1 2" as 12 and "1e 3" as 1000
+    with pytest.raises(ParseError):
+        Quaternion.parse(text)
+
+
+@pytest.mark.parametrize("text, value", [("1 + 2i", Quaternion(1, 2)),
+                                         ("1 +2i", Quaternion(1, 2)),
+                                         ("1+ 2i", Quaternion(1, 2)),
+                                         ("- 0.5j", Quaternion(0, 0, -0.5)),
+                                         ("\t1 - k\n", Quaternion(1, 0, 0, -1))])
+def test_parse_allows_whitespace_around_signs(text, value):
+    assert Quaternion.parse(text) == value
+
+
 def test_str_parse_roundtrip():
     rng = random.Random(9)
     for _ in range(40):

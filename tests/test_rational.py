@@ -188,6 +188,21 @@ def test_durand_kerner_raises_on_nan_roots():
         durand_kerner([1e308, 1.0, 1e-300])
 
 
+def test_durand_kerner_degree_one_overflow_raises():
+    # the closed-form root of 1e308 + 1e-300 z is -inf; it must not be returned
+    with pytest.raises(NonConvergence):
+        durand_kerner([1e308, 1e-300])
+    with pytest.raises(NonConvergence):
+        RegularQuotient.from_expanded(
+            RegularPolynomial([Quaternion(1e308), Quaternion(1e-300)]), 1).sphere_zero_set()
+
+
+@pytest.mark.parametrize("coeffs", [[3.0, 7.0], [1e300, 1e-5], [1 + 2j, 3 - 1j], [0.0, 2.0]])
+def test_durand_kerner_degree_one_root_is_the_closed_form(coeffs):
+    c0, c1 = (complex(v) for v in coeffs)
+    assert durand_kerner(coeffs) == [-(c0 / c1)]
+
+
 def test_overflowing_zero_set_is_not_reported_empty():
     # f vanishes on the sphere 0 + 1e300*S, which an empty set would hide
     with pytest.raises(NonConvergence):
