@@ -32,13 +32,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _sample_count(text: str) -> int:
+def _count(text: str) -> int:
     try:
         value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"sample count must be an integer, got {text!r}") from None
+    except ValueError:  # argparse would name this function in its message
+        raise argparse.ArgumentTypeError(f"count must be an integer, got {text!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"sample count must be >= 0, got {text}")
+        raise argparse.ArgumentTypeError(f"count must be >= 0, got {text}")
     return value
 
 
@@ -124,6 +124,8 @@ def _cmd_expand(args) -> int:
 
 def _cmd_normal_form(args) -> int:
     if args.matrix is not None:
+        if args.q0 is not None or args.u is not None:
+            raise ParseError("normal-form takes either --matrix or --q0 and --u, not both")
         try:
             obj = json.loads(args.matrix)
             matrix = QuaternionMatrix2.from_json(obj)
@@ -215,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _command(subs, "expand", _cmd_expand, help="spherical expansion of a polynomial")
     p.add_argument("--f", required=True)
     p.add_argument("--center", required=True)
-    p.add_argument("--nmax", type=int, default=2,
+    p.add_argument("--nmax", type=_count, default=2,
                    help="number of sphere powers (coefficients up to A_{2*nmax+1})")
 
     p = _command(subs, "normal-form", _cmd_normal_form,
@@ -229,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # a string default goes through type=int, so a malformed SRQ_SEED is a usage error
     p.add_argument("--seed", type=int, default=os.environ.get("SRQ_SEED", "0"),
                    help="random seed (default: $SRQ_SEED, else 0)")
-    p.add_argument("--samples", type=_sample_count, default=1000)
+    p.add_argument("--samples", type=_count, default=1000)
     p.add_argument("--tol", type=_positive_float, default=None,
                    help=f"violation tolerance of the inequality suites (default "
                         f"{verify_mod.DEFAULT_TOL:g}); slice-regularity keeps its own "

@@ -10,8 +10,6 @@ and normal forms of the self-maps of the unit ball.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (DegenerateComposite, DegenerateSwap, NotHermitian,
                      NotSp11, PoleError, SingularMatrix)
 from .geometry import _require_inside_ball, _require_unit
@@ -26,10 +24,7 @@ class QuaternionMatrix2(_Frozen):
     __slots__ = ("a", "c", "b", "d")
 
     def __init__(self, a, c, b, d):
-        object.__setattr__(self, "a", as_quaternion(a))
-        object.__setattr__(self, "c", as_quaternion(c))
-        object.__setattr__(self, "b", as_quaternion(b))
-        object.__setattr__(self, "d", as_quaternion(d))
+        super().__init__(as_quaternion(a), as_quaternion(c), as_quaternion(b), as_quaternion(d))
 
     @classmethod
     def identity(cls) -> "QuaternionMatrix2":
@@ -96,12 +91,10 @@ class QuaternionMatrix2(_Frozen):
                 f"b={self.b!s}, d={self.d!s})")
 
 
-@dataclass(frozen=True)
-class MoebiusNormalForm:
+class MoebiusNormalForm(_Frozen):
     """The (zero, phase) pair identifying a regular self-map of the unit ball."""
 
-    q0: Quaternion
-    u: Quaternion
+    __slots__ = ("q0", "u")
 
 
 def _require_invertible(A: QuaternionMatrix2):

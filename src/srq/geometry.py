@@ -13,7 +13,7 @@ import math
 
 from .errors import CoincidentPoints, DegenerateCenter, OutsideBall, RealPoint
 from .quaternion import EPS, ONE, Quaternion, _Frozen, as_quaternion
-from .rational import RegularQuotient
+from .rational import RegularQuotient, star_transform, star_transform_inverse
 from .series import RegularPolynomial, SphericalExpansion
 
 
@@ -68,6 +68,11 @@ def _moebius_from_zero(q0: Quaternion, p: Quaternion) -> Quaternion:
     return (p + q0) * (ONE + q0.conjugate() * p).inverse()
 
 
+def _moebius_den(q0: Quaternion) -> RegularPolynomial:
+    """1 - q conj(q0), the denominator of the regular Moebius map centered at q0."""
+    return RegularPolynomial([ONE, -q0.conjugate()])
+
+
 def regular_moebius_map(q0, u=ONE, side: str = "left") -> RegularQuotient:
     """The regular quotient (1 - q conj(q0))^{-*} * (q - q0) u.
 
@@ -78,9 +83,8 @@ def regular_moebius_map(q0, u=ONE, side: str = "left") -> RegularQuotient:
     u = as_quaternion(u)
     _require_inside_ball(q0)
     _require_unit(u, "u")
-    den = RegularPolynomial([ONE, -q0.conjugate()])
     num = RegularPolynomial([-(q0 * u), u])
-    return RegularQuotient(den, num, side)
+    return RegularQuotient(_moebius_den(q0), num, side)
 
 
 def regular_moebius(q0, u, q) -> Quaternion:
@@ -89,18 +93,13 @@ def regular_moebius(q0, u, q) -> Quaternion:
 
 
 def twist_map(q0, q) -> Quaternion:
-    """T(q) = (1 - q q0)^{-1} q (1 - q q0); relates regular and classical maps."""
-    q0 = _in_ball(q0, "q0")
-    q = _in_ball(q, "q")
-    m = ONE - q * q0
-    return m.inverse() * q * m
+    """T(q) = (1 - q q0)^{-1} q (1 - q q0), the star transform of the regular map's
+    denominator; the regular map factors through it into the classical one."""
+    return star_transform(_moebius_den(_in_ball(q0, "q0")), _in_ball(q, "q"))
 
 
 def twist_map_inverse(q0, q) -> Quaternion:
-    q0 = _in_ball(q0, "q0")
-    q = _in_ball(q, "q")
-    m = ONE - q * q0.conjugate()
-    return m.inverse() * q * m
+    return star_transform_inverse(_moebius_den(_in_ball(q0, "q0")), _in_ball(q, "q"))
 
 
 def moebius_expansion_coefficients(q0, n_max: int) -> SphericalExpansion:
@@ -164,9 +163,7 @@ class GeodesicSegment(_Frozen):
     __slots__ = ("q1", "q2", "_image")
 
     def __init__(self, q1: Quaternion, q2: Quaternion):
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "q2", q2)
-        object.__setattr__(self, "_image", _moebius_to_zero(q1, q2))
+        super().__init__(q1, q2, _moebius_to_zero(q1, q2))
 
     def point(self, t: float) -> Quaternion:
         if not 0.0 <= t <= 1.0:

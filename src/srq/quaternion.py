@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError
 
@@ -29,15 +28,44 @@ EPS = 1e-12
 
 
 class _Frozen:
-    """Immutable base: constructors fill slots through ``object.__setattr__``."""
+    """Immutable value: by default built from one positional value per slot, in slot
+    order, and compared, hashed and shown (``Name(slot=value, ...)``) slot by slot."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        slots = type(self).__slots__
+        if len(values) != len(slots):
+            raise TypeError(f"{type(self).__name__}({', '.join(slots)}) takes "
+                            f"{len(slots)} values, got {len(values)}")
+        for name, value in zip(slots, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self).__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state):
+        # pickle and copy restore slots as (None, {slot: value}), past __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 class Quaternion(_Frozen):
@@ -299,13 +327,10 @@ def _fmt_float(v: float) -> str:
     return repr(v)
 
 
-@dataclass(frozen=True)
-class SliceCoordinates:
+class SliceCoordinates(_Frozen):
     """Coordinates q = x0 + y0*I on the complex slice through q."""
 
-    x0: float
-    y0: float
-    I: Quaternion
+    __slots__ = ("x0", "y0", "I")
 
     def reconstruct(self) -> Quaternion:
         return Quaternion(self.x0) + self.I * self.y0

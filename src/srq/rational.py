@@ -16,7 +16,6 @@ pair-level conjugation and reciprocal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NonConvergence, PoleError
 from .quaternion import EPS, ONE, ZERO, Quaternion, _Frozen, as_quaternion
@@ -56,13 +55,8 @@ class RegularQuotient(_Frozen):
         self._install(den, num, side, sym, conum)
 
     def _install(self, den, num, side, sym, conum):
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "sym", sym)
-        object.__setattr__(self, "conum", conum)
-        object.__setattr__(self, "_pole_scale",
-                           EPS * (1.0 + sym.coefficient_norm_sum()))
+        _Frozen.__init__(self, den, num, side, sym, conum,
+                         EPS * (1.0 + sym.coefficient_norm_sum()))
 
     # -- constructors ---------------------------------------------------------
 
@@ -276,24 +270,20 @@ def star_transform_inverse(f: RegularPolynomial, q) -> Quaternion:
 # -- zero sets -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZeroEntry:
+class ZeroEntry(_Frozen):
     """One component of a symmetrization zero set: x + y*S (a point when y == 0)."""
 
-    x: float
-    y: float
-    multiplicity: int
+    __slots__ = ("x", "y", "multiplicity")
 
     @property
     def is_real_point(self) -> bool:
         return self.y == 0.0
 
 
-@dataclass(frozen=True)
-class SphereZeroSet:
+class SphereZeroSet(_Frozen):
     """Spheres and real points where a symmetrization vanishes."""
 
-    entries: tuple
+    __slots__ = ("entries",)
 
     def __iter__(self):
         return iter(self.entries)

@@ -252,14 +252,6 @@ class RegularPolynomial(_Frozen):
         return all((self.coefficient(k) - other.coefficient(k)).norm() <= bound
                    for k in range(n))
 
-    def __eq__(self, other):
-        if isinstance(other, RegularPolynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self):
         return f"RegularPolynomial({[str(c) for c in self.coeffs]})"
 
@@ -285,11 +277,8 @@ class SphericalExpansion(_Frozen):
 
     def __init__(self, center, coefficients):
         center = as_quaternion(center)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "coefficients", tuple(as_quaternion(c) for c in coefficients))
         sc = center.slice_decompose()
-        object.__setattr__(self, "x0", sc.x0)
-        object.__setattr__(self, "y0", sc.y0)
+        super().__init__(center, tuple(as_quaternion(c) for c in coefficients), sc.x0, sc.y0)
 
     def evaluate(self, q) -> Quaternion:
         q = as_quaternion(q)

@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable
 
 from .errors import PoleError
 from .fractional import QuaternionMatrix2, from_normal_form, left_action, right_action
-from .geometry import regular_moebius_map
-from .quaternion import ONE, Quaternion, as_quaternion
+from .geometry import _moebius_den, regular_moebius_map
+from .quaternion import ONE, Quaternion, _Frozen, as_quaternion
 from .rational import RegularQuotient, as_quotient
 from .series import RegularPolynomial, evaluate_any, spherical_derivative_at
 
@@ -96,17 +94,10 @@ def random_sp11(rng: random.Random, max_radius: float = 0.9) -> QuaternionMatrix
 # -- reports ----------------------------------------------------------------------
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Frozen):
     """Outcome of one verification suite run."""
 
-    suite: str
-    seed: int
-    samples: int
-    passed: bool
-    worst_margin: float
-    witness: dict
-    properties: dict = field(default_factory=dict)
+    __slots__ = ("suite", "seed", "samples", "passed", "worst_margin", "witness", "properties")
 
     def to_json_dict(self) -> dict:
         return {"suite": self.suite, "seed": self.seed, "samples": self.samples,
@@ -221,8 +212,7 @@ def check_schwarz_pick(f, q0, sample_count: int = 100, *, rng=None,
     lhs13 = shifted * schur_inv
     rhs13 = regular_moebius_map(q0)
     lhs14 = fq.remainder(q0) * schur_inv
-    rhs14 = RegularQuotient(RegularPolynomial([ONE, -q0.conjugate()]),
-                            RegularPolynomial([ONE]), "left")
+    rhs14 = RegularQuotient(_moebius_den(q0), RegularPolynomial([ONE]), "left")
     t13 = _Tracker("difference_bound", tol)
     t14 = _Tracker("remainder_bound", tol)
     t15 = _Tracker("derivative_bound", tol)
@@ -443,24 +433,20 @@ def _slice_batch(rng, b, n, tol):
     return [check_slice_regularity(f, n, rng=rng)]
 
 
-@dataclass(frozen=True)
-class _Suite:
-    label: str
-    per_batch: int
-    #: (rng, batch index, samples per batch, tol) -> the batch's reports
-    build: Callable
-    #: reports grouped by batch -> extra properties of the merged report
-    extra: Callable | None = None
+class _Suite(_Frozen):
+    # build: (rng, batch index, samples per batch, tol) -> the batch's reports;
+    # extra: reports grouped by batch -> extra properties of the merged report, or None
+    __slots__ = ("label", "per_batch", "build", "extra")
 
 
 _SUITES = {
     "schwarz-pick": _Suite("schwarz", 50, _schwarz_batch, _moebius_equality),
-    "zero-case": _Suite("zero", 50, _zero_batch),
-    "modulus-product": _Suite("modulus", 50, _modulus_batch),
-    "reg-preservation": _Suite("preserve", 50, _preserve_batch),
+    "zero-case": _Suite("zero", 50, _zero_batch, None),
+    "modulus-product": _Suite("modulus", 50, _modulus_batch, None),
+    "reg-preservation": _Suite("preserve", 50, _preserve_batch, None),
     # tol does not reach this suite: the finite-difference residual keeps
     # its own bound, _SLICE_TOL
-    "slice-regularity": _Suite("slice", 25, _slice_batch),
+    "slice-regularity": _Suite("slice", 25, _slice_batch, None),
 }
 
 SUITE_NAMES = tuple(_SUITES)

@@ -1,6 +1,9 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -216,6 +219,32 @@ def test_normal_form_rejects_non_member(capsys):
     bad = {"a": [2, 0, 0, 0], "c": [0, 0, 0, 0], "b": [0, 0, 0, 0], "d": [1, 0, 0, 0]}
     code, _, _ = run_cli(capsys, "normal-form", "--matrix", json.dumps(bad))
     assert code == 1
+
+
+def test_normal_form_matrix_with_q0_or_u_is_a_usage_error(capsys):
+    for extra in (("--q0", "0.1j", "--u", "k"), ("--q0", "0.1j"), ("--u", "k")):
+        code, out, err = run_cli(capsys, "normal-form", "--matrix", _MATRIX, *extra)
+        assert code == 2
+        assert out == ""
+        assert "--matrix" in err and "--q0" in err
+
+
+@pytest.mark.parametrize("text", ["-1", "x", "1.5"])
+def test_malformed_nmax_exits_2(capsys, text):
+    code, out, err = run_cli(capsys, "expand", "--f", "q^2", "--center", "0.5i", "--nmax", text)
+    assert code == 2
+    assert out == ""
+    assert "--nmax" in err and text in err
+
+
+def test_cli_import_loads_neither_dataclasses_nor_typing():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, srq.cli; "
+            "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_normal_form_bad_json_exits_2(capsys):

@@ -11,6 +11,7 @@ from srq.geometry import (classical_moebius, conformality_defect,
                           pseudo_distance_sq, regular_moebius, regular_moebius_map,
                           twist_map, twist_map_inverse)
 from srq.quaternion import I, J, K, ONE, ZERO, Quaternion
+from srq.rational import star_transform, star_transform_inverse
 from srq.series import RegularPolynomial
 
 
@@ -135,6 +136,24 @@ def test_twist_inverse():
         q = sample_ball(rng, 0.95)
         assert twist_map_inverse(q0, twist_map(q0, q)).isclose(q, rel_tol=1e-11,
                                                                abs_tol=1e-13)
+
+
+def test_twist_is_star_transform_of_moebius_denominator_bit_for_bit():
+    def bits(q):
+        return [v.hex() for v in q.to_json()]
+
+    rng = random.Random(19)
+    pairs = [(sample_ball(rng, 0.9), sample_ball(rng, 0.95)) for _ in range(300)]
+    pairs += [(Quaternion(0.4), sample_ball(rng)), (sample_ball(rng), Quaternion(-0.3)),
+              (Quaternion(0.2), Quaternion(0.5)), (ZERO, sample_ball(rng))]
+    for q0, q in pairs:
+        den = RegularPolynomial([ONE, -q0.conjugate()])
+        m = ONE - q * q0
+        forward = twist_map(q0, q)
+        assert bits(forward) == bits(star_transform(den, q)) == bits(m.inverse() * q * m)
+        m = ONE - q * q0.conjugate()
+        backward = twist_map_inverse(q0, q)
+        assert bits(backward) == bits(star_transform_inverse(den, q)) == bits(m.inverse() * q * m)
 
 
 def test_regular_moebius_factors_through_twist():

@@ -1,6 +1,8 @@
 """Quaternion arithmetic, slice decomposition, and parsing."""
 
+import copy
 import math
+import pickle
 import random
 
 import numpy as np
@@ -9,11 +11,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from srq.errors import ParseError
-from srq.fractional import QuaternionMatrix2
+from srq.fractional import QuaternionMatrix2, normal_form
 from srq.geometry import geodesic
-from srq.quaternion import I, J, K, ONE, ZERO, Quaternion, _make
-from srq.rational import RegularQuotient
+from srq.quaternion import I, J, K, ONE, ZERO, Quaternion, _Frozen, _make
+from srq.rational import RegularQuotient, ZeroEntry
 from srq.series import RegularPolynomial
+from srq.verify import _SUITES, run_suite
 
 
 def rand_quat(rng, scale=1.0):
@@ -253,7 +256,13 @@ _FROZEN = [(Quaternion(1, 2, 3, 4), "w"),
            (_P.spherical_expansion(I * 0.5, 1), "x0"),
            (RegularQuotient(_P, RegularPolynomial([J])), "sym"),
            (QuaternionMatrix2.identity(), "a"),
-           (geodesic(ZERO, I * 0.5), "_image")]
+           (geodesic(ZERO, I * 0.5), "_image"),
+           (Quaternion(1, 2, 3, 4).slice_decompose(), "y0"),
+           (ZeroEntry(1.0, 0.0, 2), "x"),
+           (RegularQuotient(RegularPolynomial([ONE, ZERO, ONE]), ONE).sphere_zero_set(), "entries"),
+           (normal_form(QuaternionMatrix2.identity()), "u"),
+           (run_suite("zero-case", 1, 10), "passed"),
+           (_SUITES["zero-case"], "extra")]
 
 
 @pytest.mark.parametrize("value, attr", _FROZEN, ids=[type(v).__name__ for v, _ in _FROZEN])
@@ -264,3 +273,32 @@ def test_value_classes_refuse_assignment_and_deletion(value, attr):
     with pytest.raises(AttributeError, match="is immutable"):
         delattr(value, attr)
     assert repr(value) == before
+
+
+@pytest.mark.parametrize("value", [v for v, _ in _FROZEN], ids=[type(v).__name__ for v, _ in _FROZEN])
+def test_value_classes_pickle_and_copy(value):
+    # slot state is restored past the refusing __setattr__
+    copies = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(value), copy.deepcopy(value)]
+    for other in copies:
+        assert type(other) is type(value)
+        assert other == value
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(other, type(value).__slots__[0], ONE)
+
+
+def test_every_value_class_is_frozen():
+    assert all(isinstance(value, _Frozen) for value, _ in _FROZEN)
+
+
+def test_record_repr_equality_and_arity():
+    entry = ZeroEntry(1.0, 0.0, 2)
+    assert repr(entry) == "ZeroEntry(x=1.0, y=0.0, multiplicity=2)"
+    assert entry == ZeroEntry(1.0, 0.0, 2) and hash(entry) == hash(ZeroEntry(1.0, 0.0, 2))
+    assert entry != ZeroEntry(1.0, 0.0, 1)
+    assert entry != (1.0, 0.0, 2)
+    with pytest.raises(TypeError):
+        ZeroEntry(1.0, 0.0)
+    with pytest.raises(TypeError):
+        ZeroEntry(1.0, 0.0, 2, 3)
