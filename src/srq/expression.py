@@ -13,6 +13,7 @@ constants is the ordinary quaternion product.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import ParseError
@@ -38,6 +39,8 @@ def _tokenize(text: str):
             raise ParseError(f"unexpected character {text[pos]!r} at offset {pos}")
         if m.group("num") is not None:
             value = float(m.group("num"))
+            if math.isinf(value):
+                raise ParseError(f"number {m.group('num')!r} at offset {m.start('num')} overflows")
             unit = m.group("unit")
             quat = _UNITS[unit] * value if unit else Quaternion(value)
             tokens.append(("const", quat))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import (DegenerateComposite, DegenerateSwap, NotHermitian,
                      NotSp11, PoleError, SingularMatrix)
-from .geometry import _require_inside_ball, _require_unit
+from .geometry import _require_inside_ball, _require_unit, sample_ball
 from .quaternion import EPS, ONE, ZERO, Quaternion, _Frozen, as_quaternion
 from .rational import RegularQuotient, as_quotient
 from .series import RegularPolynomial
@@ -203,7 +203,10 @@ def hermitian_coincidence_check(f, A: QuaternionMatrix2, *, points=None) -> bool
     r = right_action(f, A)
     l = left_action(A.transpose(), f)
     if points is None:
-        points = _default_grid()
+        import random  # only the default grid needs it
+
+        rng = random.Random("hermitian-grid")
+        points = [sample_ball(rng, 0.85) for _ in range(50)]
     if not points:
         raise ValueError("no sample points given")
     compared = 0
@@ -219,19 +222,6 @@ def hermitian_coincidence_check(f, A: QuaternionMatrix2, *, points=None) -> bool
     if not compared:
         raise PoleError("every sample point is a pole of the composites")
     return True
-
-
-def _default_grid():
-    import random
-
-    rng = random.Random("hermitian-grid")
-    points = []
-    while len(points) < 50:
-        q = Quaternion(rng.uniform(-1, 1), rng.uniform(-1, 1),
-                       rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if q.norm() < 0.85:
-            points.append(q)
-    return points
 
 
 def left_right_convert(A: QuaternionMatrix2) -> QuaternionMatrix2:

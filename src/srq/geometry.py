@@ -35,6 +35,20 @@ def _require_unit(u: Quaternion, name: str) -> None:
         raise ValueError(f"{name} must be unit, got modulus {u.norm():g}")
 
 
+def _cube_point(rng) -> Quaternion:
+    """Uniform point of the cube [-1, 1]^4, drawn in w, x, y, z order from ``rng``."""
+    return Quaternion(rng.uniform(-1, 1), rng.uniform(-1, 1),
+                      rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+
+def sample_ball(rng, radius: float = 0.99) -> Quaternion:
+    """Uniform point of the ball of the given radius, by rejection from the cube."""
+    while True:
+        q = _cube_point(rng)
+        if q.norm() < radius:
+            return q
+
+
 def pseudo_distance_sq(q1, q2) -> float:
     """|q1 - q2|^2 / |1 - q1 conj(q2)|^2, the squared ratio inside the distance."""
     q1 = _in_ball(q1, "q1")

@@ -25,6 +25,7 @@ from .errors import ParseError
 
 #: The relative size at which a quantity counts as zero, scaled by what each test guards.
 EPS = 1e-12
+_INF = math.inf  # a module global: one lookup cheaper than math.inf on the hot path
 
 
 class _Frozen:
@@ -135,12 +136,7 @@ class Quaternion(_Frozen):
             return _make(self.w * s, self.x * s, self.y * s, self.z * s)
         return NotImplemented
 
-    def __rmul__(self, other):
-        # real scalars commute, so left multiplication needs no special case
-        if isinstance(other, (int, float)):
-            s = float(other)
-            return _make(self.w * s, self.x * s, self.y * s, self.z * s)
-        return NotImplemented
+    __rmul__ = __mul__  # only real scalars reach it, and they commute
 
     def __truediv__(self, other):
         # quotient by a quaternion is ambiguous (left vs right); use inverse()
@@ -184,16 +180,24 @@ class Quaternion(_Frozen):
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+        n2 = self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+        if n2 < _INF:
+            return math.sqrt(n2)
+        return math.hypot(self.w, self.x, self.y, self.z)  # the squares overflowed
 
     __abs__ = norm
 
     def inverse(self) -> "Quaternion":
-        """q^{-1} = conj(q)/|q|^2; refuses when |q| is below ``EPS``."""
+        """q^{-1} = conj(q)/|q|^2; refuses when |q| is below ``EPS`` or overflows."""
         n2 = self.norm_sq()
         if n2 <= EPS * EPS:
             raise ZeroDivisionError(f"quaternion too small to invert (|q| = {math.sqrt(n2):g})")
-        return _make(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        if n2 < _INF:
+            return _make(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        n = self.norm()  # |q|^2 overflowed, so divide by |q| twice
+        if n == _INF:
+            raise ZeroDivisionError(f"quaternion too large to invert ({self!r})")
+        return _make(self.w / n / n, -self.x / n / n, -self.y / n / n, -self.z / n / n)
 
     def imag(self) -> "Quaternion":
         return _make(0.0, self.x, self.y, self.z)
@@ -270,7 +274,7 @@ class Quaternion(_Frozen):
                 mag = -mag
             comp[m.group("unit") or ""] += mag
             pos = m.end()
-        return cls(comp[""], comp["i"], comp["j"], comp["k"])
+        return cls.from_json([comp[""], comp["i"], comp["j"], comp["k"]])  # overflow -> ParseError
 
     def __str__(self):
         parts = []

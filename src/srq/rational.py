@@ -107,28 +107,26 @@ class RegularQuotient(_Frozen):
         """Independent evaluation route through the change of variables.
 
         For a left quotient this is f(T_f(q))^{-1} g(T_f(q)).  For a right
-        quotient g*h^{-*} the analogous route pushes h^c through the star
-        product with g: h^s(q)^{-1} g(q) h^c(g(q)^{-1} q g(q)), valid where
-        g(q) != 0.  Both routes exist for cross-validation against
-        :meth:`evaluate`; they share no intermediate values.
+        quotient g*h^{-*} it is the star product evaluated pointwise,
+        g(q) h^{-*}(p) with p = g(q)^{-1} q g(q), valid where g(q) != 0, and
+        h^{-*}(p) comes from the left route of h^{-*}*1.  Both routes exist
+        for cross-validation against :meth:`evaluate`; they share no
+        intermediate values (neither reads ``sym`` or ``conum``).
         """
         if self.den is None:
             raise ValueError("transform-route evaluation needs a (den, num) pair")
         q = as_quaternion(q)
-        if self.side == "left":
-            w = star_transform(self.den, q)
-            fw = self.den.evaluate(w)
-            if fw.norm() < EPS * (1.0 + self.den.coefficient_norm_sum()):
-                raise PoleError(f"{q} maps onto a zero of the denominator")
-            return fw.inverse() * self.num.evaluate(w)
-        s = self.sym.evaluate(q)
-        if s.norm() < self._pole_scale:
-            raise PoleError(f"{q} lies on the zero set of the denominator symmetrization")
-        gq = self.num.evaluate(q)
-        if gq.norm() < EPS * (1.0 + self.num.coefficient_norm_sum()):
-            raise ValueError("transform route for a right quotient needs a nonzero numerator value")
-        w = gq.inverse() * q * gq
-        return s.inverse() * (gq * self.den.conjugate().evaluate(w))
+        if self.side == "right":
+            gq = self.num.evaluate(q)
+            if gq.norm() < EPS * (1.0 + self.num.coefficient_norm_sum()):
+                raise ValueError("transform route for a right quotient needs a nonzero numerator value")
+            p = gq.inverse() * q * gq
+            return gq * RegularQuotient(self.den, ONE).evaluate_via_transform(p)
+        w = star_transform(self.den, q)
+        fw = self.den.evaluate(w)
+        if fw.norm() < EPS * (1.0 + self.den.coefficient_norm_sum()):
+            raise PoleError(f"{q} maps onto a zero of the denominator")
+        return fw.inverse() * self.num.evaluate(w)
 
     # -- ring structure --------------------------------------------------------------
 
@@ -320,18 +318,12 @@ def durand_kerner(coeffs):
     lead = c[-1]
     monic = [v / lead for v in c]
 
-    def value(z):
-        acc = 0j
-        for v in reversed(monic):
-            acc = acc * z + v
-        return acc
-
     def checked(roots):
         scale = 1.0 + sum(abs(v) for v in monic)
         for z in roots:
-            if not abs(value(z)) <= EPS * scale:  # NaN roots fail here too
+            if not abs(_horner(monic, z)) <= EPS * scale:  # NaN roots fail here too
                 raise NonConvergence(
-                    f"root iteration stalled with residual {abs(value(z)):g} at {z}")
+                    f"root iteration stalled with residual {abs(_horner(monic, z)):g} at {z}")
         return roots
 
     if n == 1:  # closed form; an overflowing normalization still fails the check
@@ -341,14 +333,7 @@ def durand_kerner(coeffs):
     roots = [max(1.0, radius) * seed ** (k + 1) / abs(seed) ** (k + 1) * (0.95 ** k)
              for k in range(n)]
 
-    moduli = [abs(v) for v in reversed(monic)]
-
-    def rounding_bound(t):
-        acc = 0.0
-        for a in moduli:
-            acc = acc * t + a
-        return _UNIT_ROUNDOFF * acc
-
+    moduli = [abs(v) for v in monic]
     for _ in range(500):
         shift = 0.0
         stalled = True
@@ -360,9 +345,9 @@ def durand_kerner(coeffs):
                     denom *= roots[k] - roots[l]
             if denom == 0:
                 denom = 1e-300
-            residual = value(roots[k])
+            residual = _horner(monic, roots[k])
             if stalled:  # a NaN residual fails the comparison, so it never stalls
-                stalled = abs(residual) <= rounding_bound(abs(roots[k]))
+                stalled = abs(residual) <= _UNIT_ROUNDOFF * _horner(moduli, abs(roots[k]))
             step = residual / denom
             new_roots[k] = roots[k] - step
             shift = max(shift, abs(step))
@@ -372,6 +357,14 @@ def durand_kerner(coeffs):
         if shift < 1e-14 * (1.0 + max(abs(z) for z in roots)):
             break
     return checked(roots)
+
+
+def _horner(coeffs, t):
+    """sum_n coeffs[n] t^n by Horner's rule, for float or complex coefficients and t."""
+    acc = 0.0
+    for a in reversed(coeffs):
+        acc = acc * t + a
+    return acc
 
 
 def _cluster(roots):
@@ -413,8 +406,6 @@ def sphere_zero_set(f: RegularPolynomial) -> SphereZeroSet:
     complex-polynomial roots on one slice; conjugate pairs collapse to one
     sphere entry, with multiplicities counted in f^s.
     """
-    if f.is_zero:
-        raise ValueError("the zero polynomial vanishes everywhere")
     return _zero_set_of_real_polynomial(f.symmetrization())
 
 

@@ -183,14 +183,9 @@ class RegularPolynomial(_Frozen):
         """f^s = f * f^c, which has real coefficients.
 
         The floating-point convolution leaves an imaginary residue of rounding
-        size; it is checked against 1e-9 (scale-aware) and then dropped.
+        size; ``real_coefficients`` checks it and drops it.
         """
-        prod = self * self.conjugate()
-        scale = 1.0 + prod.coefficient_norm_sum()
-        worst = max((c.imag_norm() for c in prod.coeffs), default=0.0)
-        if worst > 1e-9 * scale:
-            raise ValueError(f"symmetrization has imaginary residue {worst:g}")
-        return RegularPolynomial([Quaternion(c.w) for c in prod.coeffs])
+        return RegularPolynomial((self * self.conjugate()).real_coefficients())
 
     # -- calculus -----------------------------------------------------------------------
 

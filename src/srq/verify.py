@@ -19,7 +19,7 @@ import random
 
 from .errors import PoleError
 from .fractional import QuaternionMatrix2, from_normal_form, left_action, right_action
-from .geometry import _moebius_den, regular_moebius_map
+from .geometry import _cube_point, _moebius_den, regular_moebius_map, sample_ball
 from .quaternion import ONE, Quaternion, _Frozen, as_quaternion
 from .rational import RegularQuotient, as_quotient
 from .series import RegularPolynomial, evaluate_any, spherical_derivative_at
@@ -36,20 +36,6 @@ _SLICE_TOL = 1e-5
 def stream(seed, label: str) -> random.Random:
     """An independent RNG stream for (seed, label); string seeding is stable."""
     return random.Random(f"{seed}:{label}")
-
-
-def _cube_point(rng: random.Random) -> Quaternion:
-    """Uniform point of the cube [-1, 1]^4, drawn in w, x, y, z order."""
-    return Quaternion(rng.uniform(-1, 1), rng.uniform(-1, 1),
-                      rng.uniform(-1, 1), rng.uniform(-1, 1))
-
-
-def sample_ball(rng: random.Random, radius: float = 0.99) -> Quaternion:
-    """Uniform point of the ball of the given radius, by rejection from the cube."""
-    while True:
-        q = _cube_point(rng)
-        if q.norm() < radius:
-            return q
 
 
 def sample_unit(rng: random.Random) -> Quaternion:
@@ -86,9 +72,9 @@ def random_self_map(seed, degree: int) -> RegularPolynomial:
     return RegularPolynomial([c * (target / total) for c in coeffs])
 
 
-def random_sp11(rng: random.Random, max_radius: float = 0.9) -> QuaternionMatrix2:
-    """A random matrix of the indefinite unitary group, via its normal form."""
-    return from_normal_form(sample_ball(rng, max_radius), sample_unit(rng))
+def random_sp11(rng: random.Random) -> QuaternionMatrix2:
+    """A random matrix of the indefinite unitary group, via its normal form (|q0| < 0.9)."""
+    return from_normal_form(sample_ball(rng, 0.9), sample_unit(rng))
 
 
 # -- reports ----------------------------------------------------------------------

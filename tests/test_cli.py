@@ -408,3 +408,13 @@ def test_json_and_csv_together_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "--json" in err and "--csv" in err
+
+
+@pytest.mark.parametrize("argv", [("distance", "1e400", "0"),
+                                  ("distance", "[1e400,0,0,0]", "0"),
+                                  ("eval", "--f", "1e400*q", "--at", "0")],
+                         ids=["text", "json", "expression"])
+def test_overflowing_literal_exits_2(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "error" in err

@@ -376,3 +376,27 @@ def test_left_action_lifts_scalars_and_polynomials_like_a_right_pair():
         want = left_action(m, RegularQuotient(1, f, "right"))
         assert (got.side, got.den, got.num, got.sym, got.conum) == \
             (want.side, want.den, want.num, want.sym, want.conum)
+
+
+def test_default_hermitian_grid_is_fifty_seeded_ball_samples(monkeypatch):
+    import srq.fractional as fractional
+    from srq.verify import sample_ball as ball_sampler
+
+    drawn = []
+
+    def recording(rng, radius):
+        q = ball_sampler(rng, radius)
+        drawn.append((q, radius))
+        return q
+
+    monkeypatch.setattr(fractional, "sample_ball", recording)
+    assert hermitian_coincidence_check(Q * Q, ID2)
+    rng = random.Random("hermitian-grid")
+    assert drawn == [(ball_sampler(rng, 0.85), 0.85) for _ in range(50)]
+    # the same points as a rejection loop over four uniform draws in w, x, y, z order
+    oracle, rng = [], random.Random("hermitian-grid")
+    while len(oracle) < 50:
+        q = rand_quat(rng)
+        if q.norm() < 0.85:
+            oracle.append(q)
+    assert [q for q, _ in drawn] == oracle

@@ -302,3 +302,36 @@ def test_record_repr_equality_and_arity():
         ZeroEntry(1.0, 0.0)
     with pytest.raises(TypeError):
         ZeroEntry(1.0, 0.0, 2, 3)
+
+
+scalar_component = st.floats(min_value=-1e6, max_value=1e6)
+
+
+@given(st.builds(Quaternion, scalar_component, scalar_component, scalar_component,
+                 scalar_component),
+       st.one_of(scalar_component, st.integers(min_value=-10**6, max_value=10**6)))
+def test_scalar_product_is_the_same_from_either_side(q, s):
+    left, right = s * q, q * s
+    assert type(left) is Quaternion
+    assert [c.hex() for c in left.to_json()] == [c.hex() for c in right.to_json()]
+
+
+def test_norm_of_a_huge_quaternion_does_not_overflow():
+    assert Quaternion(1e200).norm() == 1e200
+    assert Quaternion(0.0, 3e200, 0.0, 4e200).norm() == pytest.approx(5e200, rel=1e-15)
+    assert abs(Quaternion(-1e300)) == 1e300
+
+
+def test_inverse_of_a_huge_quaternion_is_not_zero():
+    inv = Quaternion(1e200).inverse()
+    assert math.isclose(inv.w, 1e-200, rel_tol=1e-15)  # not 0
+    q = Quaternion(1e200, 2e200, -3e200, 4e200)
+    assert (q * q.inverse()).isclose(ONE, rel_tol=1e-14)
+    with pytest.raises(ZeroDivisionError):
+        Quaternion(1e308, 1e308, 1e308, 1e308).inverse()  # |q| itself overflows
+
+
+@pytest.mark.parametrize("text", ["1e400", "-2e999i", "1e308+1e308", "[1e400, 0, 0, 0]"])
+def test_overflowing_literal_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        Quaternion.parse(text)

@@ -449,3 +449,52 @@ def test_zero_quotient_cannot_be_inverted():
     assert q1.evaluate(Quaternion(2)) == ZERO
     with pytest.raises(ValueError):
         q1.reciprocal()
+
+
+def _corrupt_sym(quotient):
+    # double sym in place: the direct route sees it, an independent route must not
+    object.__setattr__(quotient, "sym", quotient.sym * 2.0)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_transform_route_does_not_read_sym(side):
+    rng = random.Random(11)
+    quotient = RegularQuotient(rand_poly(rng, 2), rand_poly(rng, 2), side)
+    q = point_off_poles(rng, quotient)
+    assert quotient.num.evaluate(q).norm() > 1e-2
+    before = quotient.evaluate_via_transform(q)
+    _corrupt_sym(quotient)
+    direct = quotient.evaluate(q)
+    via = quotient.evaluate_via_transform(q)
+    assert via == before
+    assert (direct - via).norm() > 0.1 * via.norm()
+
+
+def test_right_routes_agree_to_rounding_level():
+    rng = random.Random(12)
+    checked = 0
+    for _ in range(30):
+        num = rand_poly(rng, rng.randint(1, 3))
+        quotient = RegularQuotient(rand_poly(rng, rng.randint(1, 3)), num, "right")
+        for _ in range(10):
+            q = point_off_poles(rng, quotient)
+            if num.evaluate(q).norm() < 1e-2:
+                continue
+            direct = quotient.evaluate(q)
+            via = quotient.evaluate_via_transform(q)
+            assert (direct - via).norm() <= 1e-12 * (1 + direct.norm())
+            checked += 1
+    assert checked > 200
+
+
+def test_quotient_with_huge_coefficients_evaluates_to_its_tiny_value():
+    # sym = (1e80 + q)^2 has |sym(q)|^2 near 1e320, which overflows a double
+    quotient = RegularQuotient(RegularPolynomial([Quaternion(1e80), ONE]), RegularPolynomial([ONE]))
+    value = quotient.evaluate(Quaternion(0.1))
+    assert math.isclose(value.w, 1.0 / (1e80 + 0.1), rel_tol=1e-12)  # not 0
+    assert value.imag_norm() == 0.0
+
+
+def test_zero_polynomial_has_no_zero_set():
+    with pytest.raises(ValueError, match="vanishes everywhere"):
+        sphere_zero_set(RegularPolynomial())

@@ -379,3 +379,13 @@ def test_evaluation_components_stay_python_floats():
         assert all(type(c) is float for c in (value.w, value.x, value.y, value.z))
     product = f * RegularPolynomial([Quaternion(np.float64(0.5))])
     assert all(type(c) is float for q in product.coeffs for c in (q.w, q.x, q.y, q.z))
+
+
+@given(polys)
+def test_symmetrization_is_the_real_part_of_f_star_fc_bit_for_bit(f):
+    # the one realness test (real_coefficients) keeps exactly the real parts
+    expected = [c.w.hex() for c in (f * f.conjugate()).coeffs]
+    got = f.symmetrization()
+    assert all(c.is_real() for c in got.coeffs)
+    assert [c.w.hex() for c in got.coeffs] == expected[:len(got.coeffs)]
+    assert all(float.fromhex(h) == 0.0 for h in expected[len(got.coeffs):])

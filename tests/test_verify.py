@@ -254,3 +254,26 @@ def test_tolerance_of_one_or_more_is_refused():
             _Tracker("x", tol)
         with pytest.raises(ValueError, match="tol"):
             run_suite("schwarz-pick", 1, 50, tol=tol)
+
+
+def test_random_sp11_takes_only_a_stream():
+    import inspect
+
+    assert list(inspect.signature(random_sp11).parameters) == ["rng"]
+    assert random_sp11(random.Random(5)) == random_sp11(random.Random(5))
+
+
+def test_sample_ball_lives_in_geometry():
+    from srq import geometry
+
+    assert sample_ball is geometry.sample_ball
+    rng = random.Random(6)
+    assert all(sample_ball(rng, 0.3).norm() < 0.3 for _ in range(200))
+
+
+def test_modulus_product_with_huge_coefficients_has_finite_margins():
+    report = check_modulus_product(RegularPolynomial([Quaternion(1e200)]), Q * 0.5, Q, 20, seed=1)
+    summary = report.properties["modulus_product"]
+    assert report.passed
+    assert math.isfinite(report.worst_margin) and report.worst_margin > 0.0
+    assert summary["max_abs_margin"] > 1e199
