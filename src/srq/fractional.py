@@ -143,23 +143,16 @@ def generator(kind: str, param=None) -> QuaternionMatrix2:
 def right_action(f, A: QuaternionMatrix2) -> RegularQuotient:
     """f.A = (f c + d)^{-*} * (f a + b).
 
-    On a left quotient F^{-*}*G the composite is again a left quotient with
-    den = G*c + F*d and num = G*a + F*b, so no degree is wasted; other inputs
-    go through generic ring arithmetic.
+    With f read as the left pair F^{-*}*G (any other quotient as S^{-*}*P
+    from its sym and conum), this is the left pair den = G*c + F*d, num = G*a + F*b.
     """
     _require_invertible(A)
-    f = as_quotient(f)
-    if f.is_pair and f.side == "left":
-        den = f.num * A.c + f.den * A.d
-        num = f.num * A.a + f.den * A.b
-        if den.is_zero:
-            raise DegenerateComposite("composite denominator is identically zero")
-        return RegularQuotient(den, num, "left")
-    den = f * A.c + A.d
-    num = f * A.a + A.b
-    if den.conum.is_zero:
+    F, G = as_quotient(f)._pair("left")
+    den = G * A.c + F * A.d
+    if den.is_zero:
         raise DegenerateComposite("composite denominator is identically zero")
-    return den.reciprocal() * num
+    return RegularQuotient(den, G * A.a + F * A.b, "left")
+
 
 def left_action(A: QuaternionMatrix2, f) -> RegularQuotient:
     """The left group action (a*f + b) * (c*f + d)^{-*}.
@@ -167,25 +160,20 @@ def left_action(A: QuaternionMatrix2, f) -> RegularQuotient:
     The formula entries are read from the *transpose* of the acting matrix;
     with this labelling the map composes as a genuine left action, Hermitian
     matrices act the same way from either side (up to their own transpose),
-    and the ball-preserving subgroup keeps self-maps inside the ball.  On a
-    right quotient G*H^{-*} the result stays a right quotient with
-    num = a*G + b*H and den = c*G + d*H.
+    and the ball-preserving subgroup keeps self-maps inside the ball.  With f
+    read as the right pair G*H^{-*} (a polynomial g as g*1^{-*}, any other
+    quotient as P*S^{-*} from its sym and conum), this is the right pair
+    num = a*G + b*H, den = c*G + d*H.
     """
     _require_invertible(A)
     A = A.transpose()
     if not isinstance(f, RegularQuotient):
         f = RegularQuotient(RegularPolynomial([ONE]), f, "right")
-    if f.is_pair and f.side == "right":
-        num = A.a * f.num + A.b * f.den
-        den = A.c * f.num + A.d * f.den
-        if den.is_zero:
-            raise DegenerateComposite("composite denominator is identically zero")
-        return RegularQuotient(den, num, "right")
-    num = A.a * f + A.b
-    den = A.c * f + A.d
-    if den.conum.is_zero:
+    H, G = f._pair("right")
+    den = A.c * G + A.d * H
+    if den.is_zero:
         raise DegenerateComposite("composite denominator is identically zero")
-    return num * den.reciprocal()
+    return RegularQuotient(den, A.a * G + A.b * H, "right")
 
 
 def hermitian_coincidence_check(f, A: QuaternionMatrix2, *, points=None) -> bool:

@@ -20,12 +20,14 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 
 from .errors import ParseError
 
 #: The relative size at which a quantity counts as zero, scaled by what each test guards.
 EPS = 1e-12
 _INF = math.inf  # a module global: one lookup cheaper than math.inf on the hot path
+_TINY = sys.float_info.min  # below it a sum of squares has lost precision or underflowed
 
 
 class _Frozen:
@@ -181,9 +183,9 @@ class Quaternion(_Frozen):
 
     def norm(self) -> float:
         n2 = self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
-        if n2 < _INF:
+        if _TINY <= n2 < _INF:
             return math.sqrt(n2)
-        return math.hypot(self.w, self.x, self.y, self.z)  # the squares overflowed
+        return math.hypot(self.w, self.x, self.y, self.z)  # the squares under- or overflowed
 
     __abs__ = norm
 
@@ -191,7 +193,7 @@ class Quaternion(_Frozen):
         """q^{-1} = conj(q)/|q|^2; refuses when |q| is below ``EPS`` or overflows."""
         n2 = self.norm_sq()
         if n2 <= EPS * EPS:
-            raise ZeroDivisionError(f"quaternion too small to invert (|q| = {math.sqrt(n2):g})")
+            raise ZeroDivisionError(f"quaternion too small to invert (|q| = {self.norm():g})")
         if n2 < _INF:
             return _make(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
         n = self.norm()  # |q|^2 overflowed, so divide by |q| twice
@@ -203,7 +205,10 @@ class Quaternion(_Frozen):
         return _make(0.0, self.x, self.y, self.z)
 
     def imag_norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        n2 = self.x * self.x + self.y * self.y + self.z * self.z
+        if _TINY <= n2 < _INF:
+            return math.sqrt(n2)
+        return math.hypot(self.x, self.y, self.z)
 
     def is_real(self, tol: float = 0.0) -> bool:
         return self.imag_norm() <= tol

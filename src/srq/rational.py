@@ -33,9 +33,10 @@ class RegularQuotient(_Frozen):
 
     ``side="left"`` is f^{-*}*g with den=f, num=g, evaluating as
     f^s(q)^{-1} (f^c*g)(q); ``side="right"`` is g*h^{-*} with den=h, num=g,
-    evaluating as h^s(q)^{-1} (g*h^c)(q).  Ring arithmetic (sums, star
-    products, reciprocals) may leave the pair representation behind, in which
-    case only the expanded form is carried (``side == "expanded"``).
+    evaluating as h^s(q)^{-1} (g*h^c)(q).  Sums and star products leave the
+    pair representation behind, in which case only the expanded form is
+    carried (``side == "expanded"``); reciprocals and the group actions of
+    ``srq.fractional`` always return pairs.
 
     Evaluation anywhere on the zero set of the denominator symmetrization is
     an error, never a silent value.
@@ -109,9 +110,9 @@ class RegularQuotient(_Frozen):
         For a left quotient this is f(T_f(q))^{-1} g(T_f(q)).  For a right
         quotient g*h^{-*} it is the star product evaluated pointwise,
         g(q) h^{-*}(p) with p = g(q)^{-1} q g(q), valid where g(q) != 0, and
-        h^{-*}(p) comes from the left route of h^{-*}*1.  Both routes exist
-        for cross-validation against :meth:`evaluate`; they share no
-        intermediate values (neither reads ``sym`` or ``conum``).
+        h^{-*}(p) = h(T_h(p))^{-1} is the left route of h^{-*}*1.  Both
+        routes exist for cross-validation against :meth:`evaluate`; they share
+        no intermediate values (neither reads ``sym`` or ``conum``).
         """
         if self.den is None:
             raise ValueError("transform-route evaluation needs a (den, num) pair")
@@ -120,12 +121,13 @@ class RegularQuotient(_Frozen):
             gq = self.num.evaluate(q)
             if gq.norm() < EPS * (1.0 + self.num.coefficient_norm_sum()):
                 raise ValueError("transform route for a right quotient needs a nonzero numerator value")
-            p = gq.inverse() * q * gq
-            return gq * RegularQuotient(self.den, ONE).evaluate_via_transform(p)
+            q = gq.inverse() * q * gq
         w = star_transform(self.den, q)
         fw = self.den.evaluate(w)
         if fw.norm() < EPS * (1.0 + self.den.coefficient_norm_sum()):
             raise PoleError(f"{q} maps onto a zero of the denominator")
+        if self.side == "right":
+            return gq * fw.inverse()
         return fw.inverse() * self.num.evaluate(w)
 
     # -- ring structure --------------------------------------------------------------
@@ -137,24 +139,27 @@ class RegularQuotient(_Frozen):
             return RegularQuotient(self.den.conjugate(), self.num.conjugate(), flipped)
         return RegularQuotient.from_expanded(self.sym, self.conum.conjugate())
 
+    def _pair(self, side: str):
+        """``(den, num)`` of this quotient read as a pair of ``side``: sym is real,
+        so S^{-1}P is both S^{-*}*P and P*S^{-*}, and a quotient that is not a
+        pair of that side reads as (sym, conum)."""
+        if self.side == side:
+            return self.den, self.num
+        return self.sym, self.conum
+
     def symmetrization(self) -> "RegularQuotient":
         """(f^{-*}*g)^s = (f^s)^{-1} g^s, with both parts real."""
-        if self.is_pair:
-            return RegularQuotient.from_expanded(self.den.symmetrization(),
-                                                 self.num.symmetrization())
-        return RegularQuotient.from_expanded(self.sym * self.sym,
-                                             self.conum.symmetrization())
+        den, num = self._pair("right" if self.side == "right" else "left")
+        return RegularQuotient.from_expanded(den.symmetrization(), num.symmetrization())
 
     def reciprocal(self) -> "RegularQuotient":
-        if self.is_pair:
-            # (f^{-*}*g)^{-*} = g^{-*}*f and (g*h^{-*})^{-*} = h*g^{-*}
-            if self.num.is_zero:
-                raise ValueError("cannot invert the zero quotient")
-            return RegularQuotient(self.num, self.den, self.side)
-        if self.conum.is_zero:
+        """(f^{-*}*g)^{-*} = g^{-*}*f and (g*h^{-*})^{-*} = h*g^{-*}; an
+        expanded S^{-1}P, read as S^{-*}*P, gives the left pair P^{-*}*S."""
+        side = "right" if self.side == "right" else "left"
+        den, num = self._pair(side)
+        if num.is_zero:
             raise ValueError("cannot invert the zero quotient")
-        return RegularQuotient.from_expanded(self.conum.symmetrization(),
-                                             self.conum.conjugate() * self.sym)
+        return RegularQuotient(num, den, side)
 
     def __mul__(self, other):
         other = _as_quotient(other)

@@ -188,6 +188,58 @@ def test_degenerate_composite():
         right_action(f, bad)
 
 
+def ring_right_action(f, A):
+    """Oracle: right_action by generic ring arithmetic, (f*c + d)^{-1} * (f*a + b)."""
+    return (f * A.c + A.d).reciprocal() * (f * A.a + A.b)
+
+
+def ring_left_action(A, f):
+    """Oracle: left_action by generic ring arithmetic, (a*f + b) * (c*f + d)^{-1}."""
+    A = A.transpose()
+    return (A.a * f + A.b) * (A.c * f + A.d).reciprocal()
+
+
+def cross_kind_quotients(rng):
+    """Quotients that neither action takes as a pair of its own side."""
+    a = RegularQuotient(rand_poly(rng, 2), rand_poly(rng, 1), "left")
+    b = RegularQuotient(rand_poly(rng, 1), rand_poly(rng, 2), "right")
+    return [a + b, a * b, a - 2.0, a.cullen_derivative(), b.remainder(rand_quat(rng))]
+
+
+def test_actions_on_cross_kind_quotients_match_ring_arithmetic():
+    rng = random.Random(12)
+    compared = 0
+    for _ in range(8):
+        A = rand_matrix(rng)
+        left = RegularQuotient(rand_poly(rng, 2), rand_poly(rng, 2), "left")
+        right = RegularQuotient(rand_poly(rng, 2), rand_poly(rng, 2), "right")
+        expanded = cross_kind_quotients(rng)
+        cases = [(right_action(f, A), ring_right_action(f, A), "left") for f in expanded + [right]]
+        cases += [(left_action(A, f), ring_left_action(A, f), "right") for f in expanded + [left]]
+        for got, want, side in cases:
+            assert (got.side, want.side) == (side, "expanded")
+            assert got.sym.degree <= want.sym.degree
+            for _ in range(10):
+                q = sample_ball(rng)
+                if min(got.sym.evaluate(q).norm() / (1 + got.sym.coefficient_norm_sum()),
+                       want.sym.evaluate(q).norm() / (1 + want.sym.coefficient_norm_sum())) < 1e-3:
+                    continue  # near a pole both are ill-conditioned
+                value = got.evaluate(q)
+                assert (value - want.evaluate(q)).norm() <= 1e-9 * (1 + value.norm())
+                assert (value - got.evaluate_via_transform(q)).norm() <= 1e-9 * (1 + value.norm())
+                compared += 1
+    assert compared > 600
+
+
+def test_degenerate_composite_of_an_expanded_quotient():
+    f = RegularQuotient.from_polynomial(Q) - (Q + 2.0)  # the constant -2, in expanded form
+    assert not f.is_pair
+    with pytest.raises(DegenerateComposite):
+        right_action(f, QuaternionMatrix2(ONE, ONE, ONE, Quaternion(2)))
+    with pytest.raises(DegenerateComposite):
+        left_action(QuaternionMatrix2(ONE, ONE, ONE, Quaternion(2)), f)
+
+
 def test_hermitian_coincidence():
     rng = random.Random(9)
     assert hermitian_coincidence_check(rand_poly(rng, 3), ID2)

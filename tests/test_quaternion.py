@@ -331,6 +331,29 @@ def test_inverse_of_a_huge_quaternion_is_not_zero():
         Quaternion(1e308, 1e308, 1e308, 1e308).inverse()  # |q| itself overflows
 
 
+def test_norm_of_a_tiny_quaternion_does_not_underflow():
+    # the squares of 1e-170 are below the smallest double, so |q|^2 reads 0
+    assert Quaternion(3e-170, 4e-170).norm() == pytest.approx(5e-170, rel=1e-15)
+    assert Quaternion(1e-170).norm() == 1e-170
+    assert Quaternion(0.0, 1e-170, 0.0, 0.0).imag_norm() == 1e-170
+    assert Quaternion(0.0, 0.0, 3e-170, 4e-170).imag_norm() == pytest.approx(5e-170, rel=1e-15)
+    assert Quaternion(0.0, 3e200, 4e200).imag_norm() == pytest.approx(5e200, rel=1e-15)
+    assert ZERO.norm() == 0.0 and ZERO.imag_norm() == 0.0
+
+
+def test_tiny_imaginary_part_is_not_a_real_point():
+    coords = Quaternion(0.5, 1e-170).slice_decompose()
+    assert coords.y0 == 1e-170
+    assert coords.I == I
+    coords = Quaternion(0.5, 0.0, 1e-170, 0.0).slice_decompose()
+    assert (coords.y0, coords.I) == (1e-170, J)  # not the real-point axis i
+
+
+def test_inverse_of_a_tiny_quaternion_reports_its_modulus():
+    with pytest.raises(ZeroDivisionError, match=r"\|q\| = 3e-170"):
+        Quaternion(3e-170).inverse()
+
+
 @pytest.mark.parametrize("text", ["1e400", "-2e999i", "1e308+1e308", "[1e400, 0, 0, 0]"])
 def test_overflowing_literal_is_a_parse_error(text):
     with pytest.raises(ParseError):

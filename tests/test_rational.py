@@ -451,6 +451,41 @@ def test_zero_quotient_cannot_be_inverted():
         q1.reciprocal()
 
 
+def expanded_quotients(rng):
+    a = RegularQuotient(rand_poly(rng, 2), rand_poly(rng, 1), "left")
+    b = RegularQuotient(rand_poly(rng, 1), rand_poly(rng, 2), "right")
+    return [a + b, a * b, a - b, a.cullen_derivative()]
+
+
+def test_reciprocal_of_an_expanded_quotient_is_a_left_pair():
+    rng = random.Random(13)
+    for f in expanded_quotients(rng):
+        assert not f.is_pair
+        r = f.reciprocal()
+        # S^{-1}P is the left pair S^{-*}*P, so its reciprocal is P^{-*}*S
+        assert r.is_pair and (r.side, r.den, r.num) == ("left", f.conum, f.sym)
+        assert (r.sym, r.conum) == (f.conum.symmetrization(), f.conum.conjugate() * f.sym)
+        assert RegularQuotient.from_json(r.to_json()) == r
+        for _ in range(10):
+            q = point_off_poles(rng, r)
+            if f.sym.evaluate(q).norm() < 1e-3:
+                continue  # a pole of f, and so of r * f
+            value = r.evaluate(q)
+            assert (r.evaluate_via_transform(q) - value).norm() <= 1e-10 * (1 + value.norm())
+            assert ((r * f).evaluate(q) - ONE).norm() <= 1e-10
+
+
+def test_symmetrization_of_an_expanded_quotient_squares_its_sym():
+    def hexes(p):
+        return [[v.hex() for v in c.to_json()] for c in p.coeffs]
+
+    rng = random.Random(14)
+    for f in expanded_quotients(rng):
+        got = f.symmetrization()
+        assert hexes(got.sym) == hexes(f.sym * f.sym)
+        assert hexes(got.conum) == hexes(f.conum.symmetrization())
+
+
 def _corrupt_sym(quotient):
     # double sym in place: the direct route sees it, an independent route must not
     object.__setattr__(quotient, "sym", quotient.sym * 2.0)
