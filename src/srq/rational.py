@@ -16,6 +16,7 @@ pair-level conjugation and reciprocal.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import NonConvergence, PoleError
 from .quaternion import EPS, ONE, ZERO, Quaternion, _Frozen, as_quaternion
@@ -26,6 +27,8 @@ _CLUSTER_TOL = 1e-6
 #: Unit roundoff of IEEE double precision; the backward-error stop of
 #: ``durand_kerner`` compares residuals with it.
 _UNIT_ROUNDOFF = 2.0 ** -53
+#: Natural log of the largest double: |z|^n overflows once n log|z| exceeds it.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class RegularQuotient(_Frozen):
@@ -116,13 +119,13 @@ class RegularQuotient(_Frozen):
         """
         if self.den is None:
             raise ValueError("transform-route evaluation needs a (den, num) pair")
-        q = as_quaternion(q)
+        q = p = as_quaternion(q)
         if self.side == "right":
             gq = self.num.evaluate(q)
             if gq.norm() < EPS * (1.0 + self.num.coefficient_norm_sum()):
                 raise ValueError("transform route for a right quotient needs a nonzero numerator value")
-            q = gq.inverse() * q * gq
-        w = star_transform(self.den, q)
+            p = gq.inverse() * q * gq
+        w = star_transform(self.den, p)
         fw = self.den.evaluate(w)
         if fw.norm() < EPS * (1.0 + self.den.coefficient_norm_sum()):
             raise PoleError(f"{q} maps onto a zero of the denominator")
@@ -334,6 +337,9 @@ def durand_kerner(coeffs):
     if n == 1:  # closed form; an overflowing normalization still fails the check
         return checked([-monic[0]])
     radius = 1.0 + max(abs(v) for v in monic[:-1])
+    if n * math.log(radius) > _LOG_FLOAT_MAX:
+        # |z|^n overflows Horner on that circle; Fujiwara's bound is tighter
+        radius = 2.0 * max(abs(v) ** (1.0 / (n - k)) for k, v in enumerate(monic[:-1]))
     seed = 0.4 + 0.9j
     roots = [max(1.0, radius) * seed ** (k + 1) / abs(seed) ** (k + 1) * (0.95 ** k)
              for k in range(n)]

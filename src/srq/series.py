@@ -111,8 +111,7 @@ class RegularPolynomial(_Frozen):
         if other is NotImplemented:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        return RegularPolynomial(
-            [self.coefficient(k) + other.coefficient(k) for k in range(n)])
+        return _from_made([self.coefficient(k) + other.coefficient(k) for k in range(n)])
 
     __radd__ = __add__
 
@@ -121,8 +120,7 @@ class RegularPolynomial(_Frozen):
         if other is NotImplemented:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        return RegularPolynomial(
-            [self.coefficient(k) - other.coefficient(k) for k in range(n)])
+        return _from_made([self.coefficient(k) - other.coefficient(k) for k in range(n)])
 
     def __rsub__(self, other):
         other = _lift(other)
@@ -131,38 +129,55 @@ class RegularPolynomial(_Frozen):
         return other - self
 
     def __neg__(self):
-        return RegularPolynomial([-c for c in self.coeffs])
+        return _from_made([-c for c in self.coeffs])
 
     # -- star product ----------------------------------------------------------------
 
     def __mul__(self, other):
-        """Star product: coefficient convolution c_n = sum_k a_k b_{n-k}."""
+        """Star product: coefficient convolution c_n = sum_k a_k b_{n-k}.
+
+        The kernel follows the operands.  Real coefficients are central, so a
+        real-by-real product is one float convolution and a real-by-quaternion
+        product, in either order, is one per component; anything else runs the
+        Hamilton convolution.  The terms the float kernels drop are exact
+        zeros and every accumulator starts at +0.0, so each kernel is
+        bit-identical to the Hamilton one.
+        """
         if isinstance(other, (int, float, Quaternion)):
             c = as_quaternion(other)
-            return RegularPolynomial([a * c for a in self.coeffs])
+            return _from_made([a * c for a in self.coeffs])
         if isinstance(other, RegularPolynomial):
             if self.is_zero or other.is_zero:
                 return RegularPolynomial()
-            # out[k + l] + a * b on four float lists, in the quaternion-level
-            # operation order, so every coefficient is bit-identical to it
-            size = len(self.coeffs) + len(other.coeffs) - 1
-            ow, ox, oy, oz = [0.0] * size, [0.0] * size, [0.0] * size, [0.0] * size
-            rhs = [(b.w, b.x, b.y, b.z) for b in other.coeffs]
-            for k, a in enumerate(self.coeffs):
-                w1, x1, y1, z1 = a.w, a.x, a.y, a.z
-                for n, (w2, x2, y2, z2) in enumerate(rhs, k):
-                    ow[n] = ow[n] + (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2)
-                    ox[n] = ox[n] + (w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2)
-                    oy[n] = oy[n] + (w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2)
-                    oz[n] = oz[n] + (w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
-            return RegularPolynomial([_make(*c) for c in zip(ow, ox, oy, oz)])
+            a, b = self.coeffs, other.coeffs
+            ra, rb = _exact_real_parts(a), _exact_real_parts(b)
+            if ra is not None and rb is not None:
+                return _from_made([_make(w, 0.0, 0.0, 0.0) for w in _convolve(ra, rb)])
+            if ra is not None:
+                parts = [_convolve(ra, p) for p in zip(*map(_components, b))]
+            elif rb is not None:
+                parts = [_convolve(p, rb) for p in zip(*map(_components, a))]
+            else:
+                # out[k + l] + a * b on four float lists, in the quaternion-level
+                # operation order, so every coefficient is bit-identical to it
+                size = len(a) + len(b) - 1
+                parts = ow, ox, oy, oz = [0.0] * size, [0.0] * size, [0.0] * size, [0.0] * size
+                rhs = [_components(c) for c in b]
+                for k, c in enumerate(a):
+                    w1, x1, y1, z1 = c.w, c.x, c.y, c.z
+                    for n, (w2, x2, y2, z2) in enumerate(rhs, k):
+                        ow[n] = ow[n] + (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2)
+                        ox[n] = ox[n] + (w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2)
+                        oy[n] = oy[n] + (w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2)
+                        oz[n] = oz[n] + (w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
+            return _from_made([_make(*c) for c in zip(*parts)])
         return NotImplemented
 
     def __rmul__(self, other):
         # constant * f multiplies every coefficient on the left
         if isinstance(other, (int, float, Quaternion)):
             c = as_quaternion(other)
-            return RegularPolynomial([c * a for a in self.coeffs])
+            return _from_made([c * a for a in self.coeffs])
         return NotImplemented
 
     def __pow__(self, n):
@@ -177,15 +192,23 @@ class RegularPolynomial(_Frozen):
 
     def conjugate(self) -> "RegularPolynomial":
         """Regular conjugate f^c: the same powers with conjugated coefficients."""
-        return RegularPolynomial([c.conjugate() for c in self.coeffs])
+        return _from_made([c.conjugate() for c in self.coeffs])
 
     def symmetrization(self) -> "RegularPolynomial":
         """f^s = f * f^c, which has real coefficients.
 
-        The floating-point convolution leaves an imaginary residue of rounding
-        size; ``real_coefficients`` checks it and drops it.
+        Only the real part of the convolution is accumulated: the Hamilton
+        real part w1*w2 - x1*(-x2) - y1*(-y2) - z1*(-z2) against the
+        conjugate is exactly w1*w2 + x1*x2 + y1*y2 + z1*z2, so each
+        coefficient is bit-identical to the real part of ``f * f.conjugate()``.
+        Its imaginary parts, zero up to rounding, are never formed.
         """
-        return RegularPolynomial((self * self.conjugate()).real_coefficients())
+        parts = [_components(c) for c in self.coeffs]
+        out = [0.0] * (2 * len(parts) - 1)  # empty for the zero polynomial
+        for k, (w1, x1, y1, z1) in enumerate(parts):
+            for n, (w2, x2, y2, z2) in enumerate(parts, k):
+                out[n] = out[n] + (w1 * w2 + x1 * x2 + y1 * y2 + z1 * z2)
+        return _from_made([_make(w, 0.0, 0.0, 0.0) for w in out])
 
     # -- calculus -----------------------------------------------------------------------
 
@@ -202,12 +225,11 @@ class RegularPolynomial(_Frozen):
         b[-1] = self.coeffs[-1]
         for n in range(self.degree - 1, 0, -1):
             b[n - 1] = self.coeffs[n] + q0 * b[n]
-        return RegularPolynomial(b)
+        return _from_made(b)
 
     def cullen_derivative(self) -> "RegularPolynomial":
         """Termwise derivative sum q^{n-1} n a_n."""
-        return RegularPolynomial(
-            [self.coeffs[n] * float(n) for n in range(1, len(self.coeffs))])
+        return _from_made([self.coeffs[n] * float(n) for n in range(1, len(self.coeffs))])
 
     def spherical_expansion(self, q0, n_max: int) -> "SphericalExpansion":
         """Expansion around the sphere through q0 by iterated remainders.
@@ -249,6 +271,48 @@ class RegularPolynomial(_Frozen):
 
     def __repr__(self):
         return f"RegularPolynomial({[str(c) for c in self.coeffs]})"
+
+
+def _from_made(coeffs: list) -> RegularPolynomial:
+    """``RegularPolynomial(coeffs)`` for quaternions that are already built, as
+    ``_make`` builds them: the same trailing-zero strip, without the
+    ``as_quaternion`` lift of every coefficient."""
+    while coeffs and coeffs[-1] == ZERO:
+        coeffs.pop()
+    poly = _new(RegularPolynomial)
+    _set_coeffs(poly, tuple(coeffs))
+    return poly
+
+
+_new = object.__new__
+_set_coeffs = RegularPolynomial.__dict__["coeffs"].__set__
+
+
+def _components(c: Quaternion) -> tuple:
+    return c.w, c.x, c.y, c.z
+
+
+def _exact_real_parts(coeffs):
+    """The w parts of ``coeffs`` if every x, y and z is exactly 0.0, else None.
+
+    This picks a star-product kernel, so it is exact on purpose: a
+    coefficient that is real only within a tolerance (``real_coefficients``)
+    takes the Hamilton kernel, whose zero terms would not be zero for it.
+    """
+    for c in coeffs:
+        if c.x != 0.0 or c.y != 0.0 or c.z != 0.0:
+            return None
+    return [c.w for c in coeffs]
+
+
+def _convolve(a, b):
+    """c_n = sum_k a_k b_{n-k} on float lists, summed in increasing k from +0.0,
+    the order of the quaternion convolution."""
+    out = [0.0] * (len(a) + len(b) - 1)
+    for k, s in enumerate(a):
+        for n, t in enumerate(b, k):
+            out[n] = out[n] + s * t
+    return out
 
 
 def _lift(value):

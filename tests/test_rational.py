@@ -533,3 +533,22 @@ def test_quotient_with_huge_coefficients_evaluates_to_its_tiny_value():
 def test_zero_polynomial_has_no_zero_set():
     with pytest.raises(ValueError, match="vanishes everywhere"):
         sphere_zero_set(RegularPolynomial())
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, 0.0, 0.0, 1e-200], [1.0] + [0.0] * 6 + [1e-300]])
+def test_durand_kerner_finds_huge_roots_of_wide_range_coefficients(coeffs):
+    # (1 + max|c_k|)^n of the monic polynomial overflows a double, so a start on
+    # that circle made every Horner residual NaN; the roots (moduli 4.6e66 and
+    # 7.2e42) are representable
+    roots = durand_kerner(coeffs)
+    ref = np.roots(list(reversed(coeffs)))
+    assert len(roots) == len(ref) == len(coeffs) - 1
+    for z in ref:
+        assert min(abs(r - complex(z)) for r in roots) <= 1e-9 * abs(z)
+
+
+def test_right_transform_pole_error_names_the_callers_point():
+    # the route evaluates the denominator at g(q)^{-1} q g(q) = -j, but the caller asked about k
+    quotient = RegularQuotient(Q - I, Q - J, "right")
+    with pytest.raises(PoleError, match=r"^k maps onto a zero of the denominator$"):
+        quotient.evaluate_via_transform(K)

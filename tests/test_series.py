@@ -389,3 +389,52 @@ def test_symmetrization_is_the_real_part_of_f_star_fc_bit_for_bit(f):
     assert all(c.is_real() for c in got.coeffs)
     assert [c.w.hex() for c in got.coeffs] == expected[:len(got.coeffs)]
     assert all(float.fromhex(h) == 0.0 for h in expected[len(got.coeffs):])
+
+
+# -- the real-coefficient kernels against the Hamilton convolution ----------------------
+#
+# a polynomial whose every x, y and z is exactly zero (either sign) takes a float
+# convolution in the star product; star_oracle above is the Hamilton convolution
+# it replaces, and the two must agree bit for bit, in either operand order.
+
+zero = st.sampled_from([0.0, -0.0])
+reals = st.builds(Quaternion, component, zero, zero, zero)
+real_polys = st.lists(reals, max_size=9).map(RegularPolynomial)
+
+
+def coefficient_bits(f):
+    return [bits(c) for c in f.coeffs]
+
+
+@given(real_polys, real_polys)
+def test_real_star_real_matches_hamilton_convolution_bit_for_bit(f, g):
+    assert coefficient_bits(f * g) == coefficient_bits(star_oracle(f, g))
+
+
+@given(real_polys, polys)
+def test_real_star_quaternion_matches_hamilton_convolution_bit_for_bit(f, g):
+    assert coefficient_bits(f * g) == coefficient_bits(star_oracle(f, g))
+
+
+@given(polys, real_polys)
+def test_quaternion_star_real_matches_hamilton_convolution_bit_for_bit(f, g):
+    assert coefficient_bits(f * g) == coefficient_bits(star_oracle(f, g))
+
+
+@given(polys)
+def test_imaginary_parts_of_f_star_fc_are_rounding_residue(f):
+    # symmetrization forms only the real parts; the imaginary parts it never
+    # computes stay within the tolerance that real_coefficients applies
+    product = f * f.conjugate()
+    bound = 1e-9 * (1.0 + product.coefficient_norm_sum())
+    assert all(c.imag_norm() <= bound for c in product.coeffs)
+
+
+def test_overflowing_real_kernels_still_raise():
+    big = RegularPolynomial([Quaternion(1e200), Quaternion(-1e200)])
+    with pytest.raises(ValueError, match="non-finite"):
+        big * big
+    with pytest.raises(ValueError, match="non-finite"):
+        big * RegularPolynomial([Quaternion(0.0, 1e200)])
+    with pytest.raises(ValueError, match="non-finite"):
+        big.symmetrization()
