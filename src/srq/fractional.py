@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import (DegenerateComposite, DegenerateSwap, NotHermitian,
                      NotSp11, PoleError, SingularMatrix)
-from .geometry import _require_inside_ball, _require_unit, sample_ball
+from .geometry import _in_ball, _require_unit, sample_ball
 from .quaternion import EPS, ONE, ZERO, Quaternion, _Frozen, as_quaternion
 from .rational import RegularQuotient, as_quotient
 from .series import RegularPolynomial
@@ -81,10 +81,14 @@ class QuaternionMatrix2(_Frozen):
         return self.b.norm() * self.c.norm()
 
     def is_sp11(self, tol: float = 1e-9) -> bool:
-        """Whether conj-transpose * diag(1,-1) * self equals diag(1,-1) entrywise."""
+        """Whether conj-transpose * diag(1,-1) * self equals diag(1,-1) entrywise.
+
+        The product's entries grow like the square of the matrix entries, so
+        ``tol`` is relative to (1 + entry_scale())^2.
+        """
         h = QuaternionMatrix2(ONE, ZERO, ZERO, -ONE)
         m = self.conj_transpose() * (h * self)
-        return m.isclose(h, tol)
+        return m.isclose(h, tol * (1.0 + self.entry_scale()) ** 2)
 
     def __repr__(self):
         return (f"QuaternionMatrix2(a={self.a!s}, c={self.c!s}, "
@@ -167,9 +171,7 @@ def left_action(A: QuaternionMatrix2, f) -> RegularQuotient:
     """
     _require_invertible(A)
     A = A.transpose()
-    if not isinstance(f, RegularQuotient):
-        f = RegularQuotient(RegularPolynomial([ONE]), f, "right")
-    H, G = f._pair("right")
+    H, G = as_quotient(f)._pair("right")
     den = A.c * G + A.d * H
     if den.is_zero:
         raise DegenerateComposite("composite denominator is identically zero")
@@ -247,9 +249,8 @@ def from_normal_form(q0, u) -> QuaternionMatrix2:
     The raw matrix is scaled by (1 - |q0|^2)^{-1/2}, which lands it exactly on
     the defining identity of the indefinite unitary group.
     """
-    q0 = as_quaternion(q0)
+    q0 = _in_ball(q0, "q0")
     u = as_quaternion(u)
-    _require_inside_ball(q0)
     _require_unit(u, "phase")
     lam = 1.0 / (1.0 - q0.norm_sq()) ** 0.5
     return QuaternionMatrix2(u * lam, -q0.conjugate() * lam,
@@ -259,29 +260,19 @@ def from_normal_form(q0, u) -> QuaternionMatrix2:
 def normal_form(A: QuaternionMatrix2) -> MoebiusNormalForm:
     """Recover the unique (q0, u) with F_A = (1 - q conj(q0))^{-*} * (q - q0) u.
 
-    q0 is the unique zero of F_A in the ball.  The numerator qa+b vanishes at
-    w = -b a^{-1}; pulling w back through the change of variables of the
-    denominator conjugate gives q0 = f(w)^{-1} w f(w) with f = qc+d.  The
-    phase then comes from F_A(0) = -q0 u, or from a real probe point when q0
-    is at the origin.
+    Every member of the group is diag(w, w) * from_normal_form(q0, u) for a
+    unit w, and the left factor leaves F_A unchanged; so d = w lam, c =
+    -w lam conj(q0) and a = w lam u, which give q0 = -conj(d^{-1} c) and
+    u = d^{-1} a.
     """
     if not A.is_sp11():
         raise NotSp11("matrix does not satisfy the defining identity")
-    # |a|^2 = 1 + |b|^2 >= 1 for these matrices, so a is invertible
-    w = -(A.b * A.a.inverse())
-    fw = w * A.c + A.d
-    if fw.norm() < EPS * (1.0 + A.entry_scale()):
-        raise NotSp11("denominator vanishes inside the ball")
-    q0 = fw.inverse() * w * fw
+    # |d|^2 = 1 + |c|^2 >= 1 for these matrices, so d is invertible
+    dinv = A.d.inverse()
+    q0 = -(dinv * A.c).conjugate()
     if q0.norm() >= 1.0:
         raise NotSp11(f"recovered zero |q0| = {q0.norm():g} escapes the ball")
-    frac = regular_fractional(A)
-    if q0.norm() > 1e-9:
-        u = -(q0.inverse() * frac.evaluate(ZERO))
-    else:
-        t = 0.5
-        m = (ONE - q0.conjugate() * t).inverse() * (Quaternion(t) - q0)
-        u = m.inverse() * frac.evaluate(Quaternion(t))
+    u = dinv * A.a
     if abs(u.norm() - 1.0) > 1e-6:
         raise NotSp11(f"recovered phase is not unit: |u| = {u.norm():g}")
     return MoebiusNormalForm(q0, u / u.norm())

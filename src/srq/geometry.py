@@ -25,11 +25,6 @@ def _in_ball(q, name: str) -> Quaternion:
     return q
 
 
-def _require_inside_ball(q0: Quaternion) -> None:
-    if q0.norm() >= 1.0:
-        raise OutsideBall(f"|q0| = {q0.norm():g} is not inside the unit ball")
-
-
 def _require_unit(u: Quaternion, name: str) -> None:
     if abs(u.norm() - 1.0) > 1e-9:
         raise ValueError(f"{name} must be unit, got modulus {u.norm():g}")
@@ -93,9 +88,8 @@ def regular_moebius_map(q0, u=ONE, side: str = "left") -> RegularQuotient:
     The same polynomial pair also represents the right-quotient form
     (q - q0) u' * (1 - conj(q0) q)^{-*}; both evaluate identically.
     """
-    q0 = as_quaternion(q0)
+    q0 = _in_ball(q0, "q0")
     u = as_quaternion(u)
-    _require_inside_ball(q0)
     _require_unit(u, "u")
     num = RegularPolynomial([-(q0 * u), u])
     return RegularQuotient(_moebius_den(q0), num, side)
@@ -128,8 +122,7 @@ def moebius_expansion_coefficients(q0, n_max: int) -> SphericalExpansion:
     and A_0 = 0.  Returned with the same coefficient layout as the
     remainder-based expansion: A_0 .. A_{2*n_max+1}.
     """
-    q0 = as_quaternion(q0)
-    _require_inside_ball(q0)
+    q0 = _in_ball(q0, "q0")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     sc = q0.slice_decompose()
@@ -171,12 +164,17 @@ class GeodesicSegment(_Frozen):
 
     Built by transporting the first endpoint to the origin with a classical
     isometry, walking the straight diameter, and transporting back; distance
-    along the curve is additive.
+    along the curve is additive.  The endpoints must be distinct points of the
+    open ball.
     """
 
     __slots__ = ("q1", "q2", "_image")
 
-    def __init__(self, q1: Quaternion, q2: Quaternion):
+    def __init__(self, q1, q2):
+        q1 = _in_ball(q1, "q1")
+        q2 = _in_ball(q2, "q2")
+        if (q1 - q2).norm() <= 1e-13:
+            raise CoincidentPoints(f"geodesic endpoints coincide at {q1}")
         super().__init__(q1, q2, _moebius_to_zero(q1, q2))
 
     def point(self, t: float) -> Quaternion:
@@ -190,9 +188,4 @@ class GeodesicSegment(_Frozen):
         return poincare_distance(self.q1, self.q2)
 
 
-def geodesic(q1, q2) -> GeodesicSegment:
-    q1 = _in_ball(q1, "q1")
-    q2 = _in_ball(q2, "q2")
-    if (q1 - q2).norm() <= 1e-13:
-        raise CoincidentPoints(f"geodesic endpoints coincide at {q1}")
-    return GeodesicSegment(q1, q2)
+geodesic = GeodesicSegment

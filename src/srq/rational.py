@@ -395,9 +395,8 @@ def _cluster(roots):
 def _zero_set_of_real_polynomial(sym: RegularPolynomial) -> SphereZeroSet:
     if sym.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
-    if sym.degree == 0:
-        return SphereZeroSet(())
-    roots = durand_kerner(sym.real_coefficients())
+    # sym is real: symmetrization() builds it so, and from_expanded admits it within EPS
+    roots = durand_kerner([c.w for c in sym.coeffs])
     entries = []
     for group in _cluster(roots):
         center = sum(group) / len(group)

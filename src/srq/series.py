@@ -68,15 +68,6 @@ class RegularPolynomial(_Frozen):
     def is_real(self, tol: float = 0.0) -> bool:
         return all(c.imag_norm() <= tol for c in self.coeffs)
 
-    def real_coefficients(self) -> list:
-        scale = 1.0 + self.coefficient_norm_sum()
-        out = []
-        for c in self.coeffs:
-            if c.imag_norm() > 1e-9 * scale:
-                raise ValueError(f"coefficient {c} is not real within tolerance")
-            out.append(c.w)
-        return out
-
     # -- evaluation -------------------------------------------------------------
 
     def evaluate(self, q) -> Quaternion:
@@ -296,7 +287,7 @@ def _exact_real_parts(coeffs):
     """The w parts of ``coeffs`` if every x, y and z is exactly 0.0, else None.
 
     This picks a star-product kernel, so it is exact on purpose: a
-    coefficient that is real only within a tolerance (``real_coefficients``)
+    coefficient that is real only within a tolerance (``is_real(tol)``)
     takes the Hamilton kernel, whose zero terms would not be zero for it.
     """
     for c in coeffs:

@@ -350,8 +350,8 @@ _PINNED_OUTPUTS = [
                  "b,-0.0,-0.75,-0.0,-0.0\nd,1.25,0.0,0.0,0.0\n"}),
     (("normal-form", "--matrix", _MATRIX), {
         "": "q0 = 0.6000000000000001i\nu  = 1\n",
-        "--json": '{"q0": [0.0, 0.6000000000000001, 0.0, 0.0], "u": [1.0, -0.0, -0.0, -0.0]}\n',
-        "--csv": "part,w,x,y,z\nq0,0.0,0.6000000000000001,0.0,0.0\nu,1.0,-0.0,-0.0,-0.0\n"}),
+        "--json": '{"q0": [-0.0, 0.6000000000000001, 0.0, 0.0], "u": [1.0, 0.0, 0.0, 0.0]}\n',
+        "--csv": "part,w,x,y,z\nq0,-0.0,0.6000000000000001,0.0,0.0\nu,1.0,0.0,0.0,0.0\n"}),
 ]
 
 

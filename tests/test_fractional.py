@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from srq.errors import (DegenerateComposite, NotHermitian, NotSp11, PoleError,
                         SingularMatrix)
@@ -12,6 +14,7 @@ from srq.fractional import (QuaternionMatrix2, classical_fractional,
                             from_normal_form, generator, hermitian_coincidence_check,
                             left_action, left_right_convert, normal_form,
                             regular_fractional, right_action)
+from srq.geometry import regular_moebius_map
 from srq.quaternion import I, J, K, ONE, ZERO, Quaternion
 from srq.rational import RegularQuotient
 from srq.series import RegularPolynomial
@@ -452,3 +455,114 @@ def test_default_hermitian_grid_is_fifty_seeded_ball_samples(monkeypatch):
         if q.norm() < 0.85:
             oracle.append(q)
     assert [q for q, _ in drawn] == oracle
+
+
+# -- group membership near the boundary ------------------------------------------------
+
+
+@pytest.mark.parametrize("gap", [1e-7, 1e-9, 1e-11])
+def test_is_sp11_accepts_exact_members_near_the_boundary(gap):
+    # the entries grow like 1/(1 - |q0|^2), and A* H A with them; an absolute
+    # tolerance refused 62 of these 200 members at 1e-7 and all of them at 1e-9
+    rng = random.Random(f"sp11-boundary:{gap}")
+    for _ in range(200):
+        q0 = sample_unit(rng) * (1.0 - gap)
+        assert from_normal_form(q0, sample_unit(rng)).is_sp11()
+
+
+def test_is_sp11_still_refuses_perturbed_members_and_random_matrices():
+    rng = random.Random("sp11-perturbed")
+    for _ in range(500):
+        m = from_normal_form(sample_unit(rng) * rng.uniform(0.0, 1.0 - 1e-6), sample_unit(rng))
+
+        def nudge(e):
+            return e + sample_unit(rng) * (1e-6 * e.norm())
+
+        assert not QuaternionMatrix2(nudge(m.a), nudge(m.c), nudge(m.b), nudge(m.d)).is_sp11()
+    for _ in range(500):
+        m = QuaternionMatrix2(rand_quat(rng, 2), rand_quat(rng, 2), rand_quat(rng, 2),
+                              rand_quat(rng, 2))
+        assert not m.is_sp11()
+
+
+# -- the normal form read off the matrix ------------------------------------------------
+
+
+def pull_back_normal_form(A):
+    """The earlier route, kept as an oracle: pull the numerator's zero -b a^{-1}
+    back through f = qc + d, then read the phase off F_A at a probe point."""
+    w = -(A.b * A.a.inverse())
+    fw = w * A.c + A.d
+    q0 = fw.inverse() * w * fw
+    frac = regular_fractional(A)
+    if q0.norm() > 1e-9:
+        u = -(q0.inverse() * frac.evaluate(ZERO))
+    else:
+        m = (ONE - q0.conjugate() * 0.5).inverse() * (Quaternion(0.5) - q0)
+        u = m.inverse() * frac.evaluate(Quaternion(0.5))
+    return q0, u / u.norm()
+
+
+component = st.floats(min_value=-1.0, max_value=1.0)
+units = st.builds(Quaternion, component, component, component, component).filter(
+    lambda q: q.norm() > 0.1).map(lambda q: q / q.norm())
+centers = st.builds(lambda d, r: d * r, units, st.floats(min_value=0.0, max_value=0.9))
+
+
+def diag(w):
+    return QuaternionMatrix2(w, ZERO, ZERO, w)
+
+
+@given(centers, units, units)
+def test_normal_form_ignores_a_left_scalar_factor(q0, u, w):
+    A = from_normal_form(q0, u)
+    nf = normal_form(diag(w) * A)
+    assert nf.q0.isclose(q0, abs_tol=1e-14)
+    assert nf.u.isclose(u, abs_tol=1e-14)
+
+
+@given(centers, units, centers, units, units)
+def test_normal_form_agrees_with_the_pull_back_on_products(q1, u1, q2, u2, w):
+    # a product of members (and a scalar factor) has a non-real d, which
+    # from_normal_form alone never produces
+    A = diag(w) * from_normal_form(q1, u1) * from_normal_form(q2, u2)
+    nf = normal_form(A)
+    q0, u = pull_back_normal_form(A)
+    assert nf.q0.isclose(q0, abs_tol=1e-12)
+    assert nf.u.isclose(u, abs_tol=1e-12)
+
+
+@given(centers, units, centers, units, units)
+def test_normal_form_names_the_map_of_the_matrix(q1, u1, q2, u2, w):
+    A = diag(w) * from_normal_form(q1, u1) * from_normal_form(q2, u2)
+    nf = normal_form(A)
+    frac = regular_fractional(A)
+    moebius = regular_moebius_map(nf.q0, nf.u)
+    rng = random.Random("normal-form-map")
+    for _ in range(5):
+        q = sample_ball(rng)
+        assert frac.evaluate(q).isclose(moebius.evaluate(q), abs_tol=1e-10)
+
+
+@pytest.mark.parametrize("radius", [0.999, 1.0 - 1e-9, 1.0 - 1e-11])
+@given(units, units)
+def test_normal_form_round_trips_near_the_boundary(radius, direction, u):
+    q0 = direction * radius
+    nf = normal_form(from_normal_form(q0, u))
+    assert nf.q0.isclose(q0, abs_tol=1e-15)
+    assert nf.u.isclose(u, abs_tol=1e-15)
+
+
+def test_normal_form_builds_no_quotient(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("normal_form built a RegularQuotient")
+
+    monkeypatch.setattr(RegularQuotient, "_install", refuse)
+    rng = random.Random("normal-form-accuracy")
+    worst = 0.0
+    for _ in range(4000):
+        q0 = sample_unit(rng) * rng.uniform(0.0, 0.999)
+        u = sample_unit(rng)
+        nf = normal_form(from_normal_form(q0, u))
+        worst = max(worst, (nf.q0 - q0).norm(), (nf.u - u).norm())
+    assert worst <= 1e-15

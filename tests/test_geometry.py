@@ -6,7 +6,8 @@ import random
 import pytest
 
 from srq.errors import (CoincidentPoints, DegenerateCenter, OutsideBall, RealPoint)
-from srq.geometry import (classical_moebius, conformality_defect,
+from srq.fractional import from_normal_form
+from srq.geometry import (GeodesicSegment, classical_moebius, conformality_defect,
                           geodesic, moebius_expansion_coefficients, poincare_distance,
                           pseudo_distance_sq, regular_moebius, regular_moebius_map,
                           twist_map, twist_map_inverse)
@@ -57,6 +58,33 @@ def test_distance_rejects_boundary():
         poincare_distance(Quaternion(1.0), ZERO)
     with pytest.raises(OutsideBall):
         poincare_distance(ZERO, Quaternion(0, 2))
+
+
+# every centre and point meets one open-ball rule, |q| <= 1 - EPS
+_CENTRE_USERS = {
+    "regular_moebius_map": lambda q0: regular_moebius_map(q0),
+    "from_normal_form": lambda q0: from_normal_form(q0, ONE),
+    "moebius_expansion_coefficients": lambda q0: moebius_expansion_coefficients(q0, 1),
+    "classical_moebius": lambda q0: classical_moebius(q0, ONE, ONE, ZERO),
+    "conformality_defect": conformality_defect,
+    "GeodesicSegment": lambda q0: GeodesicSegment(q0, ZERO),
+    "GeodesicSegment, second endpoint": lambda q0: GeodesicSegment(ZERO, q0),
+}
+
+
+@pytest.mark.parametrize("use", _CENTRE_USERS.values(), ids=_CENTRE_USERS.keys())
+def test_one_open_ball_rule(use):
+    with pytest.raises(OutsideBall):
+        use(I * (1.0 - 5e-13))
+    use(I * (1.0 - 2e-12))
+
+
+def test_geodesic_segment_validates_its_endpoints():
+    assert geodesic is GeodesicSegment
+    with pytest.raises(OutsideBall):
+        GeodesicSegment(Quaternion(2), Quaternion(0.5))
+    with pytest.raises(CoincidentPoints):
+        GeodesicSegment(Quaternion(0.1), Quaternion(0.1))
 
 
 def test_classical_moebius_examples():

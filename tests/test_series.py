@@ -383,7 +383,7 @@ def test_evaluation_components_stay_python_floats():
 
 @given(polys)
 def test_symmetrization_is_the_real_part_of_f_star_fc_bit_for_bit(f):
-    # the one realness test (real_coefficients) keeps exactly the real parts
+    # the zero-set solver reads exactly these real parts (c.w of each coefficient)
     expected = [c.w.hex() for c in (f * f.conjugate()).coeffs]
     got = f.symmetrization()
     assert all(c.is_real() for c in got.coeffs)
@@ -424,7 +424,7 @@ def test_quaternion_star_real_matches_hamilton_convolution_bit_for_bit(f, g):
 @given(polys)
 def test_imaginary_parts_of_f_star_fc_are_rounding_residue(f):
     # symmetrization forms only the real parts; the imaginary parts it never
-    # computes stay within the tolerance that real_coefficients applies
+    # computes stay at rounding level, below 1e-9 of the coefficient scale
     product = f * f.conjugate()
     bound = 1e-9 * (1.0 + product.coefficient_norm_sum())
     assert all(c.imag_norm() <= bound for c in product.coeffs)
