@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import CoincidentPoints, DegenerateCenter, OutsideBall, RealPoint
-from .quaternion import EPS, ONE, Quaternion, _Frozen, as_quaternion
+from .quaternion import EPS, ONE, Quaternion, _Frozen, _make, _norm, as_quaternion
 from .rational import RegularQuotient, star_transform, star_transform_inverse
 from .series import RegularPolynomial, SphericalExpansion
 
@@ -30,18 +30,25 @@ def _require_unit(u: Quaternion, name: str) -> None:
         raise ValueError(f"{name} must be unit, got modulus {u.norm():g}")
 
 
+def _cube_floats(rng) -> tuple:
+    """Uniform point of the cube [-1, 1]^4 as floats, drawn in w, x, y, z order
+    from ``rng``; each is exactly ``rng.uniform(-1, 1)``."""
+    draw = rng.random
+    return (-1.0 + 2.0 * draw(), -1.0 + 2.0 * draw(),
+            -1.0 + 2.0 * draw(), -1.0 + 2.0 * draw())
+
+
 def _cube_point(rng) -> Quaternion:
-    """Uniform point of the cube [-1, 1]^4, drawn in w, x, y, z order from ``rng``."""
-    return Quaternion(rng.uniform(-1, 1), rng.uniform(-1, 1),
-                      rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return _make(*_cube_floats(rng))
 
 
 def sample_ball(rng, radius: float = 0.99) -> Quaternion:
-    """Uniform point of the ball of the given radius, by rejection from the cube."""
+    """Uniform point of the ball of the given radius, by rejection from the cube;
+    only the accepted point is built as a quaternion."""
     while True:
-        q = _cube_point(rng)
-        if q.norm() < radius:
-            return q
+        w, x, y, z = _cube_floats(rng)
+        if _norm(w, x, y, z) < radius:
+            return _make(w, x, y, z)
 
 
 def pseudo_distance_sq(q1, q2) -> float:

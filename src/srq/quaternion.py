@@ -182,10 +182,7 @@ class Quaternion(_Frozen):
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def norm(self) -> float:
-        n2 = self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
-        if _TINY <= n2 < _INF:
-            return math.sqrt(n2)
-        return math.hypot(self.w, self.x, self.y, self.z)  # the squares under- or overflowed
+        return _norm(self.w, self.x, self.y, self.z)
 
     __abs__ = norm
 
@@ -205,10 +202,7 @@ class Quaternion(_Frozen):
         return _make(0.0, self.x, self.y, self.z)
 
     def imag_norm(self) -> float:
-        n2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if _TINY <= n2 < _INF:
-            return math.sqrt(n2)
-        return math.hypot(self.x, self.y, self.z)
+        return _norm(0.0, self.x, self.y, self.z)
 
     def is_real(self, tol: float = 0.0) -> bool:
         return self.imag_norm() <= tol
@@ -322,6 +316,31 @@ def _make(w: float, x: float, y: float, z: float) -> Quaternion:
     _set_y(q, y)
     _set_z(q, z)
     return q
+
+
+def _norm(w: float, x: float, y: float, z: float) -> float:
+    """|w + xi + yj + zk| of unpacked floats: the square root of the sum of
+    squares, or ``math.hypot`` when those squares under- or overflowed.
+
+    A leading 0.0 adds nothing to either branch, so ``_norm(0.0, x, y, z)``
+    is the modulus of the imaginary part.
+    """
+    n2 = w * w + x * x + y * y + z * z
+    if _TINY <= n2 < _INF:
+        return math.sqrt(n2)
+    return math.hypot(w, x, y, z)
+
+
+def _fold_sum(values, start=0.0):
+    """The sum of ``values`` added left to right from ``start``, one rounding each.
+
+    The builtin ``sum()`` of floats is compensated from Python 3.12 on, so it
+    rounds differently across versions; this loop gives the same bits on all.
+    """
+    total = start
+    for v in values:
+        total = total + v
+    return total
 
 
 # an unsigned decimal literal; the polynomial grammar in expression.py uses it too

@@ -19,8 +19,9 @@ import math
 import sys
 
 from .errors import NonConvergence, PoleError
-from .quaternion import EPS, ONE, ZERO, Quaternion, _Frozen, as_quaternion
-from .series import RegularPolynomial, _lift
+from .quaternion import (_INF, EPS, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _make,
+                         as_quaternion)
+from .series import RegularPolynomial, _horner_floats, _lift
 
 #: Relative distance within which roots merge, or count as real.
 _CLUSTER_TOL = 1e-6
@@ -29,6 +30,8 @@ _CLUSTER_TOL = 1e-6
 _UNIT_ROUNDOFF = 2.0 ** -53
 #: Natural log of the largest double: |z|^n overflows once n log|z| exceeds it.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+#: At or below it a squared modulus is too small for ``Quaternion.inverse``.
+_EPS_SQ = EPS * EPS
 
 
 class RegularQuotient(_Frozen):
@@ -98,12 +101,37 @@ class RegularQuotient(_Frozen):
     # -- evaluation --------------------------------------------------------------
 
     def evaluate(self, q) -> Quaternion:
-        """sym(q)^{-1} conum(q), refusing near the zero set of sym."""
+        """sym(q)^{-1} conum(q), refusing near the zero set of sym.
+
+        Both Horner passes, the pole test, the inverse and the product run on
+        unpacked floats in the operation order of ``norm()``, ``inverse()``
+        and the Hamilton product, so the result is bit-identical to
+        ``sym.evaluate(q).inverse() * conum.evaluate(q)`` and raises the same
+        errors; only the result is built as a quaternion.  A ``sym(q)`` whose
+        squared modulus is at most ``EPS**2``, overflows or is not finite
+        takes that quaternion-level path itself.
+        """
         q = as_quaternion(q)
-        s = self.sym.evaluate(q)
-        if s.norm() < self._pole_scale:
+        qw, qx, qy, qz = q.w, q.x, q.y, q.z
+        sw, sx, sy, sz = _horner_floats(self.sym.coeffs, qw, qx, qy, qz)
+        n2 = sw * sw + sx * sx + sy * sy + sz * sz
+        if not _EPS_SQ < n2 < _INF:
+            s = _make(sw, sx, sy, sz)
+            if s.norm() < self._pole_scale:
+                raise PoleError(f"{q} lies on the zero set of the denominator symmetrization")
+            return s.inverse() * _make(*_horner_floats(self.conum.coeffs, qw, qx, qy, qz))
+        if math.sqrt(n2) < self._pole_scale:  # norm()'s rule for an n2 in range
             raise PoleError(f"{q} lies on the zero set of the denominator symmetrization")
-        return s.inverse() * self.conum.evaluate(q)
+        w1, x1, y1, z1 = sw / n2, -sx / n2, -sy / n2, -sz / n2
+        w2, x2, y2, z2 = _horner_floats(self.conum.coeffs, qw, qx, qy, qz)
+        try:
+            return _make(w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+                         w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+                         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+                         w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
+        except ValueError:
+            _make(w2, x2, y2, z2)  # a non-finite conum(q) is reported as itself
+            raise
 
     __call__ = evaluate
 
@@ -327,7 +355,7 @@ def durand_kerner(coeffs):
     monic = [v / lead for v in c]
 
     def checked(roots):
-        scale = 1.0 + sum(abs(v) for v in monic)
+        scale = 1.0 + _fold_sum(abs(v) for v in monic)
         for z in roots:
             if not abs(_horner(monic, z)) <= EPS * scale:  # NaN roots fail here too
                 raise NonConvergence(
@@ -399,7 +427,7 @@ def _zero_set_of_real_polynomial(sym: RegularPolynomial) -> SphereZeroSet:
     roots = durand_kerner([c.w for c in sym.coeffs])
     entries = []
     for group in _cluster(roots):
-        center = sum(group) / len(group)
+        center = _fold_sum(group, 0j) / len(group)
         if abs(center.imag) <= _CLUSTER_TOL * (1.0 + abs(center)):
             entries.append(ZeroEntry(center.real, 0.0, len(group)))
         elif center.imag > 0.0:

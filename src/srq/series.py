@@ -10,7 +10,8 @@ spherical expansion this is the algebraic core of the package.
 from __future__ import annotations
 
 from .errors import DegenerateCenter, RealPoint
-from .quaternion import EPS, ONE, ZERO, Quaternion, _Frozen, _make, as_quaternion
+from .quaternion import (EPS, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _make,
+                         as_quaternion)
 
 
 class RegularPolynomial(_Frozen):
@@ -63,7 +64,7 @@ class RegularPolynomial(_Frozen):
 
     def coefficient_norm_sum(self) -> float:
         """sum |a_n|; bounds |f| on the closed unit ball."""
-        return sum(c.norm() for c in self.coeffs)
+        return _fold_sum(c.norm() for c in self.coeffs)
 
     def is_real(self, tol: float = 0.0) -> bool:
         return all(c.imag_norm() <= tol for c in self.coeffs)
@@ -73,25 +74,15 @@ class RegularPolynomial(_Frozen):
     def evaluate(self, q) -> Quaternion:
         """Horner evaluation a_0 + q(a_1 + q(a_2 + ...)), q multiplying from the left.
 
-        Each step ``acc = q * acc + a_n`` runs on unpacked floats in the exact
-        operation order of the Hamilton product and sum, so the result is
-        bit-identical to the quaternion-level loop; only the result is built
-        as a quaternion (which checks that it is finite: a NaN/Inf, once
-        produced, reaches every later component).
+        The loop is ``_horner_floats``; only its result is built as a
+        quaternion, which checks that it is finite (a NaN/Inf, once produced,
+        reaches every later component).  A constant is its own value.
         """
         q = as_quaternion(q)
         coeffs = self.coeffs
         if len(coeffs) < 2:
             return coeffs[0] if coeffs else ZERO
-        qw, qx, qy, qz = q.w, q.x, q.y, q.z
-        top = coeffs[-1]
-        w, x, y, z = top.w, top.x, top.y, top.z
-        for c in coeffs[-2::-1]:
-            w, x, y, z = (qw * w - qx * x - qy * y - qz * z + c.w,
-                          qw * x + qx * w + qy * z - qz * y + c.x,
-                          qw * y - qx * z + qy * w + qz * x + c.y,
-                          qw * z + qx * y - qy * x + qz * w + c.z)
-        return _make(w, x, y, z)
+        return _make(*_horner_floats(coeffs, q.w, q.x, q.y, q.z))
 
     __call__ = evaluate
 
@@ -277,6 +268,25 @@ def _from_made(coeffs: list) -> RegularPolynomial:
 
 _new = object.__new__
 _set_coeffs = RegularPolynomial.__dict__["coeffs"].__set__
+
+
+def _horner_floats(coeffs, qw: float, qx: float, qy: float, qz: float) -> tuple:
+    """The components of sum_n q^n coeffs[n] at q = qw + qx i + qy j + qz k.
+
+    Each Horner step ``acc = q * acc + a_n`` runs on unpacked floats in the
+    exact operation order of the Hamilton product and sum, so the result is
+    bit-identical to the quaternion-level loop.  An empty list gives 0.
+    """
+    if not coeffs:
+        return 0.0, 0.0, 0.0, 0.0
+    top = coeffs[-1]
+    w, x, y, z = top.w, top.x, top.y, top.z
+    for c in coeffs[-2::-1]:
+        w, x, y, z = (qw * w - qx * x - qy * y - qz * z + c.w,
+                      qw * x + qx * w + qy * z - qz * y + c.x,
+                      qw * y - qx * z + qy * w + qz * x + c.y,
+                      qw * z + qx * y - qy * x + qz * w + c.z)
+    return w, x, y, z
 
 
 def _components(c: Quaternion) -> tuple:

@@ -20,7 +20,7 @@ import random
 from .errors import PoleError
 from .fractional import QuaternionMatrix2, from_normal_form, left_action, right_action
 from .geometry import _cube_point, _moebius_den, regular_moebius_map, sample_ball
-from .quaternion import ONE, Quaternion, _Frozen, as_quaternion
+from .quaternion import ONE, Quaternion, _fold_sum, _Frozen, _make, _norm, as_quaternion
 from .rational import RegularQuotient, as_quotient
 from .series import RegularPolynomial, evaluate_any, spherical_derivative_at
 
@@ -39,19 +39,23 @@ def stream(seed, label: str) -> random.Random:
 
 
 def sample_unit(rng: random.Random) -> Quaternion:
+    """Uniform unit quaternion: four Gaussian draws in w, x, y, z order, normalized."""
+    gauss = rng.gauss
     while True:
-        q = Quaternion(rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
-        n = q.norm()
+        w, x, y, z = gauss(0, 1), gauss(0, 1), gauss(0, 1), gauss(0, 1)
+        n = _norm(w, x, y, z)
         if n > 1e-3:
-            return q / n
+            return _make(w / n, x / n, y / n, z / n)
 
 
 def sample_unit_imaginary(rng: random.Random) -> Quaternion:
+    """Uniform unit imaginary quaternion: three Gaussian draws, normalized."""
+    gauss = rng.gauss
     while True:
-        q = Quaternion(0.0, rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
-        n = q.norm()
+        x, y, z = gauss(0, 1), gauss(0, 1), gauss(0, 1)
+        n = _norm(0.0, x, y, z)
         if n > 1e-3:
-            return q / n
+            return _make(0.0, x / n, y / n, z / n)
 
 
 def random_self_map(seed, degree: int) -> RegularPolynomial:
@@ -67,7 +71,7 @@ def random_self_map(seed, degree: int) -> RegularPolynomial:
     coeffs = [_cube_point(rng) for _ in range(degree + 1)]
     while coeffs[-1].norm() < 1e-2:
         coeffs[-1] = _cube_point(rng)
-    total = sum(c.norm() for c in coeffs)
+    total = _fold_sum(c.norm() for c in coeffs)
     target = (1.0 - 1e-6) * rng.uniform(0.35, 1.0)
     return RegularPolynomial([c * (target / total) for c in coeffs])
 

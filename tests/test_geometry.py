@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from srq import geometry
 from srq.errors import (CoincidentPoints, DegenerateCenter, OutsideBall, RealPoint)
 from srq.fractional import from_normal_form
 from srq.geometry import (GeodesicSegment, classical_moebius, conformality_defect,
@@ -360,3 +361,33 @@ def test_geodesic_endpoints_random():
         seg = geodesic(q1, q2)
         assert seg.point(0.0).isclose(q1, abs_tol=1e-12)
         assert seg.point(1.0).isclose(q2, abs_tol=1e-12)
+
+
+# -- the float-level samplers against their quaternion-level oracles ---------------------
+#
+# sample_ball and _cube_point draw -1.0 + 2.0 * rng.random(), which is exactly
+# rng.uniform(-1, 1); _modulus_batch and the Hermitian grid rely on that draw order.
+
+
+def uniform_cube_oracle(rng):
+    return Quaternion(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+
+def uniform_ball_oracle(rng, radius):
+    while True:
+        q = uniform_cube_oracle(rng)
+        if math.sqrt(q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z) < radius:
+            return q
+
+
+def bits(q):
+    return tuple(c.hex() for c in (q.w, q.x, q.y, q.z))
+
+
+@pytest.mark.parametrize("radius", [0.7, 0.8, 0.9, 0.95, 0.99])
+def test_samplers_match_the_uniform_oracle_and_its_stream(radius):
+    rng, oracle = random.Random(f"ball:{radius}"), random.Random(f"ball:{radius}")
+    for _ in range(500):
+        assert bits(geometry.sample_ball(rng, radius)) == bits(uniform_ball_oracle(oracle, radius))
+        assert bits(geometry._cube_point(rng)) == bits(uniform_cube_oracle(oracle))
+    assert rng.getstate() == oracle.getstate()

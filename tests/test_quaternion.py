@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -358,3 +359,23 @@ def test_inverse_of_a_tiny_quaternion_reports_its_modulus():
 def test_overflowing_literal_is_a_parse_error(text):
     with pytest.raises(ParseError):
         Quaternion.parse(text)
+
+
+def three_component_norm(x, y, z):
+    # the rule imag_norm wrote out before it shared norm()'s helper
+    n2 = x * x + y * y + z * z
+    if sys.float_info.min <= n2 < math.inf:
+        return math.sqrt(n2)
+    return math.hypot(x, y, z)
+
+
+wide = st.one_of(st.floats(min_value=-1e-150, max_value=1e-150),
+                 st.floats(min_value=-1.7e308, max_value=1.7e308),
+                 st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+
+
+@given(wide, wide, wide, wide)
+def test_imag_norm_is_the_shared_norm_with_a_zero_real_part_bit_for_bit(w, x, y, z):
+    q = Quaternion(w, x, y, z)
+    assert q.imag_norm().hex() == three_component_norm(x, y, z).hex()
+    assert q.imag_norm().hex() == Quaternion(0.0, x, y, z).norm().hex()

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from srq.errors import NonConvergence, PoleError
@@ -552,3 +552,124 @@ def test_right_transform_pole_error_names_the_callers_point():
     quotient = RegularQuotient(Q - I, Q - J, "right")
     with pytest.raises(PoleError, match=r"^k maps onto a zero of the denominator$"):
         quotient.evaluate_via_transform(K)
+
+
+# -- the fused evaluation against its quaternion-level oracle ---------------------------
+#
+# RegularQuotient.evaluate runs both Horner passes, the pole test, the inverse and
+# the product on unpacked floats; the oracle is the quaternion-level body it
+# replaces, and the two must agree bit for bit and raise the same errors.
+
+
+def quotient_oracle(quotient, q):
+    s = quotient.sym.evaluate(q)
+    if s.norm() < quotient._pole_scale:
+        raise PoleError(f"{q} lies on the zero set of the denominator symmetrization")
+    return s.inverse() * quotient.conum.evaluate(q)
+
+
+def outcome(evaluate, quotient, q):
+    # float.hex tells -0.0 from 0.0, which == does not
+    try:
+        value = evaluate(quotient, q)
+    except (PoleError, ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return tuple(c.hex() for c in (value.w, value.x, value.y, value.z))
+
+
+def signed_zero_quat(rng, scale=1.0):
+    # each component is a signed zero or a random value, with some of each
+    return Quaternion(*(rng.choice([0.0, -0.0]) if rng.random() < 0.5
+                        else rng.uniform(-scale, scale) for _ in range(4)))
+
+
+def fused_case(rng, side, den_degree, num_degree):
+    """A quotient whose denominator vanishes at a known point, and that point."""
+    pole = rand_quat(rng)
+    den = RegularPolynomial([rand_quat(rng, 2.0)])
+    if den_degree > 0:
+        den = (Q - pole) * rand_poly(rng, den_degree - 1)
+    num = RegularPolynomial() if num_degree < 0 else rand_poly(rng, num_degree)
+    return RegularQuotient(den, num, side), pole
+
+
+def fused_points(rng, quotient, pole, count):
+    for n in range(count):
+        kind = n % 5
+        if kind == 0:
+            yield rand_quat(rng, 1.5)
+        elif kind == 1:  # real, with signed-zero imaginary parts
+            yield Quaternion(rng.uniform(-1.5, 1.5), *(rng.choice([0.0, -0.0]) for _ in range(3)))
+        elif kind == 2:
+            yield signed_zero_quat(rng, 1.5)
+        elif kind == 3:  # within 10 pole scales of the pole
+            step = rand_quat(rng)
+            yield pole + step * (10.0 * quotient._pole_scale * rng.random() / step.norm())
+        else:  # the pole's whole sphere is excluded
+            axis = rand_quat(rng).imag()
+            sc = pole.slice_decompose()
+            yield Quaternion(sc.x0) + axis * (sc.y0 / axis.norm())
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["left", "right"]),
+       st.integers(0, 3), st.integers(-1, 3))
+@settings(max_examples=120)
+def test_fused_evaluation_matches_the_quaternion_oracle_bit_for_bit(seed, side, den_degree,
+                                                                    num_degree):
+    # 120 examples of 100 points: 12,000 evaluations
+    rng = random.Random(seed)
+    quotient, pole = fused_case(rng, side, den_degree, num_degree)
+    for q in fused_points(rng, quotient, pole, 100):
+        assert outcome(RegularQuotient.evaluate, quotient, q) == outcome(quotient_oracle, quotient, q)
+
+
+def test_fused_evaluation_covers_its_degenerate_shapes():
+    # the shapes the property above must reach, each seen at least once
+    rng = random.Random(31)
+    seen = set()
+    for den_degree, num_degree in [(0, 0), (0, -1), (1, -1), (1, 0), (2, 3), (3, 2)]:
+        for side in ("left", "right"):
+            quotient, pole = fused_case(rng, side, den_degree, num_degree)
+            for q in fused_points(rng, quotient, pole, 200):
+                got = outcome(RegularQuotient.evaluate, quotient, q)
+                assert got == outcome(quotient_oracle, quotient, q)
+                seen.add(got[0] if got[0] is PoleError else "value")
+                if quotient.sym.degree == 0:
+                    seen.add("sym of degree 0")
+                if quotient.conum.degree == 0:
+                    seen.add("conum of degree 0")
+                if quotient.conum.is_zero:
+                    seen.add("zero conum")
+    assert seen == {PoleError, "value", "sym of degree 0", "conum of degree 0", "zero conum"}
+
+
+@pytest.mark.parametrize("quotient, q, error", [
+    # sym = (1e153 (1 + q))^s has finite coefficients but overflows at q = 100
+    (RegularQuotient(RegularPolynomial([1e153, 1e153]), ONE), Quaternion(100.0), ValueError),
+    # conum = 1e300 q^2 overflows at q = 1e5 while sym = 1 does not
+    (RegularQuotient(ONE, RegularPolynomial([0.0, 0.0, 1e300])), Quaternion(1e5), ValueError),
+    (RegularQuotient(Q - I, ONE), I, PoleError),
+    # den's squares underflow, so sym is the zero polynomial
+    (RegularQuotient(RegularPolynomial([1e-300, 1e-300]), ONE), Quaternion(0.5), PoleError),
+])
+def test_fused_evaluation_raises_what_the_oracle_raises(quotient, q, error):
+    expected = outcome(quotient_oracle, quotient, q)
+    assert expected[0] is error
+    assert outcome(RegularQuotient.evaluate, quotient, q) == expected
+
+
+def test_empty_sym_quotient_is_a_pole_everywhere():
+    quotient = RegularQuotient(RegularPolynomial([1e-300, 1e-300]), 1)
+    assert quotient.sym.coeffs == ()
+    for q in (ZERO, Quaternion(0.5), I):
+        with pytest.raises(PoleError):
+            quotient.evaluate(q)
+
+
+def test_fused_evaluation_survives_an_overflowing_squared_modulus_bit_for_bit():
+    # |sym(q)|^2 overflows: the inverse divides by |sym(q)| twice, as inverse() does
+    quotient = RegularQuotient(RegularPolynomial([Quaternion(1e80, 1e79), ONE]), Q + J)
+    for q in (Quaternion(0.1), Quaternion(0.1, -0.0, 0.2), J * 0.5):
+        got = outcome(RegularQuotient.evaluate, quotient, q)
+        assert got == outcome(quotient_oracle, quotient, q)
+        assert got[0] != PoleError

@@ -438,3 +438,10 @@ def test_overflowing_real_kernels_still_raise():
         big * RegularPolynomial([Quaternion(0.0, 1e200)])
     with pytest.raises(ValueError, match="non-finite"):
         big.symmetrization()
+
+
+def test_coefficient_norm_sum_adds_left_to_right():
+    # a compensated sum, as the builtin sum() of floats is from Python 3.12 on,
+    # would give 1e16 + 2; every Python gives the left-to-right 1e16 here
+    f = RegularPolynomial([Quaternion(1e16), ONE, -ONE])
+    assert f.coefficient_norm_sum() == 1e16
