@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import CoincidentPoints, DegenerateCenter, OutsideBall, RealPoint
-from .quaternion import EPS, ONE, Quaternion, _Frozen, _make, _norm, as_quaternion
+from .quaternion import EPS, ONE, Quaternion, _Frozen, _make, _norm, _slice_point, as_quaternion
 from .rational import RegularQuotient, star_transform, star_transform_inverse
 from .series import RegularPolynomial, SphericalExpansion
 
@@ -59,10 +59,20 @@ def pseudo_distance_sq(q1, q2) -> float:
 
 
 def poincare_distance(q1, q2) -> float:
-    """(1/2) log of the cross-ratio bound; symmetric, zero iff q1 == q2."""
-    t = math.sqrt(pseudo_distance_sq(q1, q2))
-    # |1 - q1 conj(q2)|^2 - |q1 - q2|^2 = (1 - |q1|^2)(1 - |q2|^2) > 0, so t < 1
-    return math.atanh(t)
+    """atanh(t) for the pseudo-distance t; symmetric, zero iff q1 == q2.
+
+    With D = |1 - q1 conj(q2)|^2, t^2 = |q1 - q2|^2 / D, and the identity
+    D - |q1 - q2|^2 = (1 - |q1|^2)(1 - |q2|^2) gives s = 1 - t^2 without
+    subtracting from 1 a t that rounds to 1 near the boundary.  As
+    1 - t = s / (1 + t), atanh(t) = (1/2) log1p(2t(1 + t) / s), finite
+    for every pair of points of the open ball.
+    """
+    q1 = _in_ball(q1, "q1")
+    q2 = _in_ball(q2, "q2")
+    d = (ONE - q1 * q2.conjugate()).norm_sq()
+    t = math.sqrt((q1 - q2).norm_sq() / d)
+    s = (1.0 - q1.norm_sq()) * (1.0 - q2.norm_sq()) / d
+    return 0.5 * math.log1p(2.0 * t * (1.0 + t) / s)
 
 
 def classical_moebius(q0, u, v, q) -> Quaternion:
@@ -139,16 +149,13 @@ def moebius_expansion_coefficients(q0, n_max: int) -> SphericalExpansion:
     one_minus_sq = 1.0 - (sc.x0 * sc.x0 + sc.y0 * sc.y0)
     one_minus_zbar2 = 1.0 - zbar * zbar
 
-    def lift(w: complex) -> Quaternion:
-        return Quaternion(w.real) + sc.I * w.imag
-
     coeffs = [Quaternion()]
     for n in range(1, n_max + 2):
         odd = zbar ** (2 * n - 2) / (one_minus_sq ** (n - 1) * one_minus_zbar2 ** n)
-        coeffs.append(lift(odd))
+        coeffs.append(_slice_point(odd.real, odd.imag, sc.I))
         if n <= n_max:
             even = zbar ** (2 * n - 1) / (one_minus_sq ** n * one_minus_zbar2 ** n)
-            coeffs.append(lift(even))
+            coeffs.append(_slice_point(even.real, even.imag, sc.I))
     return SphericalExpansion(q0, coeffs)
 
 

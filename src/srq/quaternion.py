@@ -331,6 +331,12 @@ def _norm(w: float, x: float, y: float, z: float) -> float:
     return math.hypot(w, x, y, z)
 
 
+def _slice_point(x: float, y: float, I: Quaternion) -> Quaternion:
+    """x + y*I for floats x, y: the bits of ``Quaternion(x) + I * y`` (each ``0.0 +``
+    turns -0.0 into +0.0, as that sum does), with one quaternion built, not three."""
+    return _make(x + I.w * y, 0.0 + I.x * y, 0.0 + I.y * y, 0.0 + I.z * y)
+
+
 def _fold_sum(values, start=0.0):
     """The sum of ``values`` added left to right from ``start``, one rounding each.
 
@@ -361,7 +367,7 @@ class SliceCoordinates(_Frozen):
     __slots__ = ("x0", "y0", "I")
 
     def reconstruct(self) -> Quaternion:
-        return Quaternion(self.x0) + self.I * self.y0
+        return _slice_point(float(self.x0), float(self.y0), self.I)
 
 
 ZERO = Quaternion()

@@ -20,7 +20,7 @@ import sys
 
 from .errors import NonConvergence, PoleError
 from .quaternion import (_INF, EPS, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _make,
-                         as_quaternion)
+                         _slice_point, as_quaternion)
 from .series import RegularPolynomial, _horner_floats, _lift
 
 #: Relative distance within which roots merge, or count as real.
@@ -73,10 +73,10 @@ class RegularQuotient(_Frozen):
         conum = _as_poly(conum)
         if sym.is_zero:
             raise ValueError("expanded denominator is identically zero")
-        if not sym.is_real(EPS * (1.0 + sym.coefficient_norm_sum())):
-            raise ValueError("expanded denominator must have real coefficients")
         obj = cls.__new__(cls)
         obj._install(None, None, "expanded", sym, conum)
+        if not sym.is_real(obj._pole_scale):  # admitted within the scale of its pole test
+            raise ValueError("expanded denominator must have real coefficients")
         return obj
 
     @classmethod
@@ -475,7 +475,7 @@ def zeros_on_sphere(f: RegularPolynomial, x: float, y: float):
         return (False, [])
     im = axis.imag()
     unit = im / im.norm()
-    zero = Quaternion(x) + unit * y
+    zero = _slice_point(float(x), float(y), unit)
     if f.evaluate(zero).norm() > tol * scale:
         return (False, [])
     return (False, [zero])

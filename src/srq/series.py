@@ -341,18 +341,14 @@ class SphericalExpansion(_Frozen):
         super().__init__(center, tuple(as_quaternion(c) for c in coefficients), sc.x0, sc.y0)
 
     def evaluate(self, q) -> Quaternion:
+        """sum_n S^n [A_2n + (q-q0) A_2n+1], S = (q-x0)^2 + y0^2, by Horner's rule in S."""
         q = as_quaternion(q)
+        offset = q - self.center
+        evens, odds = self.coefficients[0::2], self.coefficients[1::2]
+        brackets = [a + offset * b for a, b in zip(evens, odds)] + list(evens[len(odds):])
         shifted = q - self.x0
-        sphere = shifted * shifted + self.y0 * self.y0
-        power = ONE
-        total = ZERO
-        for n in range(0, len(self.coefficients), 2):
-            bracket = self.coefficients[n]
-            if n + 1 < len(self.coefficients):
-                bracket = bracket + (q - self.center) * self.coefficients[n + 1]
-            total = total + power * bracket
-            power = power * sphere
-        return total
+        s = shifted * shifted + self.y0 * self.y0
+        return _make(*_horner_floats(brackets, s.w, s.x, s.y, s.z))
 
     __call__ = evaluate
 

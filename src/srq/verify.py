@@ -20,7 +20,8 @@ import random
 from .errors import PoleError
 from .fractional import QuaternionMatrix2, from_normal_form, left_action, right_action
 from .geometry import _cube_point, _moebius_den, regular_moebius_map, sample_ball
-from .quaternion import ONE, Quaternion, _fold_sum, _Frozen, _make, _norm, as_quaternion
+from .quaternion import (ONE, Quaternion, _fold_sum, _Frozen, _make, _norm, _slice_point,
+                         as_quaternion)
 from .rational import RegularQuotient, as_quotient
 from .series import RegularPolynomial, evaluate_any, spherical_derivative_at
 
@@ -118,16 +119,6 @@ class _Tracker:
         if margin < -self.tol * (1.0 + abs(rhs)):
             self.violations += 1
 
-    def absorb(self, summary: dict):
-        """Merge a summary produced by another tracker with the same name."""
-        self.count += summary["checked"]
-        self.violations += summary["violations"]
-        self.worst_abs = max(self.worst_abs, summary["max_abs_margin"])
-        other = summary["worst_margin"]
-        if other is not None and (self.worst is None or other < self.worst):
-            self.worst = other
-            self.witness = summary["witness"]
-
     def summary(self) -> dict:
         return {"worst_margin": self.worst,
                 "max_abs_margin": self.worst_abs,
@@ -136,34 +127,37 @@ class _Tracker:
                 "witness": self.witness}
 
 
-def _merge(suite: str, seed: int, total_samples: int, trackers, extra=None) -> VerificationReport:
-    worst = None
-    witness = {}
-    passed = True
-    properties = {}
-    for t in trackers:
-        properties[t.name] = t.summary()
-        if t.violations:
-            passed = False
-        if t.worst is not None and (worst is None or t.worst < worst):
-            worst = t.worst
-            witness = t.witness
-    if extra:
-        for key, value in extra.items():
-            properties[key] = value
-            if isinstance(value, dict) and value.get("pass") is False:
-                passed = False
+def _fold(summaries) -> dict:
+    """One summary of several: counts add up, the largest ``max_abs_margin``
+    stays, and the smallest worst margin keeps its witness (the earliest on a tie)."""
+    first, *rest = summaries
+    acc = dict(first)
+    for s in rest:
+        acc["checked"] += s["checked"]
+        acc["violations"] += s["violations"]
+        acc["max_abs_margin"] = max(acc["max_abs_margin"], s["max_abs_margin"])
+        worst = s["worst_margin"]
+        if worst is not None and (acc["worst_margin"] is None or worst < acc["worst_margin"]):
+            acc["worst_margin"] = worst
+            acc["witness"] = s["witness"]
+    return acc
+
+
+def _report(suite: str, seed: int, total_samples: int, properties: dict,
+            extra=None) -> VerificationReport:
+    """The report over ``properties`` (name -> summary), folded, plus the suite's
+    ``extra`` properties: it fails on a violation or on a failing extra property."""
+    folded = _fold(properties.values())
+    extra = extra or {}
+    passed = folded["violations"] == 0 and not any(v.get("pass") is False for v in extra.values())
+    properties.update(extra)
+    worst = folded["worst_margin"]
     return VerificationReport(suite, seed, total_samples, passed,
-                              0.0 if worst is None else worst, witness, properties)
+                              0.0 if worst is None else worst, folded["witness"], properties)
 
 
-def _merge_reports(suite: str, seed: int, total: int, reports, extra=None) -> VerificationReport:
-    trackers = {}
-    for rep in reports:
-        for name, summary in rep.properties.items():
-            agg = trackers.setdefault(name, _Tracker(name, 0.0))
-            agg.absorb(summary)
-    return _merge(suite, seed, total, trackers.values(), extra)
+def _merge(suite: str, seed: int, total_samples: int, trackers) -> VerificationReport:
+    return _report(suite, seed, total_samples, {t.name: t.summary() for t in trackers})
 
 
 # -- single-input checks -------------------------------------------------------------
@@ -325,7 +319,7 @@ def slice_regularity_residual(f, x: float, y: float, I: Quaternion) -> float:
     step = 1e-5
 
     def at(xx, yy):
-        return evaluate_any(f, Quaternion(xx) + I * yy)
+        return evaluate_any(f, _slice_point(xx, yy, I))
 
     dx = (at(x + step, y) - at(x - step, y)) / (2.0 * step)
     dy = (at(x, y + step) - at(x, y - step)) / (2.0 * step)
@@ -450,8 +444,13 @@ def run_suite(name: str, seed: int, samples: int, tol: float = DEFAULT_TOL) -> V
     batches = [suite.build(stream(seed, f"{suite.label}:{b}"), b, suite.per_batch, tol)
                for b in range(count)]
     extra = suite.extra(batches) if suite.extra else None
-    return _merge_reports(name, seed, count * suite.per_batch,
-                          [rep for reps in batches for rep in reps], extra)
+    summaries = {}
+    for reps in batches:
+        for rep in reps:
+            for prop, summary in rep.properties.items():
+                summaries.setdefault(prop, []).append(summary)
+    return _report(name, seed, count * suite.per_batch,
+                   {prop: _fold(batch) for prop, batch in summaries.items()}, extra)
 
 
 def run_all(seed: int, samples: int, tol: float = DEFAULT_TOL) -> dict:

@@ -418,3 +418,13 @@ def test_overflowing_literal_exits_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error" in err
+
+
+def test_valid_tolerance_reaches_the_suite(capsys):
+    from srq.verify import run_suite
+
+    code, out, _ = run_cli(capsys, "verify", "schwarz-pick", "--seed", "3", "--samples", "50",
+                           "--tol", "1e-6", "--json")
+    assert code == 0
+    want = run_suite("schwarz-pick", 3, 50, tol=1e-6).to_json_dict()
+    assert out == json.dumps(want, sort_keys=True) + "\n"

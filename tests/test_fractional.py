@@ -566,3 +566,16 @@ def test_normal_form_builds_no_quotient(monkeypatch):
         nf = normal_form(from_normal_form(q0, u))
         worst = max(worst, (nf.q0 - q0).norm(), (nf.u - u).norm())
     assert worst <= 1e-15
+
+
+def test_hermitian_coincidence_reports_actions_that_differ(monkeypatch):
+    import srq.fractional as fractional
+
+    rng = random.Random(10)
+    f = rand_poly(rng, 2)
+    b = rand_quat(rng)
+    herm = QuaternionMatrix2(Quaternion(1.5), b.conjugate(), b, Quaternion(2.0))
+    assert hermitian_coincidence_check(f, herm)
+    left = fractional.left_action
+    monkeypatch.setattr(fractional, "left_action", lambda A, g: left(A, g) + 1e-6)
+    assert hermitian_coincidence_check(f, herm) is False

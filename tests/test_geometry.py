@@ -1,7 +1,9 @@
 """Hyperbolic distance, Moebius self-maps, the twist, and geodesics."""
 
+import decimal
 import math
 import random
+from decimal import Decimal
 
 import pytest
 
@@ -59,6 +61,52 @@ def test_distance_rejects_boundary():
         poincare_distance(Quaternion(1.0), ZERO)
     with pytest.raises(OutsideBall):
         poincare_distance(ZERO, Quaternion(0, 2))
+
+
+def _distance_oracle(q1, q2) -> float:
+    """atanh(t), t^2 = |q1 - q2|^2 / |1 - q1 conj(q2)|^2, in 60-digit decimal
+    arithmetic on the exact values of the float components."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        a = [Decimal(v) for v in q1.to_json()]
+        b = [Decimal(v) for v in q2.to_json()]
+        gap = sum((u - v) ** 2 for u, v in zip(a, b))
+        # |1 - q1 conj(q2)|^2 = 1 - 2 <q1, q2> + |q1|^2 |q2|^2
+        den = (1 - 2 * sum(u * v for u, v in zip(a, b))
+               + sum(u * u for u in a) * sum(v * v for v in b))
+        t = (gap / den).sqrt()
+        return float(((1 + t) / (1 - t)).ln() / 2)
+
+
+@pytest.mark.parametrize("gap", [1e-10, 2e-12])
+def test_distance_is_finite_wherever_the_ball_accepts_points(gap):
+    # t = |q1 - q2| / |1 - q1 conj(q2)| rounded to 1.0 here, and atanh(1.0) raised
+    r = 1.0 - gap
+    q1, q2, q3 = Quaternion(r), Quaternion(-r), Quaternion(0.0, 0.6 * r, 0.0, 0.8 * r)
+    # the rounding of |q|^2 alone moves 1 - |q|^2 ~ 2 gap by up to 2^-53, which
+    # moves the distance by up to about 2^-53 / gap: the accuracy the inputs allow
+    near = 2.0 ** -52 / gap
+    for a, b in ((q1, q2), (q1, q3), (q2, q3)):
+        d = poincare_distance(a, b)
+        assert math.isfinite(d) and d == poincare_distance(b, a)
+        assert math.isclose(d, _distance_oracle(a, b), abs_tol=near)
+        assert GeodesicSegment(a, b).length() == d
+
+
+def test_distance_matches_a_decimal_oracle():
+    rng = random.Random(1209)
+    worst = 0.0
+    for k in range(3000):
+        q1 = sample_ball(rng, rng.choice([0.5, 0.9, 0.999]))
+        if k % 3 == 0:  # nearby pairs, where t is small and cancellation threatens
+            q2 = q1 + rand_quat(rng, 1e-4)
+            if q2.norm() >= 1.0:
+                continue
+        else:
+            q2 = sample_ball(rng, rng.choice([0.5, 0.9, 0.999]))
+        want = _distance_oracle(q1, q2)
+        worst = max(worst, abs(poincare_distance(q1, q2) - want) / want)
+    assert worst < 3e-14
 
 
 # every centre and point meets one open-ball rule, |q| <= 1 - EPS
@@ -391,3 +439,15 @@ def test_samplers_match_the_uniform_oracle_and_its_stream(radius):
         assert bits(geometry.sample_ball(rng, radius)) == bits(uniform_ball_oracle(oracle, radius))
         assert bits(geometry._cube_point(rng)) == bits(uniform_cube_oracle(oracle))
     assert rng.getstate() == oracle.getstate()
+
+
+def test_geodesic_length_is_the_distance_and_adds_up_along_the_segment():
+    rng = random.Random(14)
+    for _ in range(20):
+        q1, q2 = sample_ball(rng, 0.95), sample_ball(rng, 0.95)
+        seg = GeodesicSegment(q1, q2)
+        length = seg.length()
+        assert length == poincare_distance(q1, q2)
+        cuts = [q1] + [seg.point(t) for t in (0.25, 0.6)] + [q2]
+        pieces = [GeodesicSegment(a, b).length() for a, b in zip(cuts, cuts[1:])]
+        assert math.isclose(math.fsum(pieces), length, rel_tol=1e-9)

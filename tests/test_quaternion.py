@@ -8,13 +8,14 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from srq.errors import ParseError
 from srq.fractional import QuaternionMatrix2, normal_form
 from srq.geometry import geodesic
-from srq.quaternion import I, J, K, ONE, ZERO, Quaternion, _Frozen, _make
+from srq.quaternion import (I, J, K, ONE, ZERO, Quaternion, _Frozen, _make, _slice_point,
+                            as_quaternion)
 from srq.rational import RegularQuotient, ZeroEntry
 from srq.series import RegularPolynomial
 from srq.verify import _SUITES, run_suite
@@ -379,3 +380,27 @@ def test_imag_norm_is_the_shared_norm_with_a_zero_real_part_bit_for_bit(w, x, y,
     q = Quaternion(w, x, y, z)
     assert q.imag_norm().hex() == three_component_norm(x, y, z).hex()
     assert q.imag_norm().hex() == Quaternion(0.0, x, y, z).norm().hex()
+
+
+@given(wide, wide, st.tuples(wide, wide, wide, wide))
+@example(-0.0, 0.0, (-0.0, -0.0, 0.0, -0.0))
+@example(0.0, -1e300, (1e-300, -0.6, 0.0, 0.8))
+@example(1.5, 2.0, (-1.0, 0.0, 0.0, 0.0))
+def test_slice_point_is_the_slice_sum_bit_for_bit(x, y, axis):
+    # _slice_point(x, y, I) replaces Quaternion(x) + I * y at every slice lift
+    I_ = _make(*axis)
+    try:
+        want = Quaternion(x) + I_ * y
+    except ValueError:  # a component overflowed
+        with pytest.raises(ValueError):
+            _slice_point(x, y, I_)
+        return
+    assert bits(_slice_point(x, y, I_)) == bits(want)
+
+
+def test_as_quaternion_reads_a_four_sequence_and_refuses_other_input():
+    assert bits(as_quaternion([1, 2, 3, 4])) == bits(Quaternion(1.0, 2.0, 3.0, 4.0))
+    assert as_quaternion((0.5, -0.0, 0, 1e-300)) == Quaternion(0.5, 0.0, 0.0, 1e-300)
+    for value in ("1", [1, 2, 3], (1, 2, 3, 4, 5), None, {"w": 1}):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            as_quaternion(value)

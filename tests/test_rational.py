@@ -673,3 +673,51 @@ def test_fused_evaluation_survives_an_overflowing_squared_modulus_bit_for_bit():
         got = outcome(RegularQuotient.evaluate, quotient, q)
         assert got == outcome(quotient_oracle, quotient, q)
         assert got[0] != PoleError
+
+
+def test_zeros_on_sphere_at_a_real_point_and_on_a_sphere_without_zeros():
+    f = (Q - 0.5) * (Q - I)
+    assert zeros_on_sphere(f, 0.5, 0.0) == (False, [Quaternion(0.5)])
+    assert zeros_on_sphere(f, 0.2, 0.0) == (False, [])
+    assert zeros_on_sphere(f, 0.0, 0.5) == (False, [])  # the sphere of 0.5i holds no zero
+    spherical, zeros = zeros_on_sphere(f, 0.0, 1.0)
+    assert not spherical and len(zeros) == 1
+
+
+def test_from_expanded_refuses_a_zero_or_non_real_denominator():
+    with pytest.raises(ValueError, match="identically zero"):
+        RegularQuotient.from_expanded(RegularPolynomial(), Q)
+    with pytest.raises(ValueError, match="real coefficients"):
+        RegularQuotient.from_expanded(Q - I, Q)
+    # realness is judged within EPS (1 + sum |sym_n|), the scale of the pole test
+    admitted = RegularQuotient.from_expanded(RegularPolynomial([Quaternion(1e6, 1e-7)]), Q)
+    assert admitted._pole_scale == 1e-12 * (1.0 + Quaternion(1e6, 1e-7).norm())
+    with pytest.raises(ValueError, match="real coefficients"):
+        RegularQuotient.from_expanded(RegularPolynomial([Quaternion(1e6, 1e-5)]), Q)
+
+
+def test_expanded_quotient_conjugate_and_repr():
+    pair = RegularQuotient(Q - I, Q + J * 0.5, "left")
+    expanded = RegularQuotient.from_expanded(pair.sym, pair.conum)
+    conj = expanded.conjugate()
+    assert conj.side == "expanded" and conj.sym == pair.sym
+    for q in (Quaternion(0.1, 0.2, -0.3, 0.1), Quaternion(0.3), K * 0.4):
+        assert conj.evaluate(q).isclose(pair.conjugate().evaluate(q), rel_tol=1e-12)
+    assert repr(expanded) == f"RegularQuotient.from_expanded({pair.sym!r}, {pair.conum!r})"
+
+
+def test_number_minus_polynomial_or_quotient():
+    f = Q * Q + I
+    quotient = RegularQuotient(Q - J * 2.0, f, "right")
+    q = Quaternion(0.2, -0.1, 0.3, 0.05)
+    assert (2 - f).coeffs == (2 - f.coeffs[0], -f.coeffs[1], -f.coeffs[2])
+    assert (2 - f).evaluate(q).isclose(2.0 - f.evaluate(q), rel_tol=1e-14)
+    assert (2 - quotient).evaluate(q).isclose(2.0 - quotient.evaluate(q), rel_tol=1e-12)
+
+
+def test_durand_kerner_strips_trailing_zeros_and_solves_constants():
+    roots = sorted(durand_kerner([2.0, -3.0, 1.0, 0.0, 0.0]), key=lambda z: z.real)
+    assert len(roots) == 2
+    assert abs(roots[0] - 1.0) < 1e-12 and abs(roots[1] - 2.0) < 1e-12
+    assert durand_kerner([5.0]) == []
+    assert durand_kerner([5.0, 0.0, 0.0]) == []

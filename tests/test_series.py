@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from srq.errors import DegenerateCenter, RealPoint
 from srq.quaternion import I, J, K, ONE, ZERO, Quaternion
-from srq.series import (RegularPolynomial, directional_derivative,
+from srq.series import (RegularPolynomial, SphericalExpansion, directional_derivative,
                         spherical_derivative_at)
 from srq.verify import slice_regularity_residual
 
@@ -177,6 +177,27 @@ def test_spherical_expansion_reconstructs_polynomials():
         for _ in range(10):
             q = rand_quat(rng)
             assert e.evaluate(q).isclose(f.evaluate(q), rel_tol=1e-9, abs_tol=1e-11)
+
+
+def test_spherical_expansion_evaluates_within_rounding_of_the_polynomial():
+    rng = random.Random(1209)
+    for _ in range(700):
+        f = rand_poly(rng, rng.randint(0, 8))
+        q0 = rand_quat(rng) * rng.uniform(0.05, 1.0)
+        e = f.spherical_expansion(q0, f.degree // 2)
+        for _ in range(3):
+            q = rand_quat(rng) * rng.uniform(0.0, 1.2)
+            value = f.evaluate(q)
+            assert (e.evaluate(q) - value).norm() <= 1e-12 * (1.0 + value.norm())
+
+
+def test_spherical_expansion_of_odd_length_and_empty():
+    q0, q = Quaternion(0.1, 0.5), Quaternion(0.3, -0.2, 0.1, 0.4)
+    a0, a1, a2 = Quaternion(1, 2, 3, 4), Quaternion(-1, 0.5, 0, 2), Quaternion(0.5, 0, -1, 1)
+    sphere = (q - 0.1) * (q - 0.1) + 0.25
+    want = a0 + (q - q0) * a1 + sphere * a2
+    assert SphericalExpansion(q0, [a0, a1, a2]).evaluate(q).isclose(want, rel_tol=1e-15)
+    assert SphericalExpansion(q0, []).evaluate(q) == ZERO
 
 
 def test_spherical_expansion_real_center():

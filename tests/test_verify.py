@@ -223,16 +223,16 @@ def test_modulus_product_strict_at_origin():
 
 
 def test_report_merging_is_order_independent():
-    from srq.verify import _merge_reports, check_slice_regularity
+    from srq.verify import _fold, check_slice_regularity
 
     reports = [check_slice_regularity(random_self_map(s, 3), 20, seed=s)
                for s in (1, 2, 3, 4)]
-    forward = _merge_reports("slice-regularity", 0, 80, reports)
-    backward = _merge_reports("slice-regularity", 0, 80, list(reversed(reports)))
-    assert forward.worst_margin == backward.worst_margin
-    assert forward.witness == backward.witness
-    assert forward.properties == backward.properties
-    assert forward.passed == backward.passed
+    summaries = [rep.properties["slice_regularity"] for rep in reports]
+    forward = _fold(summaries)
+    backward = _fold(list(reversed(summaries)))
+    assert forward == backward
+    assert forward["checked"] == 80
+    assert forward["worst_margin"] == min(s["worst_margin"] for s in summaries)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
@@ -310,3 +310,45 @@ def test_unit_samplers_match_the_gauss_oracle_and_its_stream(sampler, imaginary)
         got, expected = sampler(rng), gauss_unit_oracle(oracle, imaginary)
         assert [c.hex() for c in got.to_json()] == [c.hex() for c in expected.to_json()]
     assert rng.getstate() == oracle.getstate()
+
+
+def _summary(worst, witness, max_abs=1.0, violations=0, checked=2):
+    return {"worst_margin": worst, "max_abs_margin": max_abs, "violations": violations,
+            "checked": checked, "witness": witness}
+
+
+def test_fold_adds_counts_and_keeps_the_earliest_smallest_margin():
+    from srq.verify import _fold
+
+    folded = _fold([_summary(0.5, {"at": 0}), _summary(-0.0, {"at": 1}, 3.0),
+                    _summary(0.0, {"at": 2}, 2.0, violations=1)])
+    assert folded == _summary(-0.0, {"at": 1}, 3.0, violations=1, checked=6)
+    # 0.0 < -0.0 is false, so the tie keeps the earlier witness and its sign
+    assert math.copysign(1.0, folded["worst_margin"]) == -1.0
+    assert _fold([_summary(None, {}), _summary(0.25, {"at": 3})])["witness"] == {"at": 3}
+
+
+def test_report_maps_only_a_missing_worst_margin_to_zero():
+    from srq.verify import _report
+
+    report = _report("x", 0, 2, {"a": _summary(-0.0, {"at": 1})})
+    assert report.passed and math.copysign(1.0, report.worst_margin) == -1.0
+    report = _report("x", 0, 0, {"a": _summary(None, {}, 0.0, checked=0)})
+    assert report.worst_margin == 0.0 and report.witness == {}
+    report = _report("x", 0, 2, {"a": _summary(0.5, {"at": 1}, violations=1)})
+    assert not report.passed
+
+
+def test_schwarz_pick_fails_when_moebius_equality_fails(monkeypatch):
+    import srq.verify as verify
+
+    # 200 samples make four batches, and batch 3 is a Moebius batch
+    monkeypatch.setattr(verify, "EQUALITY_TOL", -1.0)
+    report = run_suite("schwarz-pick", 3, 200)
+    equality = report.properties["moebius_equality"]
+    assert equality["checked"] > 0 and equality["pass"] is False
+    assert all(report.properties[name]["violations"] == 0
+               for name in ("difference_bound", "remainder_bound", "derivative_bound"))
+    assert report.passed is False
+    monkeypatch.undo()
+    assert run_suite("schwarz-pick", 3, 200).passed is True
