@@ -13,9 +13,13 @@ from __future__ import annotations
 from .errors import (DegenerateComposite, DegenerateSwap, NotHermitian,
                      NotSp11, PoleError, SingularMatrix)
 from .geometry import _in_ball, _require_unit, sample_ball
-from .quaternion import EPS, ONE, ZERO, Quaternion, _Frozen, as_quaternion
+from .quaternion import ONE, ZERO, Quaternion, _Frozen, _zero_bound, as_quaternion
 from .rational import RegularQuotient, as_quotient
 from .series import RegularPolynomial
+
+#: Entrywise tolerance of the matrix identities (membership, Hermitian shape),
+#: relative to the entries' scale.
+_MATRIX_TOL = 1e-9
 
 
 class QuaternionMatrix2(_Frozen):
@@ -72,15 +76,15 @@ class QuaternionMatrix2(_Frozen):
     def dieudonne_det(self) -> float:
         """The multiplicative nonnegative-real determinant.
 
-        |a| |d - b a^{-1} c| when a != 0, else |b||c|; agrees with the square
-        root of the determinant of the 4x4 complex adjoint matrix.
+        |a| |d - b a^{-1} c| when a is not zero beside the entries, else
+        |b||c|; agrees with the square root of the determinant of the 4x4
+        complex adjoint matrix.
         """
-        scale = self.entry_scale()
-        if self.a.norm() > 1e-14 * (1.0 + scale):
+        if self.a.norm() > _zero_bound(self.entry_scale()):
             return self.a.norm() * (self.d - self.b * self.a.inverse() * self.c).norm()
         return self.b.norm() * self.c.norm()
 
-    def is_sp11(self, tol: float = 1e-9) -> bool:
+    def is_sp11(self, tol: float = _MATRIX_TOL) -> bool:
         """Whether conj-transpose * diag(1,-1) * self equals diag(1,-1) entrywise.
 
         The product's entries grow like the square of the matrix entries, so
@@ -102,7 +106,8 @@ class MoebiusNormalForm(_Frozen):
 
 
 def _require_invertible(A: QuaternionMatrix2):
-    if A.dieudonne_det() <= EPS * (1.0 + A.entry_scale()) ** 2:
+    scale = A.entry_scale()
+    if A.dieudonne_det() <= _zero_bound(scale) * (1.0 + scale):
         raise SingularMatrix(f"matrix has vanishing Dieudonne determinant: {A!r}")
 
 
@@ -118,7 +123,7 @@ def classical_fractional(A: QuaternionMatrix2, q) -> Quaternion:
     """Pointwise classical value (qc+d)^{-1} (qa+b)."""
     q = as_quaternion(q)
     den = q * A.c + A.d
-    if den.norm() < EPS * (1.0 + A.entry_scale()) * (1.0 + q.norm()):
+    if den.norm() < _zero_bound(A.entry_scale()) * (1.0 + q.norm()):
         raise PoleError(f"classical denominator vanishes at {q}")
     return den.inverse() * (q * A.a + A.b)
 
@@ -186,9 +191,9 @@ def hermitian_coincidence_check(f, A: QuaternionMatrix2, *, points=None) -> bool
     composite are skipped; if every point is skipped the check raises
     ``PoleError`` rather than pass with nothing compared.
     """
-    scale = 1.0 + A.entry_scale()
-    if (A.a.imag_norm() > 1e-9 * scale or A.d.imag_norm() > 1e-9 * scale
-            or (A.c - A.b.conjugate()).norm() > 1e-9 * scale):
+    tol = _MATRIX_TOL * (1.0 + A.entry_scale())
+    if (A.a.imag_norm() > tol or A.d.imag_norm() > tol
+            or (A.c - A.b.conjugate()).norm() > tol):
         raise NotHermitian(f"matrix is not Hermitian: {A!r}")
     r = right_action(f, A)
     l = left_action(A.transpose(), f)
@@ -223,8 +228,7 @@ def left_right_convert(A: QuaternionMatrix2) -> QuaternionMatrix2:
     sphere of p, solved in closed form through p~^2 = 2 Re(p) p~ - |p|^2.
     """
     _require_invertible(A)
-    scale = 1.0 + A.entry_scale()
-    if A.c.norm() <= EPS * scale:
+    if A.c.norm() <= _zero_bound(A.entry_scale()):
         dinv = A.d.inverse()
         return QuaternionMatrix2(dinv * A.a, dinv * A.b, ZERO, ONE)
     cinv = A.c.inverse()
@@ -233,7 +237,7 @@ def left_right_convert(A: QuaternionMatrix2) -> QuaternionMatrix2:
     p = -(cinv * A.d)
     pbar = p.conjugate()
     lead = beta - pbar * alpha + (2.0 * p.w) * alpha
-    if lead.norm() <= EPS * (1.0 + alpha.norm() + beta.norm()) * (1.0 + p.norm()):
+    if lead.norm() <= _zero_bound(alpha.norm() + beta.norm()) * (1.0 + p.norm()):
         raise DegenerateSwap("factor swap hit a singular linear solve")
     ptilde = lead.inverse() * (pbar * beta + p.norm_sq() * alpha)
     delta = beta - pbar * alpha + alpha * ptilde

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 
 from .errors import CoincidentPoints, DegenerateCenter, OutsideBall, RealPoint
-from .quaternion import EPS, ONE, Quaternion, _Frozen, _make, _norm, _slice_point, as_quaternion
+from .quaternion import (EPS, ONE, Quaternion, _Frozen, _make, _norm, _slice_point, _zero_bound,
+                         as_quaternion)
 from .rational import RegularQuotient, star_transform, star_transform_inverse
 from .series import RegularPolynomial, SphericalExpansion
 
@@ -51,6 +52,30 @@ def sample_ball(rng, radius: float = 0.99) -> Quaternion:
             return _make(w, x, y, z)
 
 
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant: splits a double into two 26-bit halves
+
+
+def _one_minus_norm_sq(q: Quaternion) -> float:
+    """1 - |q|^2 rounded once, where ``1.0 - q.norm_sq()`` loses the digits of a
+    rounded |q|^2 near the boundary: each square is split error-free into its
+    rounded value and its rounding error (Dekker 1971), and ``math.fsum`` adds
+    the nine terms exactly."""
+    terms = [1.0]
+    for v in (q.w, q.x, q.y, q.z):
+        c = _SPLIT * v
+        hi = c - (c - v)
+        lo = v - hi
+        sq = v * v
+        terms += (-sq, -(((hi * hi - sq) + 2.0 * hi * lo) + lo * lo))
+    return math.fsum(terms)
+
+
+def _one_minus_t_sq(q1: Quaternion, q2: Quaternion) -> float:
+    """1 - t^2 for the pseudo-distance t, from D - |q1 - q2|^2 = (1 - |q1|^2)(1 - |q2|^2)
+    with D = |1 - q1 conj(q2)|^2, without subtracting from 1 a t that rounds to 1."""
+    return _one_minus_norm_sq(q1) * _one_minus_norm_sq(q2) / (ONE - q1 * q2.conjugate()).norm_sq()
+
+
 def pseudo_distance_sq(q1, q2) -> float:
     """|q1 - q2|^2 / |1 - q1 conj(q2)|^2, the squared ratio inside the distance."""
     q1 = _in_ball(q1, "q1")
@@ -61,18 +86,14 @@ def pseudo_distance_sq(q1, q2) -> float:
 def poincare_distance(q1, q2) -> float:
     """atanh(t) for the pseudo-distance t; symmetric, zero iff q1 == q2.
 
-    With D = |1 - q1 conj(q2)|^2, t^2 = |q1 - q2|^2 / D, and the identity
-    D - |q1 - q2|^2 = (1 - |q1|^2)(1 - |q2|^2) gives s = 1 - t^2 without
-    subtracting from 1 a t that rounds to 1 near the boundary.  As
-    1 - t = s / (1 + t), atanh(t) = (1/2) log1p(2t(1 + t) / s), finite
-    for every pair of points of the open ball.
+    With s = 1 - t^2 from ``_one_minus_t_sq`` and 1 - t = s / (1 + t),
+    atanh(t) = (1/2) log1p(2t(1 + t) / s), finite for every pair of points of
+    the open ball and as accurate at its edge as inside it.
     """
     q1 = _in_ball(q1, "q1")
     q2 = _in_ball(q2, "q2")
-    d = (ONE - q1 * q2.conjugate()).norm_sq()
-    t = math.sqrt((q1 - q2).norm_sq() / d)
-    s = (1.0 - q1.norm_sq()) * (1.0 - q2.norm_sq()) / d
-    return 0.5 * math.log1p(2.0 * t * (1.0 + t) / s)
+    t = math.sqrt(pseudo_distance_sq(q1, q2))
+    return 0.5 * math.log1p(2.0 * t * (1.0 + t) / _one_minus_t_sq(q1, q2))
 
 
 def classical_moebius(q0, u, v, q) -> Quaternion:
@@ -167,7 +188,7 @@ def conformality_defect(q0) -> tuple:
     every non-real center, so the map is not conformal there.
     """
     q0 = _in_ball(q0, "q0")
-    if q0.imag_norm() <= EPS * (1.0 + q0.norm()):
+    if q0.is_real(_zero_bound(q0.norm())):
         raise RealPoint(f"conformality defect is undefined at the real point {q0}")
     qc = q0.conjugate()
     return (1.0 / (1.0 - q0.norm_sq()), 1.0 / (ONE - qc * qc).norm())
@@ -177,23 +198,32 @@ class GeodesicSegment(_Frozen):
     """The non-Euclidean segment between two points of the ball.
 
     Built by transporting the first endpoint to the origin with a classical
-    isometry, walking the straight diameter, and transporting back; distance
-    along the curve is additive.  The endpoints must be distinct points of the
-    open ball.
+    isometry, walking the straight diameter to the image of the second, and
+    transporting back; distance along the curve is additive.  The endpoints
+    must be distinct points of the open ball.
+
+    Near the boundary that image rounds onto the unit sphere, so each point is
+    taken in the chart of its nearer endpoint: seen from q2, the point t of the
+    diameter from q1 is the point tau = (1 - t) / ((1 - t) + t s) of the
+    diameter from q2, with s = 1 - t^2 for the pseudo-distance t of the pair.
     """
 
-    __slots__ = ("q1", "q2", "_image")
+    __slots__ = ("q1", "q2", "_image", "_back", "_s")
 
     def __init__(self, q1, q2):
         q1 = _in_ball(q1, "q1")
         q2 = _in_ball(q2, "q2")
-        if (q1 - q2).norm() <= 1e-13:
+        if (q1 - q2).norm() <= _zero_bound(max(q1.norm(), q2.norm())):
             raise CoincidentPoints(f"geodesic endpoints coincide at {q1}")
-        super().__init__(q1, q2, _moebius_to_zero(q1, q2))
+        super().__init__(q1, q2, _moebius_to_zero(q1, q2), _moebius_to_zero(q2, q1),
+                         _one_minus_t_sq(q1, q2))
 
     def point(self, t: float) -> Quaternion:
         if not 0.0 <= t <= 1.0:
             raise ValueError("parameter must lie in [0, 1]")
+        tau = (1.0 - t) / ((1.0 - t) + t * self._s)
+        if tau < t:
+            return _moebius_from_zero(self.q2, self._back * tau)
         return _moebius_from_zero(self.q1, self._image * t)
 
     __call__ = point

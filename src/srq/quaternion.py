@@ -26,8 +26,15 @@ from .errors import ParseError
 
 #: The relative size at which a quantity counts as zero, scaled by what each test guards.
 EPS = 1e-12
+#: At or below it a squared modulus counts as zero: ``Quaternion.inverse`` refuses it.
+_EPS_SQ = EPS * EPS
 _INF = math.inf  # a module global: one lookup cheaper than math.inf on the hot path
 _TINY = sys.float_info.min  # below it a sum of squares has lost precision or underflowed
+
+
+def _zero_bound(size: float) -> float:
+    """The modulus below which a value counts as zero beside a quantity of modulus ``size``."""
+    return EPS * (1.0 + size)
 
 
 class _Frozen:
@@ -189,7 +196,7 @@ class Quaternion(_Frozen):
     def inverse(self) -> "Quaternion":
         """q^{-1} = conj(q)/|q|^2; refuses when |q| is below ``EPS`` or overflows."""
         n2 = self.norm_sq()
-        if n2 <= EPS * EPS:
+        if n2 <= _EPS_SQ:
             raise ZeroDivisionError(f"quaternion too small to invert (|q| = {self.norm():g})")
         if n2 < _INF:
             return _make(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
@@ -207,7 +214,7 @@ class Quaternion(_Frozen):
     def is_real(self, tol: float = 0.0) -> bool:
         return self.imag_norm() <= tol
 
-    def isclose(self, other: "Quaternion", rel_tol: float = 1e-12, abs_tol: float = 0.0) -> bool:
+    def isclose(self, other: "Quaternion", rel_tol: float = EPS, abs_tol: float = 0.0) -> bool:
         gap = (self - other).norm()
         return gap <= max(rel_tol * max(self.norm(), other.norm()), abs_tol)
 

@@ -19,8 +19,8 @@ import math
 import sys
 
 from .errors import NonConvergence, PoleError
-from .quaternion import (_INF, EPS, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _make,
-                         _slice_point, as_quaternion)
+from .quaternion import (_EPS_SQ, _INF, EPS, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _make,
+                         _slice_point, _zero_bound, as_quaternion)
 from .series import RegularPolynomial, _horner_floats, _lift
 
 #: Relative distance within which roots merge, or count as real.
@@ -30,8 +30,6 @@ _CLUSTER_TOL = 1e-6
 _UNIT_ROUNDOFF = 2.0 ** -53
 #: Natural log of the largest double: |z|^n overflows once n log|z| exceeds it.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-#: At or below it a squared modulus is too small for ``Quaternion.inverse``.
-_EPS_SQ = EPS * EPS
 
 
 class RegularQuotient(_Frozen):
@@ -63,7 +61,7 @@ class RegularQuotient(_Frozen):
 
     def _install(self, den, num, side, sym, conum):
         _Frozen.__init__(self, den, num, side, sym, conum,
-                         EPS * (1.0 + sym.coefficient_norm_sum()))
+                         _zero_bound(sym.coefficient_norm_sum()))
 
     # -- constructors ---------------------------------------------------------
 
@@ -150,12 +148,12 @@ class RegularQuotient(_Frozen):
         q = p = as_quaternion(q)
         if self.side == "right":
             gq = self.num.evaluate(q)
-            if gq.norm() < EPS * (1.0 + self.num.coefficient_norm_sum()):
+            if gq.norm() < _zero_bound(self.num.coefficient_norm_sum()):
                 raise ValueError("transform route for a right quotient needs a nonzero numerator value")
             p = gq.inverse() * q * gq
         w = star_transform(self.den, p)
         fw = self.den.evaluate(w)
-        if fw.norm() < EPS * (1.0 + self.den.coefficient_norm_sum()):
+        if fw.norm() < _zero_bound(self.den.coefficient_norm_sum()):
             raise PoleError(f"{q} maps onto a zero of the denominator")
         if self.side == "right":
             return gq * fw.inverse()
@@ -292,7 +290,7 @@ def star_transform(f: RegularPolynomial, q) -> Quaternion:
     q = as_quaternion(q)
     fc = f.conjugate()
     v = fc.evaluate(q)
-    if v.norm() < EPS * (1.0 + fc.coefficient_norm_sum()):
+    if v.norm() < _zero_bound(fc.coefficient_norm_sum()):
         raise PoleError(f"conjugate denominator vanishes at {q}")
     return v.inverse() * q * v
 
@@ -341,7 +339,8 @@ def durand_kerner(coeffs):
     - 500 sweeps have run.
 
     Raises ValueError on a non-finite coefficient, and NonConvergence when a
-    final residual is above ``EPS`` (scaled by the coefficient size) or is NaN.
+    final residual does not count as zero beside the monic coefficients
+    (``_zero_bound`` of the sum of their moduli) or is NaN.
     """
     c = [complex(v) for v in coeffs]
     if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in c):
@@ -355,9 +354,9 @@ def durand_kerner(coeffs):
     monic = [v / lead for v in c]
 
     def checked(roots):
-        scale = 1.0 + _fold_sum(abs(v) for v in monic)
+        bound = _zero_bound(_fold_sum(abs(v) for v in monic))
         for z in roots:
-            if not abs(_horner(monic, z)) <= EPS * scale:  # NaN roots fail here too
+            if not abs(_horner(monic, z)) <= bound:  # NaN roots fail here too
                 raise NonConvergence(
                     f"root iteration stalled with residual {abs(_horner(monic, z)):g} at {z}")
         return roots
@@ -468,8 +467,9 @@ def zeros_on_sphere(f: RegularPolynomial, x: float, y: float):
         b = b + a * zn.real
         c = c + a * zn.imag
         zn *= z
-    if c.norm() <= 1e-9 * scale:
-        return (b.norm() <= 1e-9 * scale, [])
+    sphere_tol = 1e-9 * scale
+    if c.norm() <= sphere_tol:
+        return (b.norm() <= sphere_tol, [])
     axis = -(b * c.inverse())
     if abs(axis.w) > tol or abs(axis.norm() - 1.0) > tol:
         return (False, [])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import DegenerateCenter, RealPoint
 from .quaternion import (EPS, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _make,
-                         as_quaternion)
+                         _zero_bound, as_quaternion)
 
 
 class RegularPolynomial(_Frozen):
@@ -243,7 +243,7 @@ class RegularPolynomial(_Frozen):
 
     # -- misc -----------------------------------------------------------------------------
 
-    def isclose(self, other: "RegularPolynomial", rel_tol: float = 1e-12,
+    def isclose(self, other: "RegularPolynomial", rel_tol: float = EPS,
                 abs_tol: float = 0.0) -> bool:
         n = max(len(self.coeffs), len(other.coeffs))
         scale = max(self.coefficient_norm_sum(), other.coefficient_norm_sum())
@@ -371,10 +371,9 @@ def evaluate_any(f, q) -> Quaternion:
 def spherical_derivative_at(f, q) -> Quaternion:
     """(2 Im q)^{-1} (f(q) - f(conj q)); undefined at real points."""
     q = as_quaternion(q)
-    im = q.imag()
-    if im.norm() <= EPS * (1.0 + q.norm()):
+    if q.is_real(_zero_bound(q.norm())):
         raise RealPoint(f"spherical derivative is undefined at the real point {q}")
-    return (2.0 * im).inverse() * (evaluate_any(f, q) - evaluate_any(f, q.conjugate()))
+    return (2.0 * q.imag()).inverse() * (evaluate_any(f, q) - evaluate_any(f, q.conjugate()))
 
 
 def directional_derivative(f: RegularPolynomial, q0, v) -> Quaternion:

@@ -21,7 +21,7 @@ from .errors import PoleError
 from .fractional import QuaternionMatrix2, from_normal_form, left_action, right_action
 from .geometry import _cube_point, _moebius_den, regular_moebius_map, sample_ball
 from .quaternion import (ONE, Quaternion, _fold_sum, _Frozen, _make, _norm, _slice_point,
-                         as_quaternion)
+                         _zero_bound, as_quaternion)
 from .rational import RegularQuotient, as_quotient
 from .series import RegularPolynomial, evaluate_any, spherical_derivative_at
 
@@ -277,7 +277,8 @@ def check_modulus_product(h, f, g, sample_count: int = 100, *, rng=None,
     rng = rng or stream(seed, "modulus-points")
     points = [sample_ball(rng, 0.95) for _ in range(sample_count)]
     for q in points:
-        if f.evaluate(q).norm() > g.evaluate(q).norm() + 1e-12:
+        gn = g.evaluate(q).norm()
+        if f.evaluate(q).norm() > gn + _zero_bound(gn):
             raise ValueError(f"|f| > |g| at {q}; hypothesis violated on the sample set")
     hf = h * f
     hg = h * g

@@ -101,6 +101,16 @@ def test_dieudonne_det_against_complex_adjoint():
         assert math.isclose(m.dieudonne_det(), oracle, rel_tol=1e-9, abs_tol=1e-12)
 
 
+def test_dieudonne_det_takes_a_as_zero_below_the_zero_bound():
+    # entry scale 1, so |a| counts as zero at or below EPS * 2 = 2e-12; the determinant
+    # |a - 1| then reads as |b||c| = 1 exactly (the old cut was an inline 1e-14)
+    def det(a):
+        return QuaternionMatrix2(Quaternion(a), ONE, ONE, ONE).dieudonne_det()
+
+    assert det(1.9e-12) == 1.0
+    assert abs(det(2.1e-12) - (1.0 - 2.1e-12)) < 1e-15
+
+
 def test_dieudonne_det_multiplicative():
     rng = random.Random(2)
     for _ in range(30):

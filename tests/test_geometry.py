@@ -109,6 +109,22 @@ def test_distance_matches_a_decimal_oracle():
     assert worst < 3e-14
 
 
+def test_distance_keeps_its_digits_at_the_edge_of_the_ball():
+    # 1 - |q|^2 formed from a rounded |q|^2 was off by up to 2^-53, a relative
+    # error of 2^-53 / (1 - |q|^2) that reached 1.4e-7 of the distance here
+    rng = random.Random(2351)
+    r = 1.0 - 1e-10
+    pairs = [(Quaternion(r), Quaternion(-r))]
+    for _ in range(500):
+        pairs.append(tuple(sample_unit(rng) * (1.0 - 10.0 ** rng.uniform(-11, -6))
+                           for _ in range(2)))
+    worst = 0.0
+    for q1, q2 in pairs:
+        want = _distance_oracle(q1, q2)
+        worst = max(worst, abs(poincare_distance(q1, q2) - want) / want)
+    assert worst <= 1e-15
+
+
 # every centre and point meets one open-ball rule, |q| <= 1 - EPS
 _CENTRE_USERS = {
     "regular_moebius_map": lambda q0: regular_moebius_map(q0),
@@ -384,6 +400,38 @@ def test_geodesic_examples():
 
     with pytest.raises(CoincidentPoints):
         geodesic(Quaternion(0.1), Quaternion(0.1))
+
+
+def test_geodesic_stays_in_the_ball_at_its_edge():
+    # in q1's chart q2 sits at modulus t, which rounds to 1 here, so point(1.0)
+    # was -1.0, on the sphere, and no longer q2
+    q1 = Quaternion(1.0 - 1e-10)
+    q2 = -q1
+    seg = GeodesicSegment(q1, q2)
+    assert seg.point(0.0) == q1 and seg.point(1.0) == q2
+    for t in (0.5, 0.75, 1 - 1e-9, 1 - 1e-11, 1 - 1e-14):
+        geometry._in_ball(seg.point(t), f"point({t})")
+
+
+def test_geodesic_keeps_its_parametrization_in_either_chart():
+    # points near q2 come from q2's chart; inside the ball both charts give the point
+    # t * phi_q1(q2) of q1's chart
+    rng = random.Random(2352)
+    for _ in range(300):
+        q1, q2 = sample_ball(rng, 0.95), sample_ball(rng, 0.95)
+        seg = GeodesicSegment(q1, q2)
+        image = geometry._moebius_to_zero(q1, q2)
+        for t in (0.3, 0.6, 0.8, 0.97, 1.0):
+            want = geometry._moebius_from_zero(q1, image * t)
+            assert seg.point(t).isclose(want, abs_tol=1e-13)
+
+
+def test_geodesic_refuses_endpoints_that_count_as_one_point():
+    # the coincidence test is relative to the endpoints' modulus, not an absolute 1e-13
+    q = Quaternion(0.5, 0.1)
+    with pytest.raises(CoincidentPoints):
+        GeodesicSegment(q, q + 5e-13)
+    assert GeodesicSegment(q, q + 5e-12).point(1.0) == q + 5e-12
 
 
 def test_geodesic_additivity():

@@ -120,6 +120,25 @@ def test_star_transform_examples():
     assert got.isclose(expected)
 
 
+def test_star_transform_refuses_a_zero_of_the_conjugate():
+    # f = q - p has f^c = q - conj(p), which counts as zero within EPS (2 + |p|) = 2.5e-12
+    p = Quaternion(0.0, 0.0, 0.5)
+    f = RegularPolynomial([-p, ONE])
+    with pytest.raises(PoleError):
+        star_transform(f, p.conjugate() + 1e-12)
+    assert star_transform(f, p.conjugate() + 1e-11).isclose(p.conjugate(), 1e-9)
+
+
+def test_right_transform_route_refuses_a_zero_numerator_value():
+    # the numerator q - j/2 counts as zero within EPS (1 + 1.5) = 2.5e-12 of j/2
+    root = Quaternion(0.0, 0.0, 0.5)
+    quotient = RegularQuotient(Q + 2.0, RegularPolynomial([-root, ONE]), "right")
+    with pytest.raises(ValueError, match="nonzero numerator value"):
+        quotient.evaluate_via_transform(root + 1e-12)
+    q = root + 1e-11
+    assert quotient.evaluate_via_transform(q).isclose(quotient.evaluate(q), abs_tol=1e-15)
+
+
 def test_star_transform_preserves_spheres():
     rng = random.Random(5)
     for _ in range(30):

@@ -125,6 +125,15 @@ def test_modulus_product_checks_hypothesis():
         check_modulus_product(h, g * 3.0, g, 20, seed=15)
 
 
+def test_modulus_product_hypothesis_slack_is_relative_to_g():
+    # |f| = |g| (1 + 1e-13) is equality to rounding; an absolute slack of 1e-12 refused it
+    h = RegularPolynomial([Quaternion(0.5)])
+    g = RegularPolynomial([Quaternion(100.0)])
+    assert check_modulus_product(h, g * (1.0 + 1e-13), g, 20, seed=15).passed
+    with pytest.raises(ValueError):
+        check_modulus_product(h, g * (1.0 + 1e-11), g, 20, seed=15)
+
+
 def test_reg_preservation():
     rng = stream(16, "rp")
     f = random_self_map(rng, 3)
