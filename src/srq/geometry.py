@@ -43,13 +43,21 @@ def _cube_point(rng) -> Quaternion:
     return _make(*_cube_floats(rng))
 
 
+def _ball_floats(rng, radius: float, count: int) -> list:
+    """``count`` uniform points of the ball of the given radius as float 4-tuples,
+    by rejection from the cube: the draws of ``count`` calls of ``sample_ball``."""
+    out = []
+    while len(out) < count:
+        v = _cube_floats(rng)
+        if _norm(*v) < radius:
+            out.append(v)
+    return out
+
+
 def sample_ball(rng, radius: float = 0.99) -> Quaternion:
     """Uniform point of the ball of the given radius, by rejection from the cube;
     only the accepted point is built as a quaternion."""
-    while True:
-        w, x, y, z = _cube_floats(rng)
-        if _norm(w, x, y, z) < radius:
-            return _make(w, x, y, z)
+    return _make(*_ball_floats(rng, radius, 1)[0])
 
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant: splits a double into two 26-bit halves

@@ -338,10 +338,15 @@ def _norm(w: float, x: float, y: float, z: float) -> float:
     return math.hypot(w, x, y, z)
 
 
+def _slice_floats(x: float, y: float, I: Quaternion) -> tuple:
+    """The components of x + y*I for floats x, y: the bits of ``Quaternion(x) + I * y``
+    (each ``0.0 +`` turns -0.0 into +0.0, as that sum does)."""
+    return x + I.w * y, 0.0 + I.x * y, 0.0 + I.y * y, 0.0 + I.z * y
+
+
 def _slice_point(x: float, y: float, I: Quaternion) -> Quaternion:
-    """x + y*I for floats x, y: the bits of ``Quaternion(x) + I * y`` (each ``0.0 +``
-    turns -0.0 into +0.0, as that sum does), with one quaternion built, not three."""
-    return _make(x + I.w * y, 0.0 + I.x * y, 0.0 + I.y * y, 0.0 + I.z * y)
+    """x + y*I as one quaternion, not the three that ``Quaternion(x) + I * y`` builds."""
+    return _make(*_slice_floats(x, y, I))
 
 
 def _fold_sum(values, start=0.0):

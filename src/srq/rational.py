@@ -20,8 +20,8 @@ import sys
 
 from .errors import NonConvergence, PoleError
 from .quaternion import (_EPS_SQ, _INF, EPS, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _make,
-                         _slice_point, _zero_bound, as_quaternion)
-from .series import RegularPolynomial, _horner_floats, _lift
+                         _norm, _slice_point, _zero_bound, as_quaternion)
+from .series import RegularPolynomial, _horner_floats, _lift, evaluate_any
 
 #: Relative distance within which roots merge, or count as real.
 _CLUSTER_TOL = 1e-6
@@ -101,35 +101,53 @@ class RegularQuotient(_Frozen):
     def evaluate(self, q) -> Quaternion:
         """sym(q)^{-1} conum(q), refusing near the zero set of sym.
 
-        Both Horner passes, the pole test, the inverse and the product run on
-        unpacked floats in the operation order of ``norm()``, ``inverse()``
-        and the Hamilton product, so the result is bit-identical to
-        ``sym.evaluate(q).inverse() * conum.evaluate(q)`` and raises the same
-        errors; only the result is built as a quaternion.  A ``sym(q)`` whose
-        squared modulus is at most ``EPS**2``, overflows or is not finite
-        takes that quaternion-level path itself.
+        The one-point case of ``_evaluate_floats``; only the result is built
+        as a quaternion.
         """
         q = as_quaternion(q)
-        qw, qx, qy, qz = q.w, q.x, q.y, q.z
-        sw, sx, sy, sz = _horner_floats(self.sym.coeffs, qw, qx, qy, qz)
-        n2 = sw * sw + sx * sx + sy * sy + sz * sz
-        if not _EPS_SQ < n2 < _INF:
-            s = _make(sw, sx, sy, sz)
-            if s.norm() < self._pole_scale:
-                raise PoleError(f"{q} lies on the zero set of the denominator symmetrization")
-            return s.inverse() * _make(*_horner_floats(self.conum.coeffs, qw, qx, qy, qz))
-        if math.sqrt(n2) < self._pole_scale:  # norm()'s rule for an n2 in range
-            raise PoleError(f"{q} lies on the zero set of the denominator symmetrization")
-        w1, x1, y1, z1 = sw / n2, -sx / n2, -sy / n2, -sz / n2
-        w2, x2, y2, z2 = _horner_floats(self.conum.coeffs, qw, qx, qy, qz)
-        try:
-            return _make(w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-                         w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-                         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-                         w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
-        except ValueError:
-            _make(w2, x2, y2, z2)  # a non-finite conum(q) is reported as itself
-            raise
+        return _make(*self._evaluate_floats([(q.w, q.x, q.y, q.z)])[0])
+
+    def _evaluate_floats(self, points, sym_values=None) -> list:
+        """``evaluate`` at each of ``points``, float 4-tuples, as float 4-tuples.
+
+        Both Horner passes, the pole test, the inverse and the product run on
+        unpacked floats in the operation order of ``norm()``, ``inverse()``
+        and the Hamilton product, so each result is bit-identical to
+        ``sym.evaluate(q).inverse() * conum.evaluate(q)`` and the first point
+        where that raises raises the same error here.  A ``sym(q)`` whose
+        squared modulus is at most ``EPS**2``, overflows or is not finite
+        takes that quaternion-level path itself.  ``sym_values``, when given,
+        are ``sym``'s values at ``points``.
+        """
+        if sym_values is None:
+            sym_values = _horner_floats(self.sym.coeffs, points)
+        scale = self._pole_scale
+        out = []
+        for p, (sw, sx, sy, sz), c in zip(points, sym_values,
+                                          _horner_floats(self.conum.coeffs, points)):
+            n2 = sw * sw + sx * sx + sy * sy + sz * sz
+            if not _EPS_SQ < n2 < _INF:
+                s = _make(sw, sx, sy, sz)
+                if s.norm() < scale:
+                    raise PoleError(f"{_make(*p)} lies on the zero set of the denominator "
+                                    "symmetrization")
+                v = s.inverse() * _make(*c)
+                out.append((v.w, v.x, v.y, v.z))
+                continue
+            if math.sqrt(n2) < scale:  # norm()'s rule for an n2 in range
+                raise PoleError(f"{_make(*p)} lies on the zero set of the denominator "
+                                "symmetrization")
+            w1, x1, y1, z1 = sw / n2, -sx / n2, -sy / n2, -sz / n2
+            w2, x2, y2, z2 = c
+            w, x, y, z = (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+                          w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+                          w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+                          w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
+            if 0.0 * w + 0.0 * x + 0.0 * y + 0.0 * z != 0.0:  # _make's finiteness test
+                _make(*c)  # a non-finite conum(q) is reported as itself
+                _make(w, x, y, z)
+            out.append((w, x, y, z))
+        return out
 
     __call__ = evaluate
 
@@ -275,6 +293,51 @@ def as_quotient(value) -> RegularQuotient:
     out = _as_quotient(value)
     if out is NotImplemented:
         raise TypeError(f"cannot interpret {value!r} as a regular quotient")
+    return out
+
+
+# -- evaluation over a point list ------------------------------------------------------
+
+
+def _values_at(f, points, sym_values=None) -> list:
+    """The values, as float 4-tuples, of a polynomial, a quotient or any map that
+    ``evaluate_any`` takes, at ``points`` (float 4-tuples).  A polynomial's are
+    not checked finite here; ``sym_values`` are a quotient's ``sym`` values."""
+    if isinstance(f, RegularQuotient):
+        return f._evaluate_floats(points, sym_values)
+    if isinstance(f, RegularPolynomial):
+        return _horner_floats(f.coeffs, points)
+    out = []
+    for p in points:
+        v = evaluate_any(f, _make(*p))
+        out.append((v.w, v.x, v.y, v.z))
+    return out
+
+
+def _moduli_at(maps, points) -> list:
+    """For each of ``maps``, ``[evaluate_any(f, q).norm() for q in points]`` bit for
+    bit, raising at the first failing point of the first map that fails.
+
+    No quaternion is built: ``_make``'s finiteness check runs only on a value
+    whose modulus is not finite.  One ``sym`` pass serves every quotient whose
+    ``sym`` coefficients compare equal; coefficients that differ only in the
+    sign of a zero give values that differ only there, which no modulus sees.
+    """
+    syms = {}
+    out = []
+    for f in maps:
+        sym_values = None
+        if isinstance(f, RegularQuotient):
+            sym_values = syms.get(f.sym.coeffs)
+            if sym_values is None:
+                sym_values = syms[f.sym.coeffs] = _horner_floats(f.sym.coeffs, points)
+        moduli = []
+        for v in _values_at(f, points, sym_values):
+            n = _norm(*v)
+            if not n < _INF:
+                _make(*v)  # raises on a NaN or an infinity, as evaluate would
+            moduli.append(n)
+        out.append(moduli)
     return out
 
 

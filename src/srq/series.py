@@ -82,7 +82,7 @@ class RegularPolynomial(_Frozen):
         coeffs = self.coeffs
         if len(coeffs) < 2:
             return coeffs[0] if coeffs else ZERO
-        return _make(*_horner_floats(coeffs, q.w, q.x, q.y, q.z))
+        return _make(*_horner_floats(coeffs, [(q.w, q.x, q.y, q.z)])[0])
 
     __call__ = evaluate
 
@@ -270,23 +270,30 @@ _new = object.__new__
 _set_coeffs = RegularPolynomial.__dict__["coeffs"].__set__
 
 
-def _horner_floats(coeffs, qw: float, qx: float, qy: float, qz: float) -> tuple:
-    """The components of sum_n q^n coeffs[n] at q = qw + qx i + qy j + qz k.
+def _horner_floats(coeffs, points) -> list:
+    """The components of sum_n q^n coeffs[n] at each q of ``points``, a list of
+    float 4-tuples (w, x, y, z), as a list of float 4-tuples.
 
     Each Horner step ``acc = q * acc + a_n`` runs on unpacked floats in the
-    exact operation order of the Hamilton product and sum, so the result is
-    bit-identical to the quaternion-level loop.  An empty list gives 0.
+    exact operation order of the Hamilton product and sum, so every result is
+    bit-identical to the quaternion-level loop.  An empty list gives 0 at
+    every point.
     """
     if not coeffs:
-        return 0.0, 0.0, 0.0, 0.0
+        return [(0.0, 0.0, 0.0, 0.0)] * len(points)
     top = coeffs[-1]
-    w, x, y, z = top.w, top.x, top.y, top.z
-    for c in coeffs[-2::-1]:
-        w, x, y, z = (qw * w - qx * x - qy * y - qz * z + c.w,
-                      qw * x + qx * w + qy * z - qz * y + c.x,
-                      qw * y - qx * z + qy * w + qz * x + c.y,
-                      qw * z + qx * y - qy * x + qz * w + c.z)
-    return w, x, y, z
+    tw, tx, ty, tz = top.w, top.x, top.y, top.z
+    rest = coeffs[-2::-1]
+    out = []
+    for qw, qx, qy, qz in points:
+        w, x, y, z = tw, tx, ty, tz
+        for c in rest:
+            w, x, y, z = (qw * w - qx * x - qy * y - qz * z + c.w,
+                          qw * x + qx * w + qy * z - qz * y + c.x,
+                          qw * y - qx * z + qy * w + qz * x + c.y,
+                          qw * z + qx * y - qy * x + qz * w + c.z)
+        out.append((w, x, y, z))
+    return out
 
 
 def _components(c: Quaternion) -> tuple:
@@ -348,7 +355,7 @@ class SphericalExpansion(_Frozen):
         brackets = [a + offset * b for a, b in zip(evens, odds)] + list(evens[len(odds):])
         shifted = q - self.x0
         s = shifted * shifted + self.y0 * self.y0
-        return _make(*_horner_floats(brackets, s.w, s.x, s.y, s.z))
+        return _make(*_horner_floats(brackets, [(s.w, s.x, s.y, s.z)])[0])
 
     __call__ = evaluate
 

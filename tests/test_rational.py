@@ -261,6 +261,26 @@ def test_zero_set_of_factor_products(case):
         assert entry.multiplicity == m
 
 
+def test_zero_set_of_two_spheres_with_one_real_part():
+    # (q-p1)(q-p2)(q-p3)^2 with p1 and p3 on two spheres of real part 0.365.  The
+    # double sphere's x comes back about 6e-10 low, so a pairing that sorts entries
+    # by (x, y) swaps the two spheres at 0.365; matched by nearest centre, every
+    # sphere and its multiplicity is right within 1e-9
+    p1 = Quaternion(0.365, -0.025, -0.071, -0.323)
+    p2 = Quaternion(-0.279, 0.65, -0.197, -0.002)
+    p3 = Quaternion(0.365, 0.704, -0.379, 0.148)
+    f = (Q - p1) * (Q - p2) * (Q - p3) * (Q - p3)
+    spheres = [(p.w, p.imag_norm(), m) for p, m in ((p2, 1), (p1, 1), (p3, 2))]
+    entries = list(sphere_zero_set(f))
+    assert len(entries) == 3
+    for x, y, m in spheres:
+        entry = min(entries, key=lambda e: math.hypot(e.x - x, e.y - y))
+        assert abs(entry.x - x) <= 1e-9 and abs(entry.y - y) <= 1e-9
+        assert entry.multiplicity == m
+    by_x = sorted((e.x, e.y, e.multiplicity) for e in entries)
+    assert [m for _, _, m in by_x] != [m for _, _, m in sorted(spheres)]
+
+
 def test_sphere_zero_set_examples():
     entries = list(sphere_zero_set(Q - I))
     assert len(entries) == 1

@@ -5,6 +5,10 @@
   Float sums go through ``quaternion._fold_sum``.
 - ``EPS`` is scaled only in ``quaternion.py``: every relative zero test goes
   through ``quaternion._zero_bound``, so the policy is written in one module.
+- One Horner loop and one ball sampler: the Hamilton Horner step appears once,
+  in ``series._horner_floats``, and one loop rejects cube draws outside a
+  ball, in ``geometry._ball_floats``.  Callers with one point pass a one-point
+  list, so a second hand-rolled copy has nothing to win.
 """
 
 import ast
@@ -34,6 +38,42 @@ def eps_products(text: str) -> list:
             if {a.string, b.string} == {"EPS", "*"}]
 
 
+_HORNER_STEP = "qw * w - qx * x - qy * y - qz * z"
+_CUBE_DRAWS = {"_cube_floats", "_cube_point"}
+_MODULI = {"_norm", "norm"}
+
+
+def _tokens(text: str) -> list:
+    return [t.string for t in tokenize.generate_tokens(io.StringIO(text).readline)
+            if t.type in (tokenize.NAME, tokenize.OP, tokenize.NUMBER, tokenize.STRING)]
+
+
+def horner_steps(text: str) -> int:
+    """How often the token sequence of the Hamilton Horner step occurs."""
+    tokens, step = _tokens(text), _tokens(_HORNER_STEP)
+    return sum(tokens[i:i + len(step)] == step for i in range(len(tokens)))
+
+
+def _called(node) -> str:
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def ball_rejection_loops(text: str) -> list:
+    """Lines of loops whose body draws a cube point and tests a modulus with ``<``."""
+    out = []
+    for loop in ast.walk(ast.parse(text)):
+        if isinstance(loop, (ast.While, ast.For)):
+            body = [n for stmt in loop.body for n in ast.walk(stmt)]
+            draws = any(isinstance(n, ast.Call) and _called(n) in _CUBE_DRAWS for n in body)
+            tests = any(isinstance(n, ast.Compare) and isinstance(n.ops[0], ast.Lt)
+                        and isinstance(n.left, ast.Call) and _called(n.left) in _MODULI
+                        for n in body)
+            if draws and tests:
+                out.append(loop.lineno)
+    return out
+
+
 def test_the_scan_sees_every_module():
     assert {"quaternion.py", "rational.py", "verify.py"} <= {p.name for p in MODULES}
 
@@ -49,8 +89,27 @@ def test_eps_is_scaled_only_in_quaternion(path):
     assert eps_products(path.read_text()) == []
 
 
+def test_one_horner_step():
+    counts = {p.name: horner_steps(p.read_text()) for p in MODULES}
+    assert {name: n for name, n in counts.items() if n} == {"series.py": 1}
+
+
+def test_one_ball_rejection_loop():
+    counts = {p.name: len(ball_rejection_loops(p.read_text())) for p in MODULES}
+    assert {name: n for name, n in counts.items() if n} == {"geometry.py": 1}
+
+
 def test_the_rules_catch_what_they_forbid():
     assert builtin_sum_calls("x = sum(v for v in a)\n") == [1]
     assert builtin_sum_calls("x = math.fsum(a)\n# sum(a)\ny = 'sum(a)'\n") == []
     assert eps_products("a = (1.0 +\n     EPS * s)\nb = s * EPS\n") == [2, 3]
     assert eps_products("c = _EPS_SQ * s  # EPS * s\nd = 'EPS * s'\n") == []
+    assert horner_steps("w = (qw * w - qx * x\n     - qy * y - qz * z + c.w)\n") == 1
+    assert horner_steps("w = qw * w - qx * x - qy * y  # - qz * z\n"
+                        "s = 'qw * w - qx * x - qy * y - qz * z'\n") == 0
+    assert ball_rejection_loops("while True:\n    w, x, y, z = _cube_floats(rng)\n"
+                                "    if _norm(w, x, y, z) < radius:\n        break\n") == [1]
+    assert ball_rejection_loops("for _ in range(9):\n    q = _cube_point(rng)\n"
+                                "    if q.norm() < 0.5:\n        break\n") == [1]
+    # redrawing while a modulus is small is not a ball sampler
+    assert ball_rejection_loops("while c.norm() < 1e-2:\n    c = _cube_point(rng)\n") == []

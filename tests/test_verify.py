@@ -361,3 +361,15 @@ def test_schwarz_pick_fails_when_moebius_equality_fails(monkeypatch):
     assert report.passed is False
     monkeypatch.undo()
     assert run_suite("schwarz-pick", 3, 200).passed is True
+
+
+def test_run_suite_and_run_all_refuse_a_negative_sample_count():
+    # the CLI refuses negative counts; the library counted them as one batch
+    for name in SUITE_NAMES:
+        with pytest.raises(ValueError, match=r"samples must be >= 0, got -3"):
+            run_suite(name, 1, -3)
+    with pytest.raises(ValueError, match=r"samples must be >= 0, got -1"):
+        run_all(1, -1)
+    # 0 still means one batch
+    assert run_suite("schwarz-pick", 1, 0).samples == 50
+    assert run_suite("slice-regularity", 1, 0).samples == 25
