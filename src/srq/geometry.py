@@ -31,26 +31,25 @@ def _require_unit(u: Quaternion, name: str) -> None:
         raise ValueError(f"{name} must be unit, got modulus {u.norm():g}")
 
 
-def _cube_floats(rng) -> tuple:
-    """Uniform point of the cube [-1, 1]^4 as floats, drawn in w, x, y, z order
-    from ``rng``; each is exactly ``rng.uniform(-1, 1)``."""
-    draw = rng.random
-    return (-1.0 + 2.0 * draw(), -1.0 + 2.0 * draw(),
-            -1.0 + 2.0 * draw(), -1.0 + 2.0 * draw())
-
-
 def _cube_point(rng) -> Quaternion:
-    return _make(*_cube_floats(rng))
+    """Uniform point of the cube [-1, 1]^4, drawn in w, x, y, z order from
+    ``rng``; each component is exactly ``rng.uniform(-1, 1)``."""
+    draw = rng.random
+    return _make(-1.0 + 2.0 * draw(), -1.0 + 2.0 * draw(),
+                 -1.0 + 2.0 * draw(), -1.0 + 2.0 * draw())
 
 
 def _ball_floats(rng, radius: float, count: int) -> list:
     """``count`` uniform points of the ball of the given radius as float 4-tuples,
-    by rejection from the cube: the draws of ``count`` calls of ``sample_ball``."""
+    by rejection from the cube: the draws of ``count`` calls of ``sample_ball``,
+    each cube point drawn as ``_cube_point`` draws it."""
+    draw = rng.random
     out = []
     while len(out) < count:
-        v = _cube_floats(rng)
-        if _norm(*v) < radius:
-            out.append(v)
+        w, x, y, z = (-1.0 + 2.0 * draw(), -1.0 + 2.0 * draw(),
+                      -1.0 + 2.0 * draw(), -1.0 + 2.0 * draw())
+        if _norm(w, x, y, z) < radius:
+            out.append((w, x, y, z))
     return out
 
 

@@ -107,7 +107,7 @@ class RegularQuotient(_Frozen):
         q = as_quaternion(q)
         return _make(*self._evaluate_floats([(q.w, q.x, q.y, q.z)])[0])
 
-    def _evaluate_floats(self, points, sym_values=None) -> list:
+    def _evaluate_floats(self, points) -> list:
         """``evaluate`` at each of ``points``, float 4-tuples, as float 4-tuples.
 
         Both Horner passes, the pole test, the inverse and the product run on
@@ -116,27 +116,22 @@ class RegularQuotient(_Frozen):
         ``sym.evaluate(q).inverse() * conum.evaluate(q)`` and the first point
         where that raises raises the same error here.  A ``sym(q)`` whose
         squared modulus is at most ``EPS**2``, overflows or is not finite
-        takes that quaternion-level path itself.  ``sym_values``, when given,
-        are ``sym``'s values at ``points``.
+        takes that quaternion-level path itself.
         """
-        if sym_values is None:
-            sym_values = _horner_floats(self.sym.coeffs, points)
         scale = self._pole_scale
         out = []
-        for p, (sw, sx, sy, sz), c in zip(points, sym_values,
+        for p, (sw, sx, sy, sz), c in zip(points, _horner_floats(self.sym.coeffs, points),
                                           _horner_floats(self.conum.coeffs, points)):
             n2 = sw * sw + sx * sx + sy * sy + sz * sz
             if not _EPS_SQ < n2 < _INF:
                 s = _make(sw, sx, sy, sz)
                 if s.norm() < scale:
-                    raise PoleError(f"{_make(*p)} lies on the zero set of the denominator "
-                                    "symmetrization")
+                    raise _pole_at(p)
                 v = s.inverse() * _make(*c)
                 out.append((v.w, v.x, v.y, v.z))
                 continue
             if math.sqrt(n2) < scale:  # norm()'s rule for an n2 in range
-                raise PoleError(f"{_make(*p)} lies on the zero set of the denominator "
-                                "symmetrization")
+                raise _pole_at(p)
             w1, x1, y1, z1 = sw / n2, -sx / n2, -sy / n2, -sz / n2
             w2, x2, y2, z2 = c
             w, x, y, z = (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
@@ -299,12 +294,16 @@ def as_quotient(value) -> RegularQuotient:
 # -- evaluation over a point list ------------------------------------------------------
 
 
-def _values_at(f, points, sym_values=None) -> list:
+def _pole_at(p) -> PoleError:
+    return PoleError(f"{_make(*p)} lies on the zero set of the denominator symmetrization")
+
+
+def _values_at(f, points) -> list:
     """The values, as float 4-tuples, of a polynomial, a quotient or any map that
     ``evaluate_any`` takes, at ``points`` (float 4-tuples).  A polynomial's are
-    not checked finite here; ``sym_values`` are a quotient's ``sym`` values."""
+    not checked finite here."""
     if isinstance(f, RegularQuotient):
-        return f._evaluate_floats(points, sym_values)
+        return f._evaluate_floats(points)
     if isinstance(f, RegularPolynomial):
         return _horner_floats(f.coeffs, points)
     out = []
@@ -315,29 +314,45 @@ def _values_at(f, points, sym_values=None) -> list:
 
 
 def _moduli_at(maps, points) -> list:
-    """For each of ``maps``, ``[evaluate_any(f, q).norm() for q in points]`` bit for
-    bit, raising at the first failing point of the first map that fails.
+    """For each of ``maps``, its moduli at ``points`` (float 4-tuples), raising at
+    the first failing point of the first map that fails.
 
-    No quaternion is built: ``_make``'s finiteness check runs only on a value
-    whose modulus is not finite.  One ``sym`` pass serves every quotient whose
-    ``sym`` coefficients compare equal; coefficients that differ only in the
-    sign of a zero give values that differ only there, which no modulus sees.
+    A polynomial's or a plain map's are ``evaluate_any(f, q).norm()`` bit for
+    bit.  A quotient S^{-1} P gives |P(q)| / |S(q)|, as the modulus is
+    multiplicative: |P(q)| from the Hamilton pass and, S being real (the
+    imaginary parts ``from_expanded`` admits below its pole scale are dropped),
+    |S(q)| = |S(z)| for z = w + i|Im q|, one complex pass shared by every
+    quotient whose ``sym`` coefficients compare equal.  Poles raise as in
+    ``evaluate``; a modulus that is not finite goes through ``evaluate``.
     """
+    slices = None
     syms = {}
     out = []
     for f in maps:
-        sym_values = None
-        if isinstance(f, RegularQuotient):
-            sym_values = syms.get(f.sym.coeffs)
-            if sym_values is None:
-                sym_values = syms[f.sym.coeffs] = _horner_floats(f.sym.coeffs, points)
         moduli = []
-        for v in _values_at(f, points, sym_values):
-            n = _norm(*v)
-            if not n < _INF:
-                _make(*v)  # raises on a NaN or an infinity, as evaluate would
-            moduli.append(n)
         out.append(moduli)
+        if not isinstance(f, RegularQuotient):
+            for v in _values_at(f, points):
+                n = _norm(*v)
+                if not n < _INF:
+                    _make(*v)  # raises on a NaN or an infinity, as evaluate would
+                moduli.append(n)
+            continue
+        sym_moduli = syms.get(f.sym.coeffs)
+        if sym_moduli is None:
+            if slices is None:
+                slices = [complex(w, _norm(0.0, x, y, z)) for w, x, y, z in points]
+            sym_moduli = syms[f.sym.coeffs] = [
+                _norm(s.real, s.imag, 0.0, 0.0)
+                for s in _horner([c.w for c in f.sym.coeffs], slices)]
+        scale = f._pole_scale
+        for p, s, c in zip(points, sym_moduli, _horner_floats(f.conum.coeffs, points)):
+            if s < scale:
+                raise _pole_at(p)
+            n = _norm(*c) / s
+            if not n < _INF:
+                f.evaluate(_make(*p))  # raises on a NaN or an infinity there
+            moduli.append(n)
     return out
 
 
@@ -418,10 +433,10 @@ def durand_kerner(coeffs):
 
     def checked(roots):
         bound = _zero_bound(_fold_sum(abs(v) for v in monic))
-        for z in roots:
-            if not abs(_horner(monic, z)) <= bound:  # NaN roots fail here too
+        for z, residual in zip(roots, _horner(monic, roots)):
+            if not abs(residual) <= bound:  # NaN roots fail here too
                 raise NonConvergence(
-                    f"root iteration stalled with residual {abs(_horner(monic, z)):g} at {z}")
+                    f"root iteration stalled with residual {abs(residual):g} at {z}")
         return roots
 
     if n == 1:  # closed form; an overflowing normalization still fails the check
@@ -439,16 +454,15 @@ def durand_kerner(coeffs):
         shift = 0.0
         stalled = True
         new_roots = list(roots)
-        for k in range(n):
+        for k, residual in enumerate(_horner(monic, roots)):  # a Jacobi sweep on the old roots
             denom = 1 + 0j
             for l in range(n):
                 if l != k:
                     denom *= roots[k] - roots[l]
             if denom == 0:
                 denom = 1e-300
-            residual = _horner(monic, roots[k])
             if stalled:  # a NaN residual fails the comparison, so it never stalls
-                stalled = abs(residual) <= _UNIT_ROUNDOFF * _horner(moduli, abs(roots[k]))
+                stalled = abs(residual) <= _UNIT_ROUNDOFF * _horner(moduli, [abs(roots[k])])[0]
             step = residual / denom
             new_roots[k] = roots[k] - step
             shift = max(shift, abs(step))
@@ -460,12 +474,16 @@ def durand_kerner(coeffs):
     return checked(roots)
 
 
-def _horner(coeffs, t):
-    """sum_n coeffs[n] t^n by Horner's rule, for float or complex coefficients and t."""
-    acc = 0.0
-    for a in reversed(coeffs):
-        acc = acc * t + a
-    return acc
+def _horner(coeffs, points) -> list:
+    """sum_n coeffs[n] t^n by Horner's rule at each t of ``points``, for float or
+    complex coefficients and points."""
+    out = []
+    for t in points:
+        acc = 0.0
+        for a in reversed(coeffs):
+            acc = acc * t + a
+        out.append(acc)
+    return out
 
 
 def _cluster(roots):

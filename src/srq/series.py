@@ -123,7 +123,8 @@ class RegularPolynomial(_Frozen):
         product, in either order, is one per component; anything else runs the
         Hamilton convolution.  The terms the float kernels drop are exact
         zeros and every accumulator starts at +0.0, so each kernel is
-        bit-identical to the Hamilton one.
+        bit-identical to the Hamilton one.  A unit operand ``[1]`` leaves one
+        term, ``0.0 + 1.0 * c``, which is ``0.0 + c`` component by component.
         """
         if isinstance(other, (int, float, Quaternion)):
             c = as_quaternion(other)
@@ -132,6 +133,9 @@ class RegularPolynomial(_Frozen):
             if self.is_zero or other.is_zero:
                 return RegularPolynomial()
             a, b = self.coeffs, other.coeffs
+            if a == _UNIT or b == _UNIT:
+                return _from_made([_make(0.0 + c.w, 0.0 + c.x, 0.0 + c.y, 0.0 + c.z)
+                                   for c in (b if a == _UNIT else a)])
             ra, rb = _exact_real_parts(a), _exact_real_parts(b)
             if ra is not None and rb is not None:
                 return _from_made([_make(w, 0.0, 0.0, 0.0) for w in _convolve(ra, rb)])
@@ -268,6 +272,7 @@ def _from_made(coeffs: list) -> RegularPolynomial:
 
 _new = object.__new__
 _set_coeffs = RegularPolynomial.__dict__["coeffs"].__set__
+_UNIT = (ONE,)
 
 
 def _horner_floats(coeffs, points) -> list:

@@ -1,28 +1,32 @@
 """Point-list evaluation against the per-point paths it serves, bit for bit.
 
 ``verify`` takes each map's values over its whole sample set at once: one
-Horner pass per polynomial, one fused quotient pass (sharing ``sym`` between
-quotients whose ``sym`` coefficients compare equal), one ball sampler call and
-one pass of slice residuals.  Every modulus, residual, draw and error must be
-the one the per-point path gives; float.hex tells -0.0 from 0.0, which ==
-does not.
+Horner pass per polynomial, one ball sampler call and one pass of slice
+residuals, each giving the modulus, residual, draw or error of the per-point
+path.  A quotient S^{-1} P's moduli are |P(q)| / |S(z)| on the complex slice
+z = w + i|Im q| (one ``sym`` pass shared between quotients whose ``sym``
+coefficients compare equal); they are pinned bit for bit to a test-local
+copy of that formula, and their error to a bound checked against the exact
+oracle of ``exact.py``.  float.hex tells -0.0 from 0.0, which == does not.
 """
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import srq.rational as rational
+from exact import modulus_sq, quotient_modulus_sq, relative_error
 from srq.errors import PoleError
-from srq.geometry import _ball_floats, sample_ball
+from srq.geometry import _ball_floats, regular_moebius_map, sample_ball
 from srq.quaternion import I, ONE, Quaternion, _make, _norm
 from srq.rational import RegularQuotient, _moduli_at
 from srq.series import RegularPolynomial, SphericalExpansion, evaluate_any
-from srq.verify import (_slice_residuals, _Tracker, sample_unit_imaginary,
-                        slice_regularity_residual)
+from srq.verify import (_slice_residuals, _Tracker, make_zero_case_map, random_self_map,
+                        sample_unit, sample_unit_imaginary, slice_regularity_residual)
 
 Q = RegularPolynomial.identity()
 
@@ -52,6 +56,10 @@ def batched(maps, points):
     return outcome(lambda: _moduli_at(maps, floats_of(points)))
 
 
+def reference(quotients, points):
+    return outcome(lambda: [[quotient_modulus_at(f, q) for q in points] for f in quotients])
+
+
 # -- the per-point loops that the point-list kernels replace ------------------------------
 
 
@@ -72,6 +80,21 @@ def polynomial_per_point(f, q):
     if len(f.coeffs) < 2:
         return f.coeffs[0] if f.coeffs else Quaternion()
     return _make(*horner_per_point(f.coeffs, q.w, q.x, q.y, q.z))
+
+
+def quotient_modulus_at(f, q):
+    # |P(q)| / |S(z)|, z = w + i|Im q|: S has real coefficients, so |S(q)| = |S(z)|
+    z = complex(q.w, _norm(0.0, q.x, q.y, q.z))
+    s = 0.0
+    for c in reversed(f.sym.coeffs):
+        s = s * z + c.w
+    s = _norm(s.real, s.imag, 0.0, 0.0)
+    if s < f._pole_scale:
+        raise PoleError(f"{q} lies on the zero set of the denominator symmetrization")
+    n = _norm(*horner_per_point(f.conum.coeffs, q.w, q.x, q.y, q.z)) / s
+    if not n < math.inf:
+        f.evaluate(q)
+    return n
 
 
 def quotient_per_point(f, q):
@@ -133,12 +156,90 @@ def test_polynomial_moduli_match_per_point_evaluation(f, points):
 @given(st.sampled_from(["left", "right", "expanded"]), polys, polys, point_lists)
 @settings(max_examples=150)
 def test_quotient_moduli_match_per_point_evaluation(kind, den, num, points):
+    # per point, |P(q)| / |S(z)|: the reference formula, not evaluate(q).norm()
     if den.is_zero:
         den = RegularPolynomial([ONE])
     pair = RegularQuotient(den, num, "right" if kind == "right" else "left")
     f = RegularQuotient.from_expanded(pair.sym, pair.conum) if kind == "expanded" else pair
     points = points + [Quaternion(0.0, -0.0, 0.0, -0.0)]
-    assert batched([f], points) == per_point([f], points)
+    assert batched([f], points) == reference([f], points)
+
+
+# -- the error of the quotient moduli against the exact oracle --------------------------------
+
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def error_bound(f, p):
+    """(d + 2) u (kappa_P + kappa_S): d the larger degree, kappa_P =
+    sum |p_n| |q|^n / |P(q)| and kappa_S = sum (n + 1) |s_n| |q|^n / |S(q)|, the
+    n + 1 carrying the rounding of |Im q| through S'."""
+    r = math.hypot(*p)
+    exact_p = math.sqrt(modulus_sq([c.to_json() for c in f.conum.coeffs], p))
+    exact_s = math.sqrt(modulus_sq([c.to_json() for c in f.sym.coeffs], p))
+    kappa_p = math.fsum(c.norm() * r ** n for n, c in enumerate(f.conum.coeffs)) / exact_p
+    kappa_s = math.fsum((n + 1) * c.norm() * r ** n for n, c in enumerate(f.sym.coeffs)) / exact_s
+    return (max(f.sym.degree, f.conum.degree) + 2) * UNIT_ROUNDOFF * (kappa_p + kappa_s)
+
+
+def near_sphere(rng, x0, y0, delta):
+    # a point of the sphere x0 + y0 S, moved by delta in a random direction
+    q = Quaternion(x0) + sample_unit_imaginary(rng) * y0 + sample_unit(rng) * delta
+    return q.w, q.x, q.y, q.z
+
+
+def oracle_cases():
+    """Seeded quotients with their points: ball points and points 1e-2 to 1e-8 from
+    a pole sphere, for pair quotients with a pole in the ball, and for zero-case
+    ratios, whose sphere of q0 carries a removable singularity."""
+    rng = random.Random(2012)
+    cases = []
+    for k in range(12):
+        p = sample_ball(rng, 0.9)
+        den = RegularPolynomial([-p, ONE])
+        if k % 2:
+            den = den * random_self_map(rng, rng.randint(1, 2))
+        num = random_self_map(rng, rng.randint(0, 3))
+        cases.append((RegularQuotient(den, num, "right" if k % 3 == 0 else "left"), p))
+    for k in range(8):
+        q0 = sample_ball(rng, 0.8)
+        f = make_zero_case_map(rng, q0, rng.randint(1, 3))
+        cases.append((regular_moebius_map(q0).reciprocal() * f, q0))
+    out = []
+    for f, centre in cases:
+        sc = centre.slice_decompose()
+        points = _ball_floats(rng, 0.95, 12)
+        points += [near_sphere(rng, sc.x0, sc.y0, delta)
+                   for delta in (1e-2, 1e-4, 1e-6, 1e-8) for _ in range(3)]
+        out.append((f, points))
+    return out
+
+
+def test_quotient_moduli_stay_within_the_error_bound_of_the_exact_oracle():
+    checked = 0
+    for f, points in oracle_cases():
+        sym = [c.to_json() for c in f.sym.coeffs]
+        conum = [c.to_json() for c in f.conum.coeffs]
+        for p, modulus in zip(points, _moduli_at([f], points)[0]):
+            exact_sq = quotient_modulus_sq(sym, conum, p)
+            bound = error_bound(f, p)
+            assert relative_error(modulus, exact_sq) <= bound
+            # the quaternion route keeps the same bound
+            assert relative_error(f.evaluate(Quaternion(*p)).norm(), exact_sq) <= bound
+            checked += 1
+    assert checked == 20 * 24
+
+
+def test_the_exact_oracle_agrees_with_exactly_representable_cases():
+    # (q - i)^s = q^2 + 1 at q = 1 + j is 1 + 2j: |S|^2 = 5; conum q at it: |P|^2 = 2
+    assert quotient_modulus_sq([(1.0, 0, 0, 0), (0, 0, 0, 0), (1.0, 0, 0, 0)],
+                               [(0, 0, 0, 0), (1.0, 0, 0, 0)], (1.0, 0.0, 1.0, 0.0)) == \
+        Fraction(2, 5)
+    # i j = k, and the right coefficient multiplies from the right: q a at q = i, a = j
+    assert quotient_modulus_sq([(1.0, 0, 0, 0)], [(0, 0, 0, 0), (0, 0, 1.0, 0)],
+                               (0.0, 1.0, 0.0, 0.0)) == 1
+    assert relative_error(1.5, Fraction(9, 4)) == 0.0
+    assert relative_error(math.nextafter(1.0, 2.0), Fraction(1)) == 2.0 ** -52
 
 
 @given(st.lists(st.tuples(st.floats(-4.0, 4.0) | signed_zero, signed_zero, signed_zero,
@@ -158,25 +259,29 @@ def test_a_shared_sym_pass_gives_the_unshared_moduli(sym_parts, p1, p2, rng, poi
     points = points + [Quaternion(0.5, -0.0, 0.0, -0.0)]
     assert batched([a, b], points) == outcome(
         lambda: [_moduli_at([a], floats_of(points))[0], _moduli_at([b], floats_of(points))[0]])
-    assert batched([a, b], points) == per_point([a, b], points)
+    assert batched([a, b], points) == reference([a, b], points)
 
 
 def test_quotients_with_equal_sym_share_one_pass(monkeypatch):
     calls = []
 
-    def counting(coeffs, points):
-        calls.append(coeffs)
-        return horner(coeffs, points)
+    def counting(kernel):
+        def count(coeffs, points):
+            calls.append((kernel.__name__, list(coeffs)))
+            return kernel(coeffs, points)
+        return count
 
-    horner = rational._horner_floats
-    monkeypatch.setattr(rational, "_horner_floats", counting)
+    for name in ("_horner", "_horner_floats"):
+        monkeypatch.setattr(rational, name, counting(getattr(rational, name)))
     a = RegularQuotient(Q - I * 0.5, Q + 1.0)
     b = RegularQuotient(Q - I * 0.5, Q * Q)
     c = RegularQuotient(Q + 2.0, ONE)
     _moduli_at([a, b, c, a], floats_of([Quaternion(0.1, 0.2), Quaternion(-0.3)]))
-    # two sym passes (a and b share one) and four conum passes
-    assert [k for k in calls if k in (a.sym.coeffs, c.sym.coeffs)] == [a.sym.coeffs, c.sym.coeffs]
-    assert len(calls) == 6
+    # two scalar sym passes on the slice (a and b share one), four Hamilton conum passes
+    assert calls == [("_horner", [0.25, 0.0, 1.0]), ("_horner_floats", list(a.conum.coeffs)),
+                     ("_horner_floats", list(b.conum.coeffs)), ("_horner", [4.0, 4.0, 1.0]),
+                     ("_horner_floats", list(c.conum.coeffs)),
+                     ("_horner_floats", list(a.conum.coeffs))]
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 3), st.integers(-1, 3),
@@ -228,10 +333,22 @@ def test_a_non_finite_conumerator_raises_with_its_own_components():
     assert expected == single(lambda f, q: f.conum.evaluate(q), f, q)
     assert single(RegularQuotient.evaluate, f, q) == expected
     assert batched([f], [Quaternion(0.5), q]) == expected
-    # a finite conumerator whose product with 1/sym overflows reports the product
+    # a finite conumerator whose product with 1/sym overflows reports the product;
+    # the modulus 1e300 / 1e-11 overflows too, and raises the same error
     g = RegularQuotient.from_expanded(RegularPolynomial([1e-11]), RegularPolynomial([1e300]))
-    assert single(RegularQuotient.evaluate, g, ONE) == single(quotient_per_point, g, ONE)
-    assert batched([g], [ONE]) == single(quotient_per_point, g, ONE)
+    expected = single(quotient_per_point, g, ONE)
+    assert expected[0] is ValueError and expected[1].startswith("non-finite quaternion component")
+    assert single(RegularQuotient.evaluate, g, ONE) == expected
+    assert batched([g], [ONE]) == expected
+
+
+def test_a_finite_value_whose_modulus_overflows_keeps_an_infinite_modulus():
+    # every component is finite, so evaluate raises nowhere, but |P| = 3e308
+    # overflows; a polynomial gives norm() = inf there, and so does the quotient
+    big = Quaternion(1.5e308, 1.5e308, 1.5e308, 1.5e308)
+    f = RegularQuotient(ONE, RegularPolynomial([big]))
+    assert f.evaluate(ONE) == big
+    assert batched([f, RegularPolynomial([big])], [ONE]) == [[math.inf.hex()]] * 2
 
 
 def test_a_batch_raises_at_the_first_failing_point_of_the_first_failing_map():

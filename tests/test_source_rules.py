@@ -5,10 +5,11 @@
   Float sums go through ``quaternion._fold_sum``.
 - ``EPS`` is scaled only in ``quaternion.py``: every relative zero test goes
   through ``quaternion._zero_bound``, so the policy is written in one module.
-- One Horner loop and one ball sampler: the Hamilton Horner step appears once,
-  in ``series._horner_floats``, and one loop rejects cube draws outside a
-  ball, in ``geometry._ball_floats``.  Callers with one point pass a one-point
-  list, so a second hand-rolled copy has nothing to win.
+- One Horner loop of each kind and one ball sampler: the Hamilton Horner step
+  appears once, in ``series._horner_floats``; the scalar step
+  ``acc = acc * t + a`` once, in ``rational._horner``; and one loop rejects
+  cube draws outside a ball, in ``geometry._ball_floats``.  Callers with one
+  point pass a one-point list, so a second hand-rolled copy has nothing to win.
 """
 
 import ast
@@ -39,7 +40,8 @@ def eps_products(text: str) -> list:
 
 
 _HORNER_STEP = "qw * w - qx * x - qy * y - qz * z"
-_CUBE_DRAWS = {"_cube_floats", "_cube_point"}
+#: Calls that draw a cube point or one of its components.
+_CUBE_DRAWS = {"_cube_floats", "_cube_point", "random", "uniform"}
 _MODULI = {"_norm", "norm"}
 
 
@@ -60,17 +62,42 @@ def _called(node) -> str:
 
 
 def ball_rejection_loops(text: str) -> list:
-    """Lines of loops whose body draws a cube point and tests a modulus with ``<``."""
+    """Lines of loops whose body draws a cube point, or its components inline,
+    and tests a modulus with ``<``.  A local alias of a draw, such as
+    ``draw = rng.random``, counts as the draw."""
+    tree = ast.parse(text)
+    aliases = {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign)
+               and isinstance(n.value, ast.Attribute) and n.value.attr in _CUBE_DRAWS
+               for t in n.targets if isinstance(t, ast.Name)}
     out = []
-    for loop in ast.walk(ast.parse(text)):
+    for loop in ast.walk(tree):
         if isinstance(loop, (ast.While, ast.For)):
             body = [n for stmt in loop.body for n in ast.walk(stmt)]
-            draws = any(isinstance(n, ast.Call) and _called(n) in _CUBE_DRAWS for n in body)
+            draws = any(isinstance(n, ast.Call) and _called(n) in _CUBE_DRAWS | aliases
+                        for n in body)
             tests = any(isinstance(n, ast.Compare) and isinstance(n.ops[0], ast.Lt)
                         and isinstance(n.left, ast.Call) and _called(n.left) in _MODULI
                         for n in body)
             if draws and tests:
                 out.append(loop.lineno)
+    return out
+
+
+def scalar_horner_steps(text: str) -> list:
+    """Lines of assignments ``acc = acc * t + a``, whatever the names: one
+    variable times another plus a third, stored back into the first."""
+    out = []
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.BinOp) and isinstance(node.value.op, ast.Add)
+                and isinstance(node.value.left, ast.BinOp)
+                and isinstance(node.value.left.op, ast.Mult)
+                and isinstance(node.value.left.left, ast.Name)
+                and node.value.left.left.id == node.targets[0].id
+                and isinstance(node.value.left.right, ast.Name)
+                and isinstance(node.value.right, ast.Name)):
+            out.append(node.lineno)
     return out
 
 
@@ -94,6 +121,11 @@ def test_one_horner_step():
     assert {name: n for name, n in counts.items() if n} == {"series.py": 1}
 
 
+def test_one_scalar_horner_loop():
+    counts = {p.name: len(scalar_horner_steps(p.read_text())) for p in MODULES}
+    assert {name: n for name, n in counts.items() if n} == {"rational.py": 1}
+
+
 def test_one_ball_rejection_loop():
     counts = {p.name: len(ball_rejection_loops(p.read_text())) for p in MODULES}
     assert {name: n for name, n in counts.items() if n} == {"geometry.py": 1}
@@ -111,5 +143,16 @@ def test_the_rules_catch_what_they_forbid():
                                 "    if _norm(w, x, y, z) < radius:\n        break\n") == [1]
     assert ball_rejection_loops("for _ in range(9):\n    q = _cube_point(rng)\n"
                                 "    if q.norm() < 0.5:\n        break\n") == [1]
+    # inline draws, directly or through a local alias of rng.random
+    assert ball_rejection_loops("draw = rng.random\nwhile len(out) < n:\n"
+                                "    w, x = -1.0 + 2.0 * draw(), -1.0 + 2.0 * draw()\n"
+                                "    if _norm(w, x, 0.0, 0.0) < r:\n        out.append(w)\n") == [2]
+    assert ball_rejection_loops("for _ in range(9):\n    v = [rng.uniform(-1, 1) for _ in a]\n"
+                                "    if _norm(*v) < r:\n        break\n") == [1]
     # redrawing while a modulus is small is not a ball sampler
     assert ball_rejection_loops("while c.norm() < 1e-2:\n    c = _cube_point(rng)\n") == []
+    assert scalar_horner_steps("for a in reversed(c):\n    acc = acc * t + a\n") == [2]
+    assert scalar_horner_steps("s = s * z + b\nv = (v * z) + c\n") == [1, 2]
+    # a running sum, a product of other names, or a subscripted store is not the step
+    assert scalar_horner_steps("total = total + v\ny = acc * t + a\n"
+                               "out[n] = out[n] * t + a\nacc = acc * t + a * b\n") == []
