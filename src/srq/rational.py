@@ -15,6 +15,7 @@ pair-level conjugation and reciprocal.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 
@@ -405,8 +406,15 @@ class SphereZeroSet(_Frozen):
 def durand_kerner(coeffs):
     """All complex roots of sum_n coeffs[n] z^n by simultaneous iteration.
 
-    Each sweep moves every root by a Jacobi-style Weierstrass step.  The
-    iteration stops at the first of three events:
+    Exact-zero low-order coefficients are stripped first, each a root at 0.
+    Each sweep moves every root by a Jacobi-style Weierstrass step.  A real
+    polynomial of even degree, as every symmetrization is, is iterated one
+    root per conjugate pair (``_sweeps``), from the upper arc of the circle
+    about the centroid -c_{n-1}/n of radius |p(centroid)|^(1/n).  A pair that
+    crosses the real axis twice, as between two simple real roots, or whose
+    residual check fails, hands over to the full sweep, the only path for
+    complex coefficients and odd degree.  The iteration stops at the first
+    of three events:
 
     - the sweep is stalled: for the monic p = sum c_k z^k, every root's
       computed residual |p(z)| is no larger than the rounding error of
@@ -425,53 +433,97 @@ def durand_kerner(coeffs):
         raise ValueError(f"polynomial coefficients must be finite, got {coeffs!r}")
     while c and abs(c[-1]) == 0.0:
         c.pop()
-    n = len(c) - 1
+    zeros = 0
+    while zeros < len(c) and c[zeros] == 0.0:
+        zeros += 1
+    n = len(c) - 1 - zeros
     if n <= 0:
-        return []
+        return [0j] * zeros
     lead = c[-1]
-    monic = [v / lead for v in c]
+    monic = [v / lead for v in c[zeros:]]
+    bound = _zero_bound(_fold_sum(abs(v) for v in monic))
 
-    def checked(roots):
-        bound = _zero_bound(_fold_sum(abs(v) for v in monic))
-        for z, residual in zip(roots, _horner(monic, roots)):
-            if not abs(residual) <= bound:  # NaN roots fail here too
-                raise NonConvergence(
-                    f"root iteration stalled with residual {abs(residual):g} at {z}")
-        return roots
+    def unconverged(roots):
+        """(root, |residual|) for the first residual that does not count as zero, or None."""
+        return next(((z, abs(r)) for z, r in zip(roots, _horner(monic, roots))
+                     if not abs(r) <= bound), None)  # NaN roots fail here too
 
     if n == 1:  # closed form; an overflowing normalization still fails the check
-        return checked([-monic[0]])
-    radius = 1.0 + max(abs(v) for v in monic[:-1])
-    if n * math.log(radius) > _LOG_FLOAT_MAX:
-        # |z|^n overflows Horner on that circle; Fujiwara's bound is tighter
-        radius = 2.0 * max(abs(v) ** (1.0 / (n - k)) for k, v in enumerate(monic[:-1]))
-    seed = 0.4 + 0.9j
-    roots = [max(1.0, radius) * seed ** (k + 1) / abs(seed) ** (k + 1) * (0.95 ** k)
-             for k in range(n)]
+        roots = [-monic[0]]
+    else:
+        radius = 1.0 + max(abs(v) for v in monic[:-1])
+        if n * math.log(radius) > _LOG_FLOAT_MAX:
+            # |z|^n overflows Horner on that circle; Fujiwara's bound is tighter
+            radius = 2.0 * max(abs(v) ** (1.0 / (n - k)) for k, v in enumerate(monic[:-1]))
+        if n % 2 == 0 and not any(v.imag for v in monic):
+            m = n // 2
+            centre = -monic[-2] / n
+            scale = abs(_horner(monic, [centre])[0]) ** (1.0 / n)
+            if not 0.0 < scale < _INF:
+                scale = radius
+            # Aberth's angles (2 pi k + pi/2) / n on the upper arc
+            roots = _sweeps(monic, [centre + scale * cmath.exp(1j * math.pi * (k + 0.25) / m)
+                                    for k in range(m)], True)
+            if roots is not None and unconverged(roots) is None:
+                return roots + [z.conjugate() for z in roots] + [0j] * zeros
+        seed = 0.4 + 0.9j
+        roots = _sweeps(monic, [max(1.0, radius) * seed ** (k + 1) / abs(seed) ** (k + 1)
+                                * (0.95 ** k) for k in range(n)], False)
+    failure = unconverged(roots)
+    if failure is not None:
+        z, residual = failure
+        raise NonConvergence(f"root iteration stalled with residual {residual:g} at {z}")
+    return roots + [0j] * zeros
 
+
+def _sweeps(monic, roots, paired):
+    """Weierstrass sweeps on ``roots`` until the stop rule of ``durand_kerner``.
+
+    ``paired`` roots lie in the upper half-plane, each standing for itself and
+    its conjugate, so the Weierstrass denominator of z_k is
+    ``2i Im z_k * prod_{l != k} (z_k^2 - 2 Re z_l z_k + |z_l|^2)``.  A paired
+    root stepped onto or across the real axis is reflected back, since its
+    conjugate stands for the same pair; returns None once a sweep that is not
+    stalled has made one root cross twice.
+    """
     moduli = [abs(v) for v in monic]
+    crossed = set()
     for _ in range(500):
         shift = 0.0
         stalled = True
+        recrossed = False
         new_roots = list(roots)
+        others = ([(2.0 * w.real, w.real * w.real + w.imag * w.imag) for w in roots]
+                  if paired else roots)
         for k, residual in enumerate(_horner(monic, roots)):  # a Jacobi sweep on the old roots
-            denom = 1 + 0j
-            for l in range(n):
-                if l != k:
-                    denom *= roots[k] - roots[l]
+            z = roots[k]
+            if paired:
+                denom = complex(0.0, 2.0 * z.imag)
+                for t, s in others[:k] + others[k + 1:]:
+                    denom *= z * (z - t) + s
+            else:
+                denom = 1 + 0j
+                for w in others[:k] + others[k + 1:]:
+                    denom *= z - w
             if denom == 0:
                 denom = 1e-300
             if stalled:  # a NaN residual fails the comparison, so it never stalls
-                stalled = abs(residual) <= _UNIT_ROUNDOFF * _horner(moduli, [abs(roots[k])])[0]
+                stalled = abs(residual) <= _UNIT_ROUNDOFF * _horner(moduli, [abs(z)])[0]
             step = residual / denom
-            new_roots[k] = roots[k] - step
+            new_roots[k] = z - step
+            if paired and not new_roots[k].imag > 0.0:
+                new_roots[k] = new_roots[k].conjugate()
+                recrossed = recrossed or k in crossed
+                crossed.add(k)
             shift = max(shift, abs(step))
         if stalled:
             break
+        if recrossed:
+            return None
         roots = new_roots
         if shift < 1e-14 * (1.0 + max(abs(z) for z in roots)):
             break
-    return checked(roots)
+    return roots
 
 
 def _horner(coeffs, points) -> list:
