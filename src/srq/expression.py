@@ -1,6 +1,6 @@
 """Parser and printer for the small polynomial grammar used by the CLI.
 
-Grammar (whitespace insensitive):
+Grammar (blanks are allowed at both ends and between any two tokens):
 
     expr    := term (('+' | '-') term)*
     term    := factor ('*' factor)*
@@ -8,7 +8,11 @@ Grammar (whitespace insensitive):
     primary := NUMBER [ijk]? | 'i' | 'j' | 'k' | 'q' | '(' expr ')'
 
 Every value is a regular polynomial in q; '*' is the star product, which on
-constants is the ordinary quaternion product.
+constants is the ordinary quaternion product.  A power may take its exponent
+and its degree up to ``_MAX_DEGREE``.  Constants stay quaternions until they
+meet q and ``q^n`` is built directly, yet every coefficient has the bits of
+``RegularPolynomial`` arithmetic, signed zeros included: unary minus is the
+product with -1.0, and a zero constant is the zero polynomial.
 """
 
 from __future__ import annotations
@@ -17,117 +21,151 @@ import math
 import re
 
 from .errors import ParseError
-from .quaternion import _NUMBER, I, J, K, ONE, Quaternion
-from .series import RegularPolynomial
+from .quaternion import _NUMBER, I, J, K, ONE, ZERO, Quaternion, _make
+from .series import RegularPolynomial, _from_made
 
-_TOKEN = re.compile(
-    r"\s*(?:"
-    r"(?P<num>" + _NUMBER + r")(?P<unit>[ijk])?"
-    r"|(?P<name>[ijkq])"
-    r"|(?P<op>[-+*^()])"
-    r")")
-
-_UNITS = {"i": I, "j": J, "k": K}
+_TOKEN = re.compile(r"\s*(?:(" + _NUMBER + r")([ijk]?)|([-+*^()ijkq])|(\S))")
+_MAX_DEGREE = 1000  # the slowest power it allows, (q+i)^1000, is 10^6 coefficient products
+_Q = RegularPolynomial.identity()
+_NAMES = {"i": I, "j": J, "k": K, "q": _Q}
+_MINUS_ONE = Quaternion(-1.0)
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """The tokens of ``text``, closed by None: a ``Quaternion`` per constant,
+    ``_Q`` for q and every operator as its character."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r} at offset {pos}")
-        if m.group("num") is not None:
-            value = float(m.group("num"))
-            if math.isinf(value):
-                raise ParseError(f"number {m.group('num')!r} at offset {m.start('num')} overflows")
-            unit = m.group("unit")
-            quat = _UNITS[unit] * value if unit else Quaternion(value)
-            tokens.append(("const", quat))
-        elif m.group("name") is not None:
-            name = m.group("name")
-            if name == "q":
-                tokens.append(("q", None))
-            else:
-                tokens.append(("const", _UNITS[name]))
+    for num, unit, op, _ in _TOKEN.findall(text):
+        if op:
+            tokens.append(_NAMES.get(op, op))
+        elif num and not math.isinf(value := float(num)):
+            tokens.append(_NAMES[unit] * value if unit else Quaternion(value))
         else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    tokens.append(("end", None))
+            _token_error(text)
+    tokens.append(None)
     return tokens
 
 
+def _token_error(text: str):
+    """Raise the first error in ``text``: a stray character or a number that overflows."""
+    for m in _TOKEN.finditer(text):
+        num, _, _, bad = m.groups()
+        if bad:
+            raise ParseError(f"unexpected character {bad!r} at offset {m.start(4)}")
+        if num and math.isinf(float(num)):
+            raise ParseError(f"number {num!r} at offset {m.start(1)} overflows")
+
+
+def _reduced(p: RegularPolynomial):
+    """``p`` as a value: a constant when its degree is below 1."""
+    coeffs = p.coeffs
+    return p if len(coeffs) > 1 else coeffs[0] if coeffs else ZERO
+
+
+def _times(a: Quaternion, b: Quaternion) -> Quaternion:
+    """The star product of constants: a * b with each component summed onto
+    +0.0, as the convolution sums it."""
+    p = a * b
+    return _make(0.0 + p.w, 0.0 + p.x, 0.0 + p.y, 0.0 + p.z)
+
+
+def _product(a, b):
+    """a * b; a polynomial times a constant maps its coefficients, so ``q^n * c``
+    is a shifted coefficient list."""
+    if type(a) is Quaternion:
+        if type(b) is Quaternion:
+            return _times(a, b)
+        return _reduced(_from_made([c if c is ZERO else _times(a, c) for c in b.coeffs]))
+    if type(b) is Quaternion:
+        return _reduced(_from_made([c if c is ZERO else _times(c, b) for c in a.coeffs]))
+    return _reduced(a * b)
+
+
+def _power(base, n: int):
+    """base^n by the loop out = out * base from out = 1, with q^n built directly."""
+    if base is _Q and n:
+        return _from_made([ZERO] * n + [ONE])
+    value = ONE
+    for _ in range(n):
+        value = _product(value, base)
+    return value
+
+
+def _negated(value):
+    """value * -1.0, the product with the quaternion -1 (not ``Quaternion.__neg__``)."""
+    if type(value) is Quaternion:
+        return ZERO if value == ZERO else value * _MINUS_ONE
+    return _from_made([c * _MINUS_ONE for c in value.coeffs])
+
+
 class _Parser:
+    """Recursive descent over the tokens.  Each rule takes the index of its
+    first token and returns its value and the index after it; a value is a
+    ``Quaternion`` or a ``RegularPolynomial`` of degree at least 1."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
-        self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def expr(self, i: int):
+        value, i = self.term(i)
+        op = self.tokens[i]
+        while op == "+" or op == "-":
+            rhs, i = self.term(i + 1)
+            if type(value) is Quaternion and type(rhs) is Quaternion:
+                value = value + rhs if op == "+" else value - rhs
+                if value == ZERO:  # a sum that cancels is the zero polynomial
+                    value = ZERO
+            else:
+                value = _reduced(value + rhs if op == "+" else value - rhs)
+            op = self.tokens[i]
+        return value, i
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def term(self, i: int):
+        value, i = self.factor(i)
+        while self.tokens[i] == "*":
+            rhs, i = self.factor(i + 1)
+            value = _product(value, rhs)
+        return value, i
 
-    def expect_op(self, symbol: str):
-        kind, value = self.advance()
-        if kind != "op" or value != symbol:
-            raise ParseError(f"expected {symbol!r} in {self.text!r}")
-
-    def parse(self) -> RegularPolynomial:
-        value = self.expr()
-        if self.peek()[0] != "end":
-            raise ParseError(f"trailing input in {self.text!r}")
-        return value
-
-    def expr(self) -> RegularPolynomial:
-        value = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.advance()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self) -> RegularPolynomial:
-        value = self.factor()
-        while self.peek() == ("op", "*"):
-            self.advance()
-            value = value * self.factor()
-        return value
-
-    def factor(self) -> RegularPolynomial:
-        sign = 1.0
-        while self.peek() in (("op", "+"), ("op", "-")):
-            if self.advance()[1] == "-":
-                sign = -sign
-        value = self.primary()
-        if self.peek() == ("op", "^"):
-            self.advance()
-            kind, const = self.advance()
-            if kind != "const" or not const.is_real() or const.w < 0 or const.w != int(const.w):
+    def factor(self, i: int):
+        tokens = self.tokens
+        tok = tokens[i]
+        negative = False
+        while type(tok) is str and tok in "+-":
+            negative ^= tok == "-"
+            i += 1
+            tok = tokens[i]
+        if type(tok) is Quaternion or tok is _Q:
+            value = tok
+            i += 1
+        elif tok == "(":
+            value, i = self.expr(i + 1)
+            if tokens[i] != ")":
+                raise ParseError(f"expected ')' in {self.text!r}")
+            i += 1
+        else:
+            raise ParseError(f"unexpected token in {self.text!r}")
+        if tokens[i] == "^":
+            n = tokens[i + 1]
+            if type(n) is not Quaternion or not n.is_real() or n.w < 0 or n.w != int(n.w):
                 raise ParseError(f"exponent must be a nonnegative integer in {self.text!r}")
-            value = value ** int(const.w)
-        return value * sign if sign < 0 else value
-
-    def primary(self) -> RegularPolynomial:
-        kind, value = self.advance()
-        if kind == "const":
-            return RegularPolynomial([value])
-        if kind == "q":
-            return RegularPolynomial.identity()
-        if kind == "op" and value == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError(f"unexpected token in {self.text!r}")
+            degree = 1 if type(value) is Quaternion else value.degree
+            if n.w * degree > _MAX_DEGREE:
+                raise ParseError(f"power in {self.text!r} exceeds degree {_MAX_DEGREE}")
+            value = _power(value, int(n.w))
+            i += 2
+        return (_negated(value) if negative else value), i
 
 
 def parse_polynomial(text: str) -> RegularPolynomial:
     if not text or not text.strip():
         raise ParseError("empty expression")
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    value, i = parser.expr(0)
+    if parser.tokens[i] is not None:
+        raise ParseError(f"trailing input in {text!r}")
+    return value if type(value) is RegularPolynomial else _from_made([value])
 
 
 _SIMPLE_COEFF = re.compile(r"^(?:\d+(?:\.\d+)?(?:e-?\d+)?)?[ijk]?$")

@@ -171,6 +171,22 @@ def test_bad_expression_exits_2(capsys):
     assert "error" in err
 
 
+def test_eval_accepts_a_trailing_blank(capsys):
+    code, out, _ = run_cli(capsys, "eval", "--f", "q^2 + 1 ", "--at", "0.5")
+    assert code == 0
+    assert out.strip() == "1.25"
+
+
+def test_huge_power_exits_2_at_once():
+    # in a child process, so a parser that tries to build q^(10^300) fails by timeout
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "srq.cli", "eval", "--f", "q^1e300", "--at", "0.5"],
+                          env=env, capture_output=True, text=True, timeout=20)
+    assert done.returncode == 2
+    assert "exceeds" in done.stderr
+
+
 def test_bad_quaternion_exits_2(capsys):
     code, _, _ = run_cli(capsys, "distance", "zebra", "0")
     assert code == 2

@@ -1,9 +1,11 @@
 """The polynomial grammar of the CLI: parsing, printing and their round trip."""
 
+import json
 import re
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srq.errors import ParseError
@@ -58,10 +60,31 @@ def test_parse_products_parentheses_and_signs(text, value):
     ("q + *", "unexpected token"),
     ("q +", "unexpected token"),
     ("1e400*q", "overflows"),
+    ("q + @", "unexpected character '@' at offset 4"),
+    ("  1e400", "number '1e400' at offset 2 overflows"),
+    ("q^1001", "exceeds"),
+    ("i^1001", "exceeds"),
+    ("(q^10 + 1)^101", "exceeds"),
+    ("q^1e300", "exceeds"),
+    ("(q+1)^100000", "exceeds"),
+    ("2^1e300", "exceeds"),
+    ("0^1e300", "exceeds"),
 ])
 def test_parse_errors(text, message):
     with pytest.raises(ParseError, match=re.escape(message)):
         parse_polynomial(text)
+
+
+@pytest.mark.parametrize("text", ["q ", "q\n", "\tq^2 + 1 ", " ( q - i ) * ( q - j ) \r\n",
+                                  "q ^ 2", "- - q", "2 * i"])
+def test_whitespace_is_allowed_at_both_ends_and_between_tokens(text):
+    assert parse_polynomial(text) == parse_polynomial("".join(text.split()))
+
+
+def test_the_largest_powers_are_accepted():
+    assert parse_polynomial("q^1000").degree == 1000
+    assert parse_polynomial("(q^10 + 1)^100").degree == 1000
+    assert parse_polynomial("i^1000") == RegularPolynomial([ONE])
 
 
 def test_format_examples():
@@ -72,3 +95,83 @@ def test_format_examples():
     assert format_polynomial(RegularPolynomial([ZERO, ONE])) == "q"
     assert format_polynomial(RegularPolynomial([ZERO, Quaternion(-2), K])) == "q^2*k + q*(-2)"
     assert format_polynomial(RegularPolynomial([ZERO, J * 0.5])) == "q*0.5j"
+
+
+def _bits(p):
+    return [[repr(v) for v in c.to_json()] for c in p.coeffs]
+
+
+PARSE_CASES = json.loads((Path(__file__).parent / "data" / "parse_cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", PARSE_CASES,
+                         ids=[f"{c['group']}-{n}" for n, c in enumerate(PARSE_CASES)])
+def test_recorded_texts_parse_bit_for_bit(case):
+    # texts in the benchmark generator's shapes, the CLI tests' texts, sign edge cases
+    # and seeded random trees, with the coefficients (as repr, so the signs of zeros
+    # count) that the token-by-token RegularPolynomial parser returned
+    assert _bits(parse_polynomial(case["text"])) == case["coeffs"]
+
+
+# An expression tree is (text, level, value): the text in the grammar, with
+# optional blanks between tokens, the level of its outermost operation (0 sum,
+# 1 product, 2 signed factor or power, 3 primary) and the value built directly
+# with RegularPolynomial arithmetic, unary minus as the product with -1.0.  The
+# value is None where that arithmetic overflows.
+blank = st.sampled_from(["", "", " "])
+literal = st.one_of(
+    st.sampled_from(["0", "1", "2", "0.5", "1e-3", "i", "j", "k", "0i", "2i", "0.5j", "1.5k",
+                     "1e300", "5e-324"]),
+    st.builds(lambda v, unit: repr(v) + unit,
+              st.floats(min_value=0.0, max_value=1e6), st.sampled_from(["", "i", "j", "k"])))
+leaf = st.one_of(
+    st.just(("q", 3, Q)),
+    literal.map(lambda s: (s, 3, RegularPolynomial([Quaternion.parse(s)]))))
+
+
+def _text(node, level):
+    text, own, _ = node
+    return text if own >= level else "(" + text + ")"
+
+
+def _apply(op, *values):
+    if None in values:
+        return None
+    try:
+        return op(*values)
+    except ValueError:  # a non-finite coefficient
+        return None
+
+
+def _extend(children):
+    def binary(a, b, op, sp):
+        if op == "*":
+            return (_text(a, 1) + sp + "*" + sp + _text(b, 2), 1,
+                    _apply(lambda f, g: f * g, a[2], b[2]))
+        value = _apply((lambda f, g: f + g) if op == "+" else (lambda f, g: f - g), a[2], b[2])
+        return (_text(a, 0) + sp + op + sp + _text(b, 1), 0, value)
+
+    def signed(a, signs, sp):
+        # a signed operand is parenthesized: adjacent signs would fold into one factor
+        inner = _text(a, 3) if a[1] == 2 and a[0][0] in "+-" else _text(a, 2)
+        value = _apply(lambda f: f * -1.0, a[2]) if signs.count("-") % 2 else a[2]
+        return (sp.join(signs) + sp + inner, 2, value)
+
+    def power(a, n, sp):
+        return (_text(a, 3) + sp + "^" + sp + n, 2, _apply(lambda f: f ** int(float(n)), a[2]))
+
+    return st.one_of(
+        st.builds(binary, children, children, st.sampled_from(["+", "-", "*"]), blank),
+        st.builds(signed, children, st.sampled_from(["-", "+", "--", "-+-", "+-"]), blank),
+        st.builds(power, children, st.sampled_from(["0", "1", "2", "3", "2.0", "1e0"]), blank))
+
+
+@settings(max_examples=300)
+@given(st.recursive(leaf, _extend, max_leaves=10), blank)
+def test_parse_matches_direct_arithmetic_bit_for_bit(tree, sp):
+    text, _, value = tree
+    if value is None:
+        with pytest.raises(ValueError):
+            parse_polynomial(sp + text)
+    else:
+        assert json.dumps(parse_polynomial(sp + text).to_json()) == json.dumps(value.to_json())
