@@ -9,10 +9,12 @@ Grammar (blanks are allowed at both ends and between any two tokens):
 
 Every value is a regular polynomial in q; '*' is the star product, which on
 constants is the ordinary quaternion product.  A power may take its exponent
-and its degree up to ``_MAX_DEGREE``.  Constants stay quaternions until they
-meet q and ``q^n`` is built directly, yet every coefficient has the bits of
-``RegularPolynomial`` arithmetic, signed zeros included: unary minus is the
-product with -1.0, and a zero constant is the zero polynomial.
+and its degree, and a product its degree, up to ``_MAX_DEGREE``; parentheses
+nested deeper than the recursion limit allows are a ``ParseError`` too.
+Constants stay quaternions until they meet q and ``q^n`` is built directly,
+yet every coefficient has the bits of ``RegularPolynomial`` arithmetic,
+signed zeros included: unary minus is the product with -1.0, and a zero
+constant is the zero polynomial.
 """
 
 from __future__ import annotations
@@ -69,25 +71,28 @@ def _times(a: Quaternion, b: Quaternion) -> Quaternion:
     return _make(0.0 + p.w, 0.0 + p.x, 0.0 + p.y, 0.0 + p.z)
 
 
-def _product(a, b):
+def _product(a, b, text: str):
     """a * b; a polynomial times a constant maps its coefficients, so ``q^n * c``
-    is a shifted coefficient list."""
+    is a shifted coefficient list, and a product of two polynomials is refused
+    before it is built if its degree would exceed ``_MAX_DEGREE``."""
     if type(a) is Quaternion:
         if type(b) is Quaternion:
             return _times(a, b)
         return _reduced(_from_made([c if c is ZERO else _times(a, c) for c in b.coeffs]))
     if type(b) is Quaternion:
         return _reduced(_from_made([c if c is ZERO else _times(c, b) for c in a.coeffs]))
+    if a.degree + b.degree > _MAX_DEGREE:
+        raise ParseError(f"product in {text!r} exceeds degree {_MAX_DEGREE}")
     return _reduced(a * b)
 
 
-def _power(base, n: int):
+def _power(base, n: int, text: str):
     """base^n by the loop out = out * base from out = 1, with q^n built directly."""
     if base is _Q and n:
         return _from_made([ZERO] * n + [ONE])
     value = ONE
     for _ in range(n):
-        value = _product(value, base)
+        value = _product(value, base, text)
     return value
 
 
@@ -125,7 +130,7 @@ class _Parser:
         value, i = self.factor(i)
         while self.tokens[i] == "*":
             rhs, i = self.factor(i + 1)
-            value = _product(value, rhs)
+            value = _product(value, rhs, self.text)
         return value, i
 
     def factor(self, i: int):
@@ -153,7 +158,7 @@ class _Parser:
             degree = 1 if type(value) is Quaternion else value.degree
             if n.w * degree > _MAX_DEGREE:
                 raise ParseError(f"power in {self.text!r} exceeds degree {_MAX_DEGREE}")
-            value = _power(value, int(n.w))
+            value = _power(value, int(n.w), self.text)
             i += 2
         return (_negated(value) if negative else value), i
 
@@ -162,7 +167,10 @@ def parse_polynomial(text: str) -> RegularPolynomial:
     if not text or not text.strip():
         raise ParseError("empty expression")
     parser = _Parser(text)
-    value, i = parser.expr(0)
+    try:
+        value, i = parser.expr(0)
+    except RecursionError:  # each '(' is three frames deeper
+        raise ParseError("parentheses nest too deeply") from None
     if parser.tokens[i] is not None:
         raise ParseError(f"trailing input in {text!r}")
     return value if type(value) is RegularPolynomial else _from_made([value])

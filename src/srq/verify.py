@@ -99,45 +99,27 @@ class VerificationReport(_Frozen):
                 "witness": self.witness, "properties": self.properties}
 
 
-class _Tracker:
-    """Running minimum margin with its witness, plus a violation count."""
-
-    def __init__(self, name: str, tol: float):
-        if not 0.0 <= tol < 1.0:  # NaN or inf passes every margin; 1 or more is no slack
-            raise ValueError(f"tol must lie in [0, 1), got {tol!r}")
-        self.name = name
-        self.tol = tol
-        self.worst = None
-        self.worst_abs = 0.0
-        self.violations = 0
-        self.witness = {}
-        self.count = 0
-
-    def update(self, rhs, lhs, witness):
-        """Fold in the margins ``rhs[i] - lhs[i]`` in order (one margin is the
-        one-element case).  ``witness(i)`` gives the fields of the i-th
-        margin's witness; it is called only when that margin becomes the worst."""
-        tol = self.tol
-        worst, worst_abs, violations = self.worst, self.worst_abs, self.violations
-        for i, (r, l) in enumerate(zip(rhs, lhs)):
-            margin = r - l
-            size = abs(margin)
-            if size > worst_abs:  # max(worst_abs, size), NaN included
-                worst_abs = size
-            if worst is None or margin < worst:
-                worst = margin
-                self.witness = dict(witness(i), property=self.name, margin=margin)
-            if margin < -tol * (1.0 + abs(r)):
-                violations += 1
-        self.count += len(rhs)
-        self.worst, self.worst_abs, self.violations = worst, worst_abs, violations
-
-    def summary(self) -> dict:
-        return {"worst_margin": self.worst,
-                "max_abs_margin": self.worst_abs,
-                "violations": self.violations,
-                "checked": self.count,
-                "witness": self.witness}
+def _margins(name: str, tol: float, rhs, lhs, witness) -> dict:
+    """The summary of the margins ``rhs[i] - lhs[i]``, folded in order: the
+    smallest margin with its witness (the earliest on a tie), the largest
+    |margin| and the violations.  ``witness(i)`` gives the fields of the i-th
+    margin's witness; it is called only when that margin becomes the worst."""
+    worst, worst_abs, violations, found = None, 0.0, 0, {}
+    for i, (r, l) in enumerate(zip(rhs, lhs)):
+        margin = r - l
+        size = abs(margin)
+        if size > worst_abs:  # max(worst_abs, size), NaN included
+            worst_abs = size
+        if worst is None or margin < worst:
+            worst = margin
+            found = dict(witness(i), property=name, margin=margin)
+        if margin < -tol * (1.0 + abs(r)):
+            violations += 1
+    return {"worst_margin": worst,
+            "max_abs_margin": worst_abs,
+            "violations": violations,
+            "checked": len(rhs),
+            "witness": found}
 
 
 def _fold(summaries) -> dict:
@@ -169,17 +151,15 @@ def _report(suite: str, seed: int, total_samples: int, properties: dict,
                               0.0 if worst is None else worst, folded["witness"], properties)
 
 
-def _merge(suite: str, seed: int, total_samples: int, trackers) -> VerificationReport:
-    return _report(suite, seed, total_samples, {t.name: t.summary() for t in trackers})
-
-
 # -- single-input checks -------------------------------------------------------------
 
 
-def _require_samples(sample_count: int) -> None:
+def _require(sample_count: int, tol: float) -> None:
     # a sampled property that checked no point would pass vacuously
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
+    if not 0.0 <= tol < 1.0:  # NaN or inf passes every margin; 1 or more is no slack
+        raise ValueError(f"tol must lie in [0, 1), got {tol!r}")
 
 
 def check_schwarz_pick(f, q0, sample_count: int = 100, *, rng=None,
@@ -197,7 +177,7 @@ def check_schwarz_pick(f, q0, sample_count: int = 100, *, rng=None,
     For a regular self-map in normal form the remainder and derivative bounds
     hold with equality, which callers can read off ``max_abs_margin``.
     """
-    _require_samples(sample_count)
+    _require(sample_count, tol)
     rng = rng or stream(seed, "schwarz-points")
     q0 = as_quaternion(q0)
     fq = as_quotient(f)
@@ -210,20 +190,18 @@ def check_schwarz_pick(f, q0, sample_count: int = 100, *, rng=None,
     rhs13 = regular_moebius_map(q0)
     lhs14 = fq.remainder(q0) * schur_inv
     rhs14 = RegularQuotient(_moebius_den(q0), RegularPolynomial([ONE]), "left")
-    t13 = _Tracker("difference_bound", tol)
-    t14 = _Tracker("remainder_bound", tol)
-    t15 = _Tracker("derivative_bound", tol)
     points = _ball_floats(rng, 0.95, sample_count)
     r13, l13, r14, l14 = _moduli_at((rhs13, lhs13, rhs14, lhs14), points)
 
     def witness(i):
         return {"q": list(points[i]), "q0": q0.to_json()}
 
-    t13.update(r13, l13, witness)
-    t14.update(r14, l14, witness)
     d15 = (fq.cullen_derivative() * schur_inv).evaluate(q0).norm()
-    t15.update((1.0 / (1.0 - q0.norm_sq()),), (d15,), lambda _: {"q0": q0.to_json()})
-    return _merge("schwarz-pick", seed, sample_count, (t13, t14, t15))
+    return _report("schwarz-pick", seed, sample_count, {
+        "difference_bound": _margins("difference_bound", tol, r13, l13, witness),
+        "remainder_bound": _margins("remainder_bound", tol, r14, l14, witness),
+        "derivative_bound": _margins("derivative_bound", tol, (1.0 / (1.0 - q0.norm_sq()),),
+                                     (d15,), lambda _: {"q0": q0.to_json()})})
 
 
 def make_zero_case_map(seed, q0, degree: int = 2) -> RegularQuotient:
@@ -245,12 +223,13 @@ def check_zero_case(f, q0, sample_count: int = 100, *, rng=None,
     |M^{-*} * f| <= 1 on samples, |d_c f(q0)| <= 1/(1-|q0|^2), and for
     non-real q0 also |d_s f(q0)| <= 1/|1 - conj(q0)^2|.
     """
-    _require_samples(sample_count)
+    _require(sample_count, tol)
     rng = rng or stream(seed, "zero-case-points")
     q0 = as_quaternion(q0)
     fq = as_quotient(f)
-    if fq.evaluate(q0).norm() > 1e-8:
-        raise ValueError(f"f(q0) = {fq.evaluate(q0)} is not zero; precondition violated")
+    value = fq.evaluate(q0)
+    if value.norm() > 1e-8:
+        raise ValueError(f"f(q0) = {value} is not zero; precondition violated")
     ratio = regular_moebius_map(q0).reciprocal() * fq
     # the ratio carries a removable singularity on the sphere of q0; a batch
     # that hits it (a measure-zero event) is redrawn, not reported as a pole
@@ -263,20 +242,18 @@ def check_zero_case(f, q0, sample_count: int = 100, *, rng=None,
             continue
     else:
         raise PoleError("could not sample away from the sphere of q0")
-    t1 = _Tracker("factor_bound", tol)
-    t1.update([1.0] * sample_count, moduli,
-              lambda i: {"q": list(points[i]), "q0": q0.to_json()})
-    t2 = _Tracker("slice_derivative_bound", tol)
-    t2.update((1.0 / (1.0 - q0.norm_sq()),), (fq.cullen_derivative().evaluate(q0).norm(),),
-              lambda _: {"q0": q0.to_json()})
-    trackers = [t1, t2]
+    properties = {
+        "factor_bound": _margins("factor_bound", tol, [1.0] * sample_count, moduli,
+                                 lambda i: {"q": list(points[i]), "q0": q0.to_json()}),
+        "slice_derivative_bound": _margins(
+            "slice_derivative_bound", tol, (1.0 / (1.0 - q0.norm_sq()),),
+            (fq.cullen_derivative().evaluate(q0).norm(),), lambda _: {"q0": q0.to_json()})}
     if q0.imag_norm() > 1e-9:
         qc = q0.conjugate()
-        t3 = _Tracker("spherical_derivative_bound", tol)
-        t3.update((1.0 / (ONE - qc * qc).norm(),), (spherical_derivative_at(fq, q0).norm(),),
-                  lambda _: {"q0": q0.to_json()})
-        trackers.append(t3)
-    return _merge("zero-case", seed, sample_count, trackers)
+        properties["spherical_derivative_bound"] = _margins(
+            "spherical_derivative_bound", tol, (1.0 / (ONE - qc * qc).norm(),),
+            (spherical_derivative_at(fq, q0).norm(),), lambda _: {"q0": q0.to_json()})
+    return _report("zero-case", seed, sample_count, properties)
 
 
 def check_modulus_product(h, f, g, sample_count: int = 100, *, rng=None,
@@ -286,7 +263,7 @@ def check_modulus_product(h, f, g, sample_count: int = 100, *, rng=None,
     The hypothesis is verified on the sample set first; a hypothesis failure
     is an input error, not a reported violation.
     """
-    _require_samples(sample_count)
+    _require(sample_count, tol)
     rng = rng or stream(seed, "modulus-points")
     points = _ball_floats(rng, 0.95, sample_count)
     for p, fn, gn in zip(points, *_moduli_at((f, g), points)):
@@ -294,10 +271,10 @@ def check_modulus_product(h, f, g, sample_count: int = 100, *, rng=None,
             raise ValueError(f"|f| > |g| at {_make(*p)}; hypothesis violated on the sample set")
     hf = h * f
     hg = h * g
-    t = _Tracker("modulus_product", tol)
     rhs, lhs = _moduli_at((hg, hf), points)
-    t.update(rhs, lhs, lambda i: {"q": list(points[i])})
-    return _merge("modulus-product", seed, sample_count, (t,))
+    return _report("modulus-product", seed, sample_count, {
+        "modulus_product": _margins("modulus_product", tol, rhs, lhs,
+                                    lambda i: {"q": list(points[i])})})
 
 
 def check_reg_preservation(f, A: QuaternionMatrix2, sample_count: int = 100, *,
@@ -307,18 +284,17 @@ def check_reg_preservation(f, A: QuaternionMatrix2, sample_count: int = 100, *,
 
     Also checks that the regular conjugate of f stays a self-map.
     """
-    _require_samples(sample_count)
+    _require(sample_count, tol)
     if not A.is_sp11():
         raise ValueError("matrix does not preserve the ball; precondition violated")
     rng = rng or stream(seed, "preservation-points")
     maps = (right_action(f, A), left_action(A, f), f.conjugate())
-    trackers = (_Tracker("right_action_in_ball", tol), _Tracker("left_action_in_ball", tol),
-                _Tracker("conjugate_in_ball", tol))
+    names = ("right_action_in_ball", "left_action_in_ball", "conjugate_in_ball")
     points = _ball_floats(rng, 0.99, sample_count)
     ones = [1.0] * sample_count
-    for t, moduli in zip(trackers, _moduli_at(maps, points)):
-        t.update(ones, moduli, lambda i: {"q": list(points[i])})
-    return _merge("reg-preservation", seed, sample_count, trackers)
+    return _report("reg-preservation", seed, sample_count, {
+        name: _margins(name, tol, ones, moduli, lambda i: {"q": list(points[i])})
+        for name, moduli in zip(names, _moduli_at(maps, points))})
 
 
 def slice_regularity_residual(f, x: float, y: float, I: Quaternion) -> float:
@@ -366,17 +342,17 @@ def check_slice_regularity(f, sample_count: int = 100, *, rng=None,
     when its residual exceeds ``_SLICE_TOL``, and a genuinely non-regular map
     (such as pointwise conjugation) fails with residual around one.
     """
-    _require_samples(sample_count)
+    _require(sample_count, 0.0)
     rng = rng or stream(seed, "slice-points")
     samples = []
     for _ in range(sample_count):
         x = rng.uniform(-0.7, 0.7)
         y = rng.uniform(0.05, 0.6)
         samples.append((x, y, sample_unit_imaginary(rng)))
-    t = _Tracker("slice_regularity", 0.0)
-    t.update([_SLICE_TOL] * sample_count, _slice_residuals(f, samples),
-             lambda i: {"x": samples[i][0], "y": samples[i][1], "axis": samples[i][2].to_json()})
-    return _merge("slice-regularity", seed, sample_count, (t,))
+    return _report("slice-regularity", seed, sample_count, {
+        "slice_regularity": _margins(
+            "slice_regularity", 0.0, [_SLICE_TOL] * sample_count, _slice_residuals(f, samples),
+            lambda i: {"x": samples[i][0], "y": samples[i][1], "axis": samples[i][2].to_json()})})
 
 
 # -- suite drivers -----------------------------------------------------------------------

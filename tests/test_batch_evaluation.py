@@ -25,8 +25,9 @@ from srq.geometry import _ball_floats, regular_moebius_map, sample_ball
 from srq.quaternion import I, ONE, Quaternion, _make, _norm
 from srq.rational import RegularQuotient, _moduli_at
 from srq.series import RegularPolynomial, SphericalExpansion, evaluate_any
-from srq.verify import (_slice_residuals, _Tracker, make_zero_case_map, random_self_map,
-                        sample_unit, sample_unit_imaginary, slice_regularity_residual)
+from srq.verify import (_fold, _margins, _slice_residuals, make_zero_case_map,
+                        random_self_map, sample_unit, sample_unit_imaginary,
+                        slice_regularity_residual)
 
 Q = RegularPolynomial.identity()
 
@@ -409,10 +410,10 @@ def test_a_non_finite_residual_is_recomputed_on_quaternions():
     assert str(got.value) == str(expected.value)
 
 
-# -- the margin tracker ------------------------------------------------------------------
+# -- the margin fold ---------------------------------------------------------------------
 
 
-def tracker_per_margin(rhs, lhs, tol):
+def margins_per_margin(rhs, lhs, tol):
     worst, worst_abs, violations, witness = None, 0.0, 0, {}
     for i, (r, l) in enumerate(zip(rhs, lhs)):
         margin = r - l
@@ -432,14 +433,12 @@ def tracker_per_margin(rhs, lhs, tol):
      [0.5, 0.0, 0.5, 1.0, 1.0 + 2e-9, 1.0, 1.0 + 2e-9, 9.0], [0, 1, 4, 7]),
     ([math.nan, 1.0, 2.0, 1.0, 0.5, 1.0, 1.0, 9.0], [0.0, 2.0, 0.0, 1.0, 0.25, 5.0, 0.0, 9.0], [0]),
 ])
-def test_tracker_update_is_the_per_margin_fold_and_builds_only_new_worst_witnesses(
+def test_margins_over_a_batch_is_the_fold_of_one_margin_summaries_and_builds_only_new_worst_witnesses(
         rhs, lhs, built_at):
     built = []
-    batch = _Tracker("p", 1e-9)
-    batch.update(rhs, lhs, lambda i: built.append(i) or {"i": i})
-    assert repr(batch.summary()) == repr(tracker_per_margin(rhs, lhs, 1e-9))
+    batch = _margins("p", 1e-9, rhs, lhs, lambda i: built.append(i) or {"i": i})
+    assert repr(batch) == repr(margins_per_margin(rhs, lhs, 1e-9))
     assert built == built_at
-    one_by_one = _Tracker("p", 1e-9)
-    for i, (r, l) in enumerate(zip(rhs, lhs)):
-        one_by_one.update((r,), (l,), lambda _, i=i: {"i": i})
-    assert repr(one_by_one.summary()) == repr(batch.summary())
+    one_by_one = _fold([_margins("p", 1e-9, (r,), (l,), lambda _, i=i: {"i": i})
+                        for i, (r, l) in enumerate(zip(rhs, lhs))])
+    assert repr(one_by_one) == repr(batch)

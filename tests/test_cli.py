@@ -187,6 +187,20 @@ def test_huge_power_exits_2_at_once():
     assert "exceeds" in done.stderr
 
 
+@pytest.mark.parametrize("text, message", [
+    ("q^1000*q^1000*q^1000*q^1000", "exceeds degree 1000"),
+    # both powers are built; the product of their overflowing binomials is not
+    ("(q+i)^1000*(q+i)^1000", "exceeds degree 1000"),
+    ("(" * 340 + "q" + ")" * 340, "nest too deeply"),
+    ("(" * 10000 + "q" + ")" * 10000, "nest too deeply"),
+], ids=["q-products", "binomial-product", "nested-340", "nested-10000"])
+def test_unbounded_text_exits_2_with_an_error_line(capsys, text, message):
+    code, out, err = run_cli(capsys, "eval", "--f", text, "--at", "0.5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_bad_quaternion_exits_2(capsys):
     code, _, _ = run_cli(capsys, "distance", "zebra", "0")
     assert code == 2

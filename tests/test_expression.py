@@ -69,6 +69,9 @@ def test_parse_products_parentheses_and_signs(text, value):
     ("(q+1)^100000", "exceeds"),
     ("2^1e300", "exceeds"),
     ("0^1e300", "exceeds"),
+    ("q^1000*q^1000*q^1000*q^1000", "product in"),
+    ("q * q^1000", "product in"),
+    ("q^600 * (q + 1)^401", "exceeds"),
 ])
 def test_parse_errors(text, message):
     with pytest.raises(ParseError, match=re.escape(message)):
@@ -85,6 +88,16 @@ def test_the_largest_powers_are_accepted():
     assert parse_polynomial("q^1000").degree == 1000
     assert parse_polynomial("(q^10 + 1)^100").degree == 1000
     assert parse_polynomial("i^1000") == RegularPolynomial([ONE])
+    assert parse_polynomial("q^500*q^500").degree == 1000
+    # a constant factor leaves the degree as it is
+    assert parse_polynomial("2 * q^1000 * (q - q + i)").degree == 1000
+
+
+@pytest.mark.parametrize("depth", [340, 10000])
+def test_deep_nesting_is_a_parse_error(depth):
+    with pytest.raises(ParseError, match="nest too deeply"):
+        parse_polynomial("(" * depth + "q" + ")" * depth)
+    assert parse_polynomial("(" * 100 + "q" + ")" * 100) == Q
 
 
 def test_format_examples():
@@ -117,7 +130,9 @@ def test_recorded_texts_parse_bit_for_bit(case):
 # optional blanks between tokens, the level of its outermost operation (0 sum,
 # 1 product, 2 signed factor or power, 3 primary) and the value built directly
 # with RegularPolynomial arithmetic, unary minus as the product with -1.0.  The
-# value is None where that arithmetic overflows.
+# value is ValueError where that arithmetic overflows and ParseError where a
+# power or a product of two polynomials exceeds degree 1000; an operation takes
+# the error of its first failing operand, as the parser reads left to right.
 blank = st.sampled_from(["", "", " "])
 literal = st.one_of(
     st.sampled_from(["0", "1", "2", "0.5", "1e-3", "i", "j", "k", "0i", "2i", "0.5j", "1.5k",
@@ -135,19 +150,30 @@ def _text(node, level):
 
 
 def _apply(op, *values):
-    if None in values:
-        return None
+    for value in values:
+        if isinstance(value, type):
+            return value
     try:
         return op(*values)
     except ValueError:  # a non-finite coefficient
-        return None
+        return ValueError
+
+
+def _star(f, g):
+    if min(f.degree, g.degree) >= 1 and f.degree + g.degree > 1000:
+        return ParseError
+    return f * g
+
+
+def _pow(f, n):
+    return ParseError if n * max(f.degree, 1) > 1000 else f ** n
 
 
 def _extend(children):
     def binary(a, b, op, sp):
         if op == "*":
             return (_text(a, 1) + sp + "*" + sp + _text(b, 2), 1,
-                    _apply(lambda f, g: f * g, a[2], b[2]))
+                    _apply(_star, a[2], b[2]))
         value = _apply((lambda f, g: f + g) if op == "+" else (lambda f, g: f - g), a[2], b[2])
         return (_text(a, 0) + sp + op + sp + _text(b, 1), 0, value)
 
@@ -158,7 +184,7 @@ def _extend(children):
         return (sp.join(signs) + sp + inner, 2, value)
 
     def power(a, n, sp):
-        return (_text(a, 3) + sp + "^" + sp + n, 2, _apply(lambda f: f ** int(float(n)), a[2]))
+        return (_text(a, 3) + sp + "^" + sp + n, 2, _apply(_pow, a[2], int(float(n))))
 
     return st.one_of(
         st.builds(binary, children, children, st.sampled_from(["+", "-", "*"]), blank),
@@ -170,8 +196,8 @@ def _extend(children):
 @given(st.recursive(leaf, _extend, max_leaves=10), blank)
 def test_parse_matches_direct_arithmetic_bit_for_bit(tree, sp):
     text, _, value = tree
-    if value is None:
-        with pytest.raises(ValueError):
+    if isinstance(value, type):
+        with pytest.raises(value):
             parse_polynomial(sp + text)
     else:
         assert json.dumps(parse_polynomial(sp + text).to_json()) == json.dumps(value.to_json())

@@ -10,6 +10,9 @@
   ``acc = acc * t + a`` once, in ``rational._horner``; and one loop rejects
   cube draws outside a ball, in ``geometry._ball_floats``.  Callers with one
   point pass a one-point list, so a second hand-rolled copy has nothing to win.
+- One violation test: ``margin < -tol * (1.0 + abs(rhs))`` is written once,
+  in ``verify._margins``; every check summarises its margins there, and
+  reports merge only through ``verify._fold``.
 """
 
 import ast
@@ -101,6 +104,34 @@ def scalar_horner_steps(text: str) -> list:
     return out
 
 
+def _is_violation_test(node) -> bool:
+    """``m < -t * (a + abs(r))`` or ``-t * (a + abs(r)) > m``, whatever the names."""
+    if not isinstance(node, ast.Compare) or len(node.ops) != 1:
+        return False
+    if isinstance(node.ops[0], ast.Lt):
+        bound = node.comparators[0]
+    elif isinstance(node.ops[0], ast.Gt):
+        bound = node.left
+    else:
+        return False
+    return (isinstance(bound, ast.BinOp) and isinstance(bound.op, ast.Mult)
+            and isinstance(bound.left, ast.UnaryOp) and isinstance(bound.left.op, ast.USub)
+            and isinstance(bound.right, ast.BinOp) and isinstance(bound.right.op, ast.Add)
+            and isinstance(bound.right.right, ast.Call) and _called(bound.right.right) == "abs")
+
+
+def violation_tests(text: str) -> list:
+    """The innermost function around each violation test, None at module level."""
+    tree = ast.parse(text)
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    out = []
+    for node in ast.walk(tree):
+        if _is_violation_test(node):
+            around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            out.append(max(around, key=lambda f: f.lineno).name if around else None)
+    return out
+
+
 def test_the_scan_sees_every_module():
     assert {"quaternion.py", "rational.py", "verify.py"} <= {p.name for p in MODULES}
 
@@ -131,6 +162,11 @@ def test_one_ball_rejection_loop():
     assert {name: n for name, n in counts.items() if n} == {"geometry.py": 1}
 
 
+def test_one_violation_test():
+    found = {p.name: violation_tests(p.read_text()) for p in MODULES}
+    assert {name: f for name, f in found.items() if f} == {"verify.py": ["_margins"]}
+
+
 def test_the_rules_catch_what_they_forbid():
     assert builtin_sum_calls("x = sum(v for v in a)\n") == [1]
     assert builtin_sum_calls("x = math.fsum(a)\n# sum(a)\ny = 'sum(a)'\n") == []
@@ -156,3 +192,8 @@ def test_the_rules_catch_what_they_forbid():
     # a running sum, a product of other names, or a subscripted store is not the step
     assert scalar_horner_steps("total = total + v\ny = acc * t + a\n"
                                "out[n] = out[n] * t + a\nacc = acc * t + a * b\n") == []
+    assert violation_tests("def f(m, t, r):\n    def g():\n        pass\n"
+                           "    return m < -t * (1.0 + abs(r))\n") == ["f"]
+    assert violation_tests("if -tol * (1 + abs(rhs)) > margin:\n    n += 1\n") == [None]
+    # a bare threshold, or a bound without the 1 + |rhs| scale, is not the test
+    assert violation_tests("a = m < -t\nb = m < -t * abs(r)\nc = m > -t * (1.0 + abs(r))\n") == []

@@ -10,7 +10,7 @@ import pytest
 from srq.geometry import regular_moebius_map
 from srq.quaternion import I, J, ONE, ZERO, Quaternion
 from srq.series import RegularPolynomial
-from srq.verify import (SUITE_NAMES, _Tracker, check_modulus_product, check_reg_preservation,
+from srq.verify import (SUITE_NAMES, check_modulus_product, check_reg_preservation,
                         check_schwarz_pick, check_slice_regularity, check_zero_case,
                         make_zero_case_map, random_self_map, random_sp11, run_all,
                         run_suite, sample_ball, sample_unit, sample_unit_imaginary,
@@ -245,13 +245,25 @@ def test_report_merging_is_order_independent():
     assert forward["worst_margin"] == min(s["worst_margin"] for s in summaries)
 
 
+def refuses_tol_before_any_map_is_built(tol):
+    """Each check that takes ``tol`` refuses a bad one on entry: before it
+    touches its maps, which here are not maps, or tests a precondition that
+    fails, such as f(q0) = q0 != 0 in check_zero_case."""
+    checks = [lambda: check_schwarz_pick(None, None, 10, tol=tol),
+              lambda: check_zero_case(None, None, 10, tol=tol),
+              lambda: check_zero_case(Q, I * 0.5, 10, tol=tol),
+              lambda: check_modulus_product(None, None, None, 10, tol=tol),
+              lambda: check_reg_preservation(None, None, 10, tol=tol)]
+    for check in checks:
+        with pytest.raises(ValueError, match="tol"):
+            check()
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
 def test_tolerance_that_passes_every_margin_is_refused(tol):
-    assert _Tracker("x", 0.0).violations == 0
-    with pytest.raises(ValueError, match="tol"):
-        _Tracker("x", tol)
-    with pytest.raises(ValueError, match="tol"):
-        check_modulus_product(RegularPolynomial([ONE + I]), Q * 0.5, Q, 10, seed=22, tol=tol)
+    assert check_modulus_product(RegularPolynomial([ONE + I]), Q * 0.5, Q, 10, seed=22,
+                                 tol=0.0).passed
+    refuses_tol_before_any_map_is_built(tol)
     for name in SUITE_NAMES:
         if name != "slice-regularity":  # tol does not reach its own residual bound
             with pytest.raises(ValueError, match="tol"):
@@ -260,10 +272,10 @@ def test_tolerance_that_passes_every_margin_is_refused(tol):
 
 def test_tolerance_of_one_or_more_is_refused():
     # at tol=1e300 a margin of -5 against rhs=1 counted no violation
-    assert _Tracker("x", 0.5).tol == 0.5
+    assert check_modulus_product(RegularPolynomial([ONE + I]), Q * 0.5, Q, 10, seed=22,
+                                 tol=0.5).passed
     for tol in (1.0, 1e300):
-        with pytest.raises(ValueError, match="tol"):
-            _Tracker("x", tol)
+        refuses_tol_before_any_map_is_built(tol)
         with pytest.raises(ValueError, match="tol"):
             run_suite("schwarz-pick", 1, 50, tol=tol)
 
