@@ -9,8 +9,10 @@ Grammar (blanks are allowed at both ends and between any two tokens):
 
 Every value is a regular polynomial in q; '*' is the star product, which on
 constants is the ordinary quaternion product.  A power may take its exponent
-and its degree, and a product its degree, up to ``_MAX_DEGREE``; parentheses
-nested deeper than the recursion limit allows are a ``ParseError`` too.
+and its degree, and a product its degree, up to ``_MAX_DEGREE``; the products
+of two polynomials in one text share a budget of ``_MAX_PRODUCTS`` coefficient
+products, and parentheses nested deeper than the recursion limit allows are
+a ``ParseError`` too.
 Constants stay quaternions until they meet q and ``q^n`` is built directly,
 yet every coefficient has the bits of ``RegularPolynomial`` arithmetic,
 signed zeros included: unary minus is the product with -1.0, and a zero
@@ -27,7 +29,10 @@ from .quaternion import _NUMBER, I, J, K, ONE, ZERO, Quaternion, _make
 from .series import RegularPolynomial, _from_made
 
 _TOKEN = re.compile(r"\s*(?:(" + _NUMBER + r")([ijk]?)|([-+*^()ijkq])|(\S))")
-_MAX_DEGREE = 1000  # the slowest power it allows, (q+i)^1000, is 10^6 coefficient products
+_MAX_DEGREE = 1000
+#: Coefficient products one text may spend on products of two polynomials; the
+#: slowest power allowed, (q+i)^1000, spends 4 + 6 + ... + 2000 = 1,000,998.
+_MAX_PRODUCTS = _MAX_DEGREE * (_MAX_DEGREE + 1)
 _Q = RegularPolynomial.identity()
 _NAMES = {"i": I, "j": J, "k": K, "q": _Q}
 _MINUS_ONE = Quaternion(-1.0)
@@ -71,31 +76,6 @@ def _times(a: Quaternion, b: Quaternion) -> Quaternion:
     return _make(0.0 + p.w, 0.0 + p.x, 0.0 + p.y, 0.0 + p.z)
 
 
-def _product(a, b, text: str):
-    """a * b; a polynomial times a constant maps its coefficients, so ``q^n * c``
-    is a shifted coefficient list, and a product of two polynomials is refused
-    before it is built if its degree would exceed ``_MAX_DEGREE``."""
-    if type(a) is Quaternion:
-        if type(b) is Quaternion:
-            return _times(a, b)
-        return _reduced(_from_made([c if c is ZERO else _times(a, c) for c in b.coeffs]))
-    if type(b) is Quaternion:
-        return _reduced(_from_made([c if c is ZERO else _times(c, b) for c in a.coeffs]))
-    if a.degree + b.degree > _MAX_DEGREE:
-        raise ParseError(f"product in {text!r} exceeds degree {_MAX_DEGREE}")
-    return _reduced(a * b)
-
-
-def _power(base, n: int, text: str):
-    """base^n by the loop out = out * base from out = 1, with q^n built directly."""
-    if base is _Q and n:
-        return _from_made([ZERO] * n + [ONE])
-    value = ONE
-    for _ in range(n):
-        value = _product(value, base, text)
-    return value
-
-
 def _negated(value):
     """value * -1.0, the product with the quaternion -1 (not ``Quaternion.__neg__``)."""
     if type(value) is Quaternion:
@@ -111,6 +91,34 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
+        self.budget = _MAX_PRODUCTS
+
+    def product(self, a, b):
+        """a * b; a polynomial times a constant maps its coefficients, so ``q^n * c``
+        is a shifted coefficient list, and a product of two polynomials is refused
+        before it is built if its degree would exceed ``_MAX_DEGREE`` or its
+        coefficient products would overdraw the text's budget."""
+        if type(a) is Quaternion:
+            if type(b) is Quaternion:
+                return _times(a, b)
+            return _reduced(_from_made([c if c is ZERO else _times(a, c) for c in b.coeffs]))
+        if type(b) is Quaternion:
+            return _reduced(_from_made([c if c is ZERO else _times(c, b) for c in a.coeffs]))
+        if a.degree + b.degree > _MAX_DEGREE:
+            raise ParseError(f"product in {self.text!r} exceeds degree {_MAX_DEGREE}")
+        self.budget -= len(a.coeffs) * len(b.coeffs)
+        if self.budget < 0:
+            raise ParseError(f"{self.text!r} needs more than {_MAX_PRODUCTS} coefficient products")
+        return _reduced(a * b)
+
+    def power(self, base, n: int):
+        """base^n by the loop out = out * base from out = 1, with q^n built directly."""
+        if base is _Q and n:
+            return _from_made([ZERO] * n + [ONE])
+        value = ONE
+        for _ in range(n):
+            value = self.product(value, base)
+        return value
 
     def expr(self, i: int):
         value, i = self.term(i)
@@ -130,7 +138,7 @@ class _Parser:
         value, i = self.factor(i)
         while self.tokens[i] == "*":
             rhs, i = self.factor(i + 1)
-            value = _product(value, rhs, self.text)
+            value = self.product(value, rhs)
         return value, i
 
     def factor(self, i: int):
@@ -158,7 +166,7 @@ class _Parser:
             degree = 1 if type(value) is Quaternion else value.degree
             if n.w * degree > _MAX_DEGREE:
                 raise ParseError(f"power in {self.text!r} exceeds degree {_MAX_DEGREE}")
-            value = _power(value, int(n.w), self.text)
+            value = self.power(value, int(n.w))
             i += 2
         return (_negated(value) if negative else value), i
 

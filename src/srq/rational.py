@@ -22,7 +22,8 @@ import sys
 from .errors import NonConvergence, PoleError
 from .quaternion import (_EPS_SQ, _INF, EPS, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _make,
                          _norm, _slice_point, _zero_bound, as_quaternion)
-from .series import RegularPolynomial, _horner_floats, _lift, evaluate_any
+from .series import (RegularPolynomial, _convolve, _horner_floats, _lift, _parts,
+                     _real_polynomial, _real_star, _reals, _symmetrized, evaluate_any)
 
 #: Relative distance within which roots merge, or count as real.
 _CLUSTER_TOL = 1e-6
@@ -44,10 +45,10 @@ class RegularQuotient(_Frozen):
     ``srq.fractional`` always return pairs.
 
     Evaluation anywhere on the zero set of the denominator symmetrization is
-    an error, never a silent value.
+    an error, never a silent value.  ``_sym`` holds its real coefficients.
     """
 
-    __slots__ = ("den", "num", "side", "sym", "conum", "_pole_scale")
+    __slots__ = ("den", "num", "side", "_sym", "conum", "_pole_scale")
 
     def __init__(self, den, num, side: str = "left"):
         den = _as_poly(den)
@@ -56,26 +57,36 @@ class RegularQuotient(_Frozen):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         if den.is_zero:
             raise ValueError("denominator is identically zero")
-        sym = den.symmetrization()
+        sym = _symmetrized(den.coeffs)
         conum = den.conjugate() * num if side == "left" else num * den.conjugate()
         self._install(den, num, side, sym, conum)
 
     def _install(self, den, num, side, sym, conum):
-        _Frozen.__init__(self, den, num, side, sym, conum,
-                         _zero_bound(sym.coefficient_norm_sum()))
+        _Frozen.__init__(self, den, num, side, sym, conum, _scale_of(sym))
+
+    @property
+    def sym(self) -> RegularPolynomial:
+        """The denominator symmetrization, built on each read from the stored floats."""
+        return _real_polynomial(self._sym)
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def from_expanded(cls, sym: RegularPolynomial, conum: RegularPolynomial) -> "RegularQuotient":
-        sym = _as_poly(sym)
-        conum = _as_poly(conum)
-        if sym.is_zero:
+        """S^{-1} P; imaginary parts of S below its pole scale are admitted and dropped."""
+        sym, conum = _as_poly(sym), _as_poly(conum)
+        reals = _reals([c.w for c in sym.coeffs])
+        if not sym.is_real(_scale_of(reals)):
+            raise ValueError("expanded denominator must have real coefficients")
+        return cls._expanded(reals, conum)
+
+    @classmethod
+    def _expanded(cls, sym: tuple, conum: RegularPolynomial) -> "RegularQuotient":
+        """S^{-1} P for the real coefficients ``sym`` of S."""
+        if not sym:
             raise ValueError("expanded denominator is identically zero")
         obj = cls.__new__(cls)
         obj._install(None, None, "expanded", sym, conum)
-        if not sym.is_real(obj._pole_scale):  # admitted within the scale of its pole test
-            raise ValueError("expanded denominator must have real coefficients")
         return obj
 
     @classmethod
@@ -121,8 +132,9 @@ class RegularQuotient(_Frozen):
         """
         scale = self._pole_scale
         out = []
-        for p, (sw, sx, sy, sz), c in zip(points, _horner_floats(self.sym.coeffs, points),
-                                          _horner_floats(self.conum.coeffs, points)):
+        sym = [(w, 0.0, 0.0, 0.0) for w in self._sym]
+        for p, (sw, sx, sy, sz), c in zip(points, _horner_floats(sym, points),
+                                          _horner_floats(_parts(self.conum.coeffs), points)):
             n2 = sw * sw + sx * sx + sy * sy + sz * sz
             if not _EPS_SQ < n2 < _INF:
                 s = _make(sw, sx, sy, sz)
@@ -180,7 +192,7 @@ class RegularQuotient(_Frozen):
         if self.is_pair:
             flipped = "right" if self.side == "left" else "left"
             return RegularQuotient(self.den.conjugate(), self.num.conjugate(), flipped)
-        return RegularQuotient.from_expanded(self.sym, self.conum.conjugate())
+        return RegularQuotient._expanded(self._sym, self.conum.conjugate())
 
     def _pair(self, side: str):
         """``(den, num)`` of this quotient read as a pair of ``side``: sym is real,
@@ -191,9 +203,12 @@ class RegularQuotient(_Frozen):
         return self.sym, self.conum
 
     def symmetrization(self) -> "RegularQuotient":
-        """(f^{-*}*g)^s = (f^s)^{-1} g^s, with both parts real."""
-        den, num = self._pair("right" if self.side == "right" else "left")
-        return RegularQuotient.from_expanded(den.symmetrization(), num.symmetrization())
+        """(f^{-*}*g)^s = (f^s)^{-1} g^s, with both parts real: f^s is sym for a
+        pair, and sym*sym for an expanded S^{-1}P, whose f is S."""
+        if self.is_pair:
+            return RegularQuotient._expanded(self._sym, self.num.symmetrization())
+        return RegularQuotient._expanded(_reals(_convolve(self._sym, self._sym)),
+                                         self.conum.symmetrization())
 
     def reciprocal(self) -> "RegularQuotient":
         """(f^{-*}*g)^{-*} = g^{-*}*f and (g*h^{-*})^{-*} = h*g^{-*}; an
@@ -208,8 +223,8 @@ class RegularQuotient(_Frozen):
         other = _as_quotient(other)
         if other is NotImplemented:
             return NotImplemented
-        return RegularQuotient.from_expanded(self.sym * other.sym,
-                                             self.conum * other.conum)
+        return RegularQuotient._expanded(_reals(_convolve(self._sym, other._sym)),
+                                         self.conum * other.conum)
 
     def __rmul__(self, other):
         other = _as_quotient(other)
@@ -221,9 +236,9 @@ class RegularQuotient(_Frozen):
         other = _as_quotient(other)
         if other is NotImplemented:
             return NotImplemented
-        return RegularQuotient.from_expanded(
-            self.sym * other.sym,
-            other.sym * self.conum + self.sym * other.conum)
+        return RegularQuotient._expanded(
+            _reals(_convolve(self._sym, other._sym)),
+            _real_star(other._sym, self.conum.coeffs) + _real_star(self._sym, other.conum.coeffs))
 
     __radd__ = __add__
 
@@ -240,7 +255,7 @@ class RegularQuotient(_Frozen):
         return other - self
 
     def __neg__(self):
-        return RegularQuotient.from_expanded(self.sym, -self.conum)
+        return RegularQuotient._expanded(self._sym, -self.conum)
 
     def remainder(self, q0) -> "RegularQuotient":
         """(q - q0)^{-*} * (f - f(q0)) inside the ring of quotients.
@@ -252,23 +267,30 @@ class RegularQuotient(_Frozen):
         """
         q0 = as_quaternion(q0)
         shifted = self.conum - self.sym * self.evaluate(q0)
-        return RegularQuotient.from_expanded(self.sym, shifted.remainder(q0))
+        return RegularQuotient._expanded(self._sym, shifted.remainder(q0))
 
     def cullen_derivative(self) -> "RegularQuotient":
         """Slice derivative of S^{-1}P: (S^2)^{-1} (S P' - S' P)."""
-        ds = self.sym.cullen_derivative()
+        sym = self._sym
+        ds = _reals([sym[n] * float(n) for n in range(1, len(sym))])
         dp = self.conum.cullen_derivative()
-        return RegularQuotient.from_expanded(self.sym * self.sym,
-                                             self.sym * dp - ds * self.conum)
+        numerator = _real_star(sym, dp.coeffs) - _real_star(ds, self.conum.coeffs)
+        return RegularQuotient._expanded(_reals(_convolve(sym, sym)), numerator)
 
     def sphere_zero_set(self) -> "SphereZeroSet":
         """The excluded spheres: zeros of the denominator symmetrization."""
-        return _zero_set_of_real_polynomial(self.sym)
+        return _zero_set_of_real_polynomial(self._sym)
 
     def __repr__(self):
         if self.is_pair:
             return f"RegularQuotient(den={self.den!r}, num={self.num!r}, side={self.side!r})"
         return f"RegularQuotient.from_expanded({self.sym!r}, {self.conum!r})"
+
+
+def _scale_of(sym) -> float:
+    """The pole scale ``_zero_bound(S.coefficient_norm_sum())`` of S from its real
+    coefficients ``sym``: |w| is the norm() of w + 0i + 0j + 0k bit for bit."""
+    return _zero_bound(_fold_sum(map(abs, sym)))
 
 
 def _as_poly(value) -> RegularPolynomial:
@@ -306,7 +328,7 @@ def _values_at(f, points) -> list:
     if isinstance(f, RegularQuotient):
         return f._evaluate_floats(points)
     if isinstance(f, RegularPolynomial):
-        return _horner_floats(f.coeffs, points)
+        return _horner_floats(_parts(f.coeffs), points)
     out = []
     for p in points:
         v = evaluate_any(f, _make(*p))
@@ -320,10 +342,9 @@ def _moduli_at(maps, points) -> list:
 
     A polynomial's or a plain map's are ``evaluate_any(f, q).norm()`` bit for
     bit.  A quotient S^{-1} P gives |P(q)| / |S(q)|, as the modulus is
-    multiplicative: |P(q)| from the Hamilton pass and, S being real (the
-    imaginary parts ``from_expanded`` admits below its pole scale are dropped),
+    multiplicative: |P(q)| from the Hamilton pass and, S being real,
     |S(q)| = |S(z)| for z = w + i|Im q|, one complex pass shared by every
-    quotient whose ``sym`` coefficients compare equal.  Poles raise as in
+    quotient whose real ``sym`` coefficients compare equal.  Poles raise as in
     ``evaluate``; a modulus that is not finite goes through ``evaluate``.
     """
     slices = None
@@ -339,15 +360,14 @@ def _moduli_at(maps, points) -> list:
                     _make(*v)  # raises on a NaN or an infinity, as evaluate would
                 moduli.append(n)
             continue
-        sym_moduli = syms.get(f.sym.coeffs)
+        sym_moduli = syms.get(f._sym)
         if sym_moduli is None:
             if slices is None:
                 slices = [complex(w, _norm(0.0, x, y, z)) for w, x, y, z in points]
-            sym_moduli = syms[f.sym.coeffs] = [
-                _norm(s.real, s.imag, 0.0, 0.0)
-                for s in _horner([c.w for c in f.sym.coeffs], slices)]
+            sym_moduli = syms[f._sym] = [_norm(s.real, s.imag, 0.0, 0.0)
+                                         for s in _horner(f._sym, slices)]
         scale = f._pole_scale
-        for p, s, c in zip(points, sym_moduli, _horner_floats(f.conum.coeffs, points)):
+        for p, s, c in zip(points, sym_moduli, _horner_floats(_parts(f.conum.coeffs), points)):
             if s < scale:
                 raise _pole_at(p)
             n = _norm(*c) / s
@@ -552,11 +572,10 @@ def _cluster(roots):
     return clusters
 
 
-def _zero_set_of_real_polynomial(sym: RegularPolynomial) -> SphereZeroSet:
-    if sym.is_zero:
+def _zero_set_of_real_polynomial(sym: tuple) -> SphereZeroSet:
+    if not sym:
         raise ValueError("the zero polynomial vanishes everywhere")
-    # sym is real: symmetrization() builds it so, and from_expanded admits it within EPS
-    roots = durand_kerner([c.w for c in sym.coeffs])
+    roots = durand_kerner(sym)
     entries = []
     for group in _cluster(roots):
         center = _fold_sum(group, 0j) / len(group)
@@ -576,7 +595,7 @@ def sphere_zero_set(f: RegularPolynomial) -> SphereZeroSet:
     complex-polynomial roots on one slice; conjugate pairs collapse to one
     sphere entry, with multiplicities counted in f^s.
     """
-    return _zero_set_of_real_polynomial(f.symmetrization())
+    return _zero_set_of_real_polynomial(_symmetrized(f.coeffs))
 
 
 def zeros_on_sphere(f: RegularPolynomial, x: float, y: float):

@@ -9,6 +9,8 @@ spherical expansion this is the algebraic core of the package.
 
 from __future__ import annotations
 
+import math
+
 from .errors import DegenerateCenter, RealPoint
 from .quaternion import (EPS, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _make,
                          _zero_bound, as_quaternion)
@@ -82,7 +84,7 @@ class RegularPolynomial(_Frozen):
         coeffs = self.coeffs
         if len(coeffs) < 2:
             return coeffs[0] if coeffs else ZERO
-        return _make(*_horner_floats(coeffs, [(q.w, q.x, q.y, q.z)])[0])
+        return _make(*_horner_floats(_parts(coeffs), [(q.w, q.x, q.y, q.z)])[0])
 
     __call__ = evaluate
 
@@ -118,13 +120,10 @@ class RegularPolynomial(_Frozen):
     def __mul__(self, other):
         """Star product: coefficient convolution c_n = sum_k a_k b_{n-k}.
 
-        The kernel follows the operands.  Real coefficients are central, so a
-        real-by-real product is one float convolution and a real-by-quaternion
-        product, in either order, is one per component; anything else runs the
-        Hamilton convolution.  The terms the float kernels drop are exact
-        zeros and every accumulator starts at +0.0, so each kernel is
-        bit-identical to the Hamilton one.  A unit operand ``[1]`` leaves one
-        term, ``0.0 + 1.0 * c``, which is ``0.0 + c`` component by component.
+        The kernel follows the operands.  An operand whose coefficients are
+        all real takes ``_real_star``, in either order; anything else runs the
+        Hamilton convolution on four float lists, in the quaternion-level
+        operation order, so every coefficient is bit-identical to it.
         """
         if isinstance(other, (int, float, Quaternion)):
             c = as_quaternion(other)
@@ -133,29 +132,22 @@ class RegularPolynomial(_Frozen):
             if self.is_zero or other.is_zero:
                 return RegularPolynomial()
             a, b = self.coeffs, other.coeffs
-            if a == _UNIT or b == _UNIT:
-                return _from_made([_make(0.0 + c.w, 0.0 + c.x, 0.0 + c.y, 0.0 + c.z)
-                                   for c in (b if a == _UNIT else a)])
-            ra, rb = _exact_real_parts(a), _exact_real_parts(b)
-            if ra is not None and rb is not None:
-                return _from_made([_make(w, 0.0, 0.0, 0.0) for w in _convolve(ra, rb)])
+            ra = _exact_real_parts(a)
             if ra is not None:
-                parts = [_convolve(ra, p) for p in zip(*map(_components, b))]
-            elif rb is not None:
-                parts = [_convolve(p, rb) for p in zip(*map(_components, a))]
-            else:
-                # out[k + l] + a * b on four float lists, in the quaternion-level
-                # operation order, so every coefficient is bit-identical to it
-                size = len(a) + len(b) - 1
-                parts = ow, ox, oy, oz = [0.0] * size, [0.0] * size, [0.0] * size, [0.0] * size
-                rhs = [_components(c) for c in b]
-                for k, c in enumerate(a):
-                    w1, x1, y1, z1 = c.w, c.x, c.y, c.z
-                    for n, (w2, x2, y2, z2) in enumerate(rhs, k):
-                        ow[n] = ow[n] + (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2)
-                        ox[n] = ox[n] + (w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2)
-                        oy[n] = oy[n] + (w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2)
-                        oz[n] = oz[n] + (w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
+                return _real_star(ra, b)
+            rb = _exact_real_parts(b)
+            if rb is not None:
+                return _real_star(rb, a, real_first=False)
+            size = len(a) + len(b) - 1
+            parts = ow, ox, oy, oz = [0.0] * size, [0.0] * size, [0.0] * size, [0.0] * size
+            rhs = _parts(b)
+            for k, c in enumerate(a):
+                w1, x1, y1, z1 = c.w, c.x, c.y, c.z
+                for n, (w2, x2, y2, z2) in enumerate(rhs, k):
+                    ow[n] = ow[n] + (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2)
+                    ox[n] = ox[n] + (w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2)
+                    oy[n] = oy[n] + (w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2)
+                    oz[n] = oz[n] + (w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
             return _from_made([_make(*c) for c in zip(*parts)])
         return NotImplemented
 
@@ -181,20 +173,8 @@ class RegularPolynomial(_Frozen):
         return _from_made([c.conjugate() for c in self.coeffs])
 
     def symmetrization(self) -> "RegularPolynomial":
-        """f^s = f * f^c, which has real coefficients.
-
-        Only the real part of the convolution is accumulated: the Hamilton
-        real part w1*w2 - x1*(-x2) - y1*(-y2) - z1*(-z2) against the
-        conjugate is exactly w1*w2 + x1*x2 + y1*y2 + z1*z2, so each
-        coefficient is bit-identical to the real part of ``f * f.conjugate()``.
-        Its imaginary parts, zero up to rounding, are never formed.
-        """
-        parts = [_components(c) for c in self.coeffs]
-        out = [0.0] * (2 * len(parts) - 1)  # empty for the zero polynomial
-        for k, (w1, x1, y1, z1) in enumerate(parts):
-            for n, (w2, x2, y2, z2) in enumerate(parts, k):
-                out[n] = out[n] + (w1 * w2 + x1 * x2 + y1 * y2 + z1 * z2)
-        return _from_made([_make(w, 0.0, 0.0, 0.0) for w in out])
+        """f^s = f * f^c, which has real coefficients (``_symmetrized``)."""
+        return _real_polynomial(_symmetrized(self.coeffs))
 
     # -- calculus -----------------------------------------------------------------------
 
@@ -272,12 +252,11 @@ def _from_made(coeffs: list) -> RegularPolynomial:
 
 _new = object.__new__
 _set_coeffs = RegularPolynomial.__dict__["coeffs"].__set__
-_UNIT = (ONE,)
 
 
 def _horner_floats(coeffs, points) -> list:
-    """The components of sum_n q^n coeffs[n] at each q of ``points``, a list of
-    float 4-tuples (w, x, y, z), as a list of float 4-tuples.
+    """The components of sum_n q^n coeffs[n] at each q of ``points``, for lists
+    ``coeffs`` and ``points`` of float 4-tuples (w, x, y, z), as such a list.
 
     Each Horner step ``acc = q * acc + a_n`` runs on unpacked floats in the
     exact operation order of the Hamilton product and sum, so every result is
@@ -286,23 +265,23 @@ def _horner_floats(coeffs, points) -> list:
     """
     if not coeffs:
         return [(0.0, 0.0, 0.0, 0.0)] * len(points)
-    top = coeffs[-1]
-    tw, tx, ty, tz = top.w, top.x, top.y, top.z
+    tw, tx, ty, tz = coeffs[-1]
     rest = coeffs[-2::-1]
     out = []
     for qw, qx, qy, qz in points:
         w, x, y, z = tw, tx, ty, tz
-        for c in rest:
-            w, x, y, z = (qw * w - qx * x - qy * y - qz * z + c.w,
-                          qw * x + qx * w + qy * z - qz * y + c.x,
-                          qw * y - qx * z + qy * w + qz * x + c.y,
-                          qw * z + qx * y - qy * x + qz * w + c.z)
+        for cw, cx, cy, cz in rest:
+            w, x, y, z = (qw * w - qx * x - qy * y - qz * z + cw,
+                          qw * x + qx * w + qy * z - qz * y + cx,
+                          qw * y - qx * z + qy * w + qz * x + cy,
+                          qw * z + qx * y - qy * x + qz * w + cz)
         out.append((w, x, y, z))
     return out
 
 
-def _components(c: Quaternion) -> tuple:
-    return c.w, c.x, c.y, c.z
+def _parts(coeffs) -> list:
+    """The components of each quaternion of ``coeffs`` as a float 4-tuple."""
+    return [(c.w, c.x, c.y, c.z) for c in coeffs]
 
 
 def _exact_real_parts(coeffs):
@@ -326,6 +305,64 @@ def _convolve(a, b):
         for n, t in enumerate(b, k):
             out[n] = out[n] + s * t
     return out
+
+
+def _real_star(real, coeffs, real_first: bool = True) -> RegularPolynomial:
+    """The star product ``real * coeffs`` (``coeffs * real`` if not ``real_first``)
+    of real coefficients, floats, and quaternion ones.
+
+    Real coefficients are central, so each component is a float convolution,
+    summed in the left operand's order (``real`` taken last to first when it
+    is on the right).  The Hamilton terms dropped are exact zeros and every
+    accumulator starts at +0.0, so it is bit-identical to the Hamilton
+    convolution, and the imaginary parts of a real-by-real product are +0.0.
+    A unit ``real`` leaves one term, ``0.0 + 1.0 * c``, which is ``0.0 + c``.
+    """
+    if len(real) == 1 and real[0] == 1.0:
+        return _from_made([_make(0.0 + c.w, 0.0 + c.x, 0.0 + c.y, 0.0 + c.z) for c in coeffs])
+    parts = _parts(coeffs)
+    size = len(real) + len(parts) - 1
+    out = ow, ox, oy, oz = [0.0] * size, [0.0] * size, [0.0] * size, [0.0] * size
+    for k in range(len(real)) if real_first else range(len(real) - 1, -1, -1):
+        s = real[k]
+        for n, (w, x, y, z) in enumerate(parts, k):
+            ow[n] = ow[n] + s * w
+            ox[n] = ox[n] + s * x
+            oy[n] = oy[n] + s * y
+            oz[n] = oz[n] + s * z
+    return _from_made([_make(*c) for c in zip(*out)])
+
+
+def _symmetrized(coeffs) -> tuple:
+    """The real coefficients (``_reals``) of f^s = f * f^c for f's ``coeffs``.
+
+    Only the real part of the convolution is accumulated: the Hamilton real
+    part w1*w2 - x1*(-x2) - y1*(-y2) - z1*(-z2) against the conjugate is
+    exactly w1*w2 + x1*x2 + y1*y2 + z1*z2, so each value is bit-identical to
+    the real part of ``f * f.conjugate()``.  Its imaginary parts, zero up to
+    rounding, are never formed.
+    """
+    parts = _parts(coeffs)
+    out = [0.0] * (2 * len(parts) - 1)  # empty for the zero polynomial
+    for k, (w1, x1, y1, z1) in enumerate(parts):
+        for n, (w2, x2, y2, z2) in enumerate(parts, k):
+            out[n] = out[n] + (w1 * w2 + x1 * x2 + y1 * y2 + z1 * z2)
+    return _reals(out)
+
+
+def _reals(values: list) -> tuple:
+    """Real coefficients as a tuple, trailing zeros stripped as ``_from_made``
+    strips them; a NaN or an infinity raises ``ValueError`` as ``_make`` does."""
+    while values and values[-1] == 0.0:
+        values.pop()
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"non-finite real coefficient in {values}")
+    return tuple(values)
+
+
+def _real_polynomial(reals) -> RegularPolynomial:
+    """The polynomial with the real coefficients ``reals``, each ``_make(w, 0.0, 0.0, 0.0)``."""
+    return _from_made([_make(w, 0.0, 0.0, 0.0) for w in reals])
 
 
 def _lift(value):
@@ -360,7 +397,7 @@ class SphericalExpansion(_Frozen):
         brackets = [a + offset * b for a, b in zip(evens, odds)] + list(evens[len(odds):])
         shifted = q - self.x0
         s = shifted * shifted + self.y0 * self.y0
-        return _make(*_horner_floats(brackets, [(s.w, s.x, s.y, s.z)])[0])
+        return _make(*_horner_floats(_parts(brackets), [(s.w, s.x, s.y, s.z)])[0])
 
     __call__ = evaluate
 

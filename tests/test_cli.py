@@ -189,11 +189,13 @@ def test_huge_power_exits_2_at_once():
 
 @pytest.mark.parametrize("text, message", [
     ("q^1000*q^1000*q^1000*q^1000", "exceeds degree 1000"),
-    # both powers are built; the product of their overflowing binomials is not
-    ("(q+i)^1000*(q+i)^1000", "exceeds degree 1000"),
+    # the first power spends the text's budget of coefficient products, so the
+    # second is refused at its first product
+    ("(q+i)^1000*(q+i)^1000", "needs more than 1001000 coefficient products"),
+    (" + ".join(["(0.5*q+0.5i)^1000"] * 3), "needs more than 1001000 coefficient products"),
     ("(" * 340 + "q" + ")" * 340, "nest too deeply"),
     ("(" * 10000 + "q" + ")" * 10000, "nest too deeply"),
-], ids=["q-products", "binomial-product", "nested-340", "nested-10000"])
+], ids=["q-products", "binomial-product", "binomial-sum", "nested-340", "nested-10000"])
 def test_unbounded_text_exits_2_with_an_error_line(capsys, text, message):
     code, out, err = run_cli(capsys, "eval", "--f", text, "--at", "0.5")
     assert code == 2

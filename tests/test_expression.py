@@ -93,6 +93,28 @@ def test_the_largest_powers_are_accepted():
     assert parse_polynomial("2 * q^1000 * (q - q + i)").degree == 1000
 
 
+def test_one_budget_of_coefficient_products_for_the_whole_text(monkeypatch):
+    spent = []
+    star = RegularPolynomial.__mul__
+
+    def counting(a, b):
+        if isinstance(b, RegularPolynomial):
+            spent.append(len(a.coeffs) * len(b.coeffs))
+        return star(a, b)
+
+    monkeypatch.setattr(RegularPolynomial, "__mul__", counting)
+    # the slowest power allowed spends just below the budget of one text
+    binomial = parse_polynomial("(q+i)^1000")
+    assert binomial.degree == 1000 and sum(spent) <= 1001000
+    # a second such term overdraws it at its first product, so the text is
+    # refused after one term's products, not after all three
+    spent.clear()
+    term = "(0.5*q+0.5i)^1000"
+    with pytest.raises(ParseError, match="needs more than 1001000 coefficient products"):
+        parse_polynomial(" + ".join([term] * 3))
+    assert sum(spent) <= 1001000
+
+
 @pytest.mark.parametrize("depth", [340, 10000])
 def test_deep_nesting_is_a_parse_error(depth):
     with pytest.raises(ParseError, match="nest too deeply"):

@@ -1,7 +1,9 @@
 """Regular quotients, the change of variables, and symmetrization zero sets."""
 
+import copy
 import json
 import math
+import pickle
 import random
 from pathlib import Path
 
@@ -531,8 +533,9 @@ def test_symmetrization_of_an_expanded_quotient_squares_its_sym():
 
 
 def _corrupt_sym(quotient):
-    # double sym in place: the direct route sees it, an independent route must not
-    object.__setattr__(quotient, "sym", quotient.sym * 2.0)
+    # double sym's stored real coefficients in place: the direct route sees it,
+    # an independent route must not
+    object.__setattr__(quotient, "_sym", tuple(2.0 * w for w in quotient._sym))
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -876,3 +879,193 @@ def test_symmetrization_roots_are_conjugate_closed_and_backward_stable(case):
         assert abs(np.polyval(monic[::-1], z)) <= bound
     for r in simple:
         assert min(abs(z - r) for z in roots) <= 1e-6 * (1.0 + abs(r))
+
+
+# -- the float substrate of sym against the polynomial-level formulas --------------------
+#
+# A quotient stores its symmetrization as a tuple of real floats, and every ring
+# operation works on those floats.  The model below is the polynomial-level
+# algebra on (den, num, side, S, P), with S a RegularPolynomial built by
+# symmetrization() and every product a RegularPolynomial star product, so each
+# result must match it bit for bit: sym, conum, the pole scale and the value.
+
+
+def _model_pair(den, num, side):
+    conum = den.conjugate() * num if side == "left" else num * den.conjugate()
+    return (den, num, side, den.symmetrization(), conum)
+
+
+def _model_expanded(sym, conum):
+    if sym.is_zero:
+        raise ValueError("expanded denominator is identically zero")
+    return (None, None, "expanded", sym, conum)
+
+
+def _model_as_pair(m):
+    side = "right" if m[2] == "right" else "left"
+    return side, ((m[0], m[1]) if m[2] == side else (m[3], m[4]))
+
+
+def _model_value(m, q):
+    s = m[3].evaluate(q)
+    if s.norm() < 1e-12 * (1.0 + m[3].coefficient_norm_sum()):
+        raise PoleError(f"{q} lies on the zero set of the denominator symmetrization")
+    return s.inverse() * m[4].evaluate(q)
+
+
+def _model_neg(a):
+    return _model_expanded(a[3], -a[4])
+
+
+def _model_add(a, b):
+    return _model_expanded(a[3] * b[3], b[3] * a[4] + a[3] * b[4])
+
+
+def _model_conjugate(a):
+    if a[0] is not None:
+        return _model_pair(a[0].conjugate(), a[1].conjugate(),
+                           "right" if a[2] == "left" else "left")
+    return _model_expanded(a[3], a[4].conjugate())
+
+
+def _model_reciprocal(a):
+    side, (den, num) = _model_as_pair(a)
+    if num.is_zero:
+        raise ValueError("cannot invert the zero quotient")
+    return _model_pair(num, den, side)
+
+
+def _model_symmetrization(a):
+    _, (den, num) = _model_as_pair(a)
+    return _model_expanded(den.symmetrization(), num.symmetrization())
+
+
+def _model_remainder(a, q0):
+    shifted = a[4] - a[3] * _model_value(a, q0)
+    return _model_expanded(a[3], shifted.remainder(q0))
+
+
+def _model_derivative(a):
+    s, p = a[3], a[4]
+    return _model_expanded(s * s, s * p.cullen_derivative() - s.cullen_derivative() * p)
+
+
+_UNARY = {
+    "neg": (_model_neg, lambda f: -f),
+    "conjugate": (_model_conjugate, RegularQuotient.conjugate),
+    "reciprocal": (_model_reciprocal, RegularQuotient.reciprocal),
+    "symmetrization": (_model_symmetrization, RegularQuotient.symmetrization),
+    "cullen_derivative": (_model_derivative, RegularQuotient.cullen_derivative),
+    "remainder": (lambda m: _model_remainder(m, _Q0), lambda f: f.remainder(_Q0)),
+}
+_BINARY = {
+    "*": (lambda a, b: _model_expanded(a[3] * b[3], a[4] * b[4]), lambda f, g: f * g),
+    "+": (_model_add, lambda f, g: f + g),
+    "-": (lambda a, b: _model_add(a, _model_neg(b)), lambda f, g: f - g),
+}
+_Q0 = Quaternion(0.25, -0.5, 0.125, 0.375)
+
+
+def _hexes(poly):
+    return [tuple(v.hex() for v in c.to_json()) for c in poly.coeffs]
+
+
+def _run(step, *args):
+    try:
+        return step(*args)
+    except (PoleError, ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _assert_matches(quotient, model):
+    den, num, side, sym, conum = model
+    assert (quotient.den, quotient.num, quotient.side) == (den, num, side)
+    assert _hexes(quotient.sym) == _hexes(sym)
+    assert _hexes(quotient.conum) == _hexes(conum)
+    assert quotient._sym == tuple(c.w for c in sym.coeffs)
+    assert quotient._pole_scale == 1e-12 * (1.0 + sym.coefficient_norm_sum())
+    for q in (Quaternion(0.3, 0.1, -0.2, 0.05), Quaternion(-0.6), _Q0):
+        assert outcome(RegularQuotient.evaluate, quotient, q) == \
+            outcome(lambda _, p: _model_value(model, p), quotient, q)
+
+
+signed = st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0])
+small_polys = st.lists(st.builds(Quaternion, signed, signed, signed, signed),
+                       max_size=3).map(RegularPolynomial)
+quotient_args = st.tuples(small_polys.filter(lambda p: not p.is_zero), small_polys,
+                          st.sampled_from(["left", "right"]))
+steps = st.lists(st.one_of(st.sampled_from(sorted(_UNARY)).map(lambda op: (op, None)),
+                           st.tuples(st.sampled_from(sorted(_BINARY)), quotient_args)),
+                 max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotient_args, steps)
+def test_ring_operations_on_the_float_sym_match_the_polynomial_formulas(first, chain):
+    quotient, model = RegularQuotient(*first), _model_pair(*first)
+    _assert_matches(quotient, model)
+    for op, args in chain:
+        if args is None:
+            model_step, step = _UNARY[op]
+            model, quotient = _run(model_step, model), _run(step, quotient)
+        else:
+            model_step, step = _BINARY[op]
+            model = _run(model_step, model, _model_pair(*args))
+            quotient = _run(step, quotient, RegularQuotient(*args))
+        if isinstance(model, type):
+            assert quotient is model
+            return
+        _assert_matches(quotient, model)
+
+
+def test_a_quotient_with_float_sym_compares_hashes_copies_and_pickles():
+    f = RegularQuotient(Q - I * 0.5, Q * Q + J, "right")
+    expanded = f + RegularQuotient(Q + 2.0, ONE)
+    for quotient in (f, expanded, RegularQuotient(RegularPolynomial([1e-300, 1e-300]), 1)):
+        assert type(quotient._sym) is tuple
+        assert all(type(w) is float for w in quotient._sym)
+        for other in (copy.copy(quotient), copy.deepcopy(quotient),
+                      pickle.loads(pickle.dumps(quotient))):
+            assert other == quotient and hash(other) == hash(quotient)
+            assert other._sym == quotient._sym and other.sym == quotient.sym
+    assert RegularQuotient(Q - I * 0.5, Q * Q + J, "right") == f
+    assert expanded != f and hash(RegularQuotient(Q - I * 0.5, Q * Q + J, "right")) == hash(f)
+    with pytest.raises(AttributeError):
+        f.sym = f.conum
+    # the view is built on each read, with the bits symmetrization() gives
+    assert f.sym is not f.sym and f.sym == (Q - I * 0.5).symmetrization()
+
+
+def test_near_real_expanded_denominators_drop_their_imaginary_parts():
+    # S = 1e6 (1 + q^2) admits imaginary parts up to 1e-12 (1 + 2e6), so 1e-7 i
+    # is admitted; both evaluation routes see the exactly real S
+    exact = RegularPolynomial([1e6, 0.0, 1e6])
+    near = exact + RegularPolynomial([Quaternion(0.0, 1e-7)])
+    conum = Q * J + I
+    a = RegularQuotient.from_expanded(near, conum)
+    b = RegularQuotient.from_expanded(exact, conum)
+    assert a.sym == exact and a == b
+    points = [Quaternion(0.3, 0.1, -0.2, 0.05), Quaternion(-0.6), Quaternion(0.0, 0.9)]
+    for q in points:
+        assert outcome(RegularQuotient.evaluate, a, q) == outcome(RegularQuotient.evaluate, b, q)
+    floats = [(q.w, q.x, q.y, q.z) for q in points]
+    assert rational._moduli_at([a], floats) == rational._moduli_at([b], floats)
+    # an imaginary part that is not admitted is still refused, and one that is
+    # admitted beside a zero real polynomial leaves nothing to divide by
+    with pytest.raises(ValueError, match="real coefficients"):
+        RegularQuotient.from_expanded(exact + RegularPolynomial([Quaternion(0.0, 1e-5)]), conum)
+    with pytest.raises(ValueError, match="identically zero"):
+        RegularQuotient.from_expanded(RegularPolynomial([Quaternion(0.0, 1e-13)]), conum)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_the_modulus_of_a_real_quaternion_is_its_absolute_value(w):
+    # the pole scale sums |w| over sym's floats for the norm() of w + 0i + 0j + 0k
+    assert Quaternion(w).norm() == abs(w)
+
+
+def test_a_non_real_expanded_denominator_is_refused_as_non_real_even_with_zero_real_parts():
+    with pytest.raises(ValueError, match="real coefficients"):
+        RegularQuotient.from_expanded(RegularPolynomial([I]), Q)
+    with pytest.raises(TypeError):
+        RegularQuotient.from_expanded(RegularPolynomial([I]), "q")

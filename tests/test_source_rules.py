@@ -13,6 +13,11 @@
 - One violation test: ``margin < -tol * (1.0 + abs(rhs))`` is written once,
   in ``verify._margins``; every check summarises its margins there, and
   reports merge only through ``verify._fold``.
+- One substrate for ``sym``: a quotient stores its symmetrization as real
+  floats, and ``RegularQuotient.sym`` builds a polynomial from them on each
+  read.  Nothing reads that view's coefficients back (``.sym.coeffs``, or
+  ``c.w for c in ...sym...``); the one place that takes floats from a
+  quaternion ``sym`` is ``from_expanded``, whose caller passes a polynomial.
 """
 
 import ast
@@ -120,16 +125,45 @@ def _is_violation_test(node) -> bool:
             and isinstance(bound.right.right, ast.Call) and _called(bound.right.right) == "abs")
 
 
+def _innermost_functions(tree, lines) -> list:
+    """The innermost function around each of ``lines``, None at module level."""
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    out = []
+    for line in lines:
+        around = [f for f in functions if f.lineno <= line <= f.end_lineno]
+        out.append(max(around, key=lambda f: f.lineno).name if around else None)
+    return out
+
+
 def violation_tests(text: str) -> list:
     """The innermost function around each violation test, None at module level."""
     tree = ast.parse(text)
-    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
-    out = []
+    return _innermost_functions(tree, [n.lineno for n in ast.walk(tree) if _is_violation_test(n)])
+
+
+def _names_sym(node) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == "sym" or isinstance(n, ast.Attribute)
+               and n.attr == "sym" for n in ast.walk(node))
+
+
+def sym_unpacks(text: str) -> list:
+    """The innermost function around each line that reads ``.sym.coeffs`` or
+    unpacks ``c.w for c in ...`` from an iterable that names ``sym``."""
+    tree = ast.parse(text)
+    lines = set()
     for node in ast.walk(tree):
-        if _is_violation_test(node):
-            around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
-            out.append(max(around, key=lambda f: f.lineno).name if around else None)
-    return out
+        if (isinstance(node, ast.Attribute) and node.attr == "coeffs"
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "sym"):
+            lines.add(node.lineno)
+        elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp)):
+            elt = node.elt
+            if not (isinstance(elt, ast.Attribute) and elt.attr == "w"
+                    and isinstance(elt.value, ast.Name)):
+                continue
+            if any(isinstance(g.target, ast.Name) and g.target.id == elt.value.id
+                   and _names_sym(g.iter) for g in node.generators):
+                lines.add(node.lineno)
+    return _innermost_functions(tree, sorted(lines))
 
 
 def test_the_scan_sees_every_module():
@@ -167,6 +201,11 @@ def test_one_violation_test():
     assert {name: f for name, f in found.items() if f} == {"verify.py": ["_margins"]}
 
 
+def test_one_sym_substrate():
+    found = {p.name: sym_unpacks(p.read_text()) for p in MODULES}
+    assert {name: f for name, f in found.items() if f} == {"rational.py": ["from_expanded"]}
+
+
 def test_the_rules_catch_what_they_forbid():
     assert builtin_sum_calls("x = sum(v for v in a)\n") == [1]
     assert builtin_sum_calls("x = math.fsum(a)\n# sum(a)\ny = 'sum(a)'\n") == []
@@ -197,3 +236,9 @@ def test_the_rules_catch_what_they_forbid():
     assert violation_tests("if -tol * (1 + abs(rhs)) > margin:\n    n += 1\n") == [None]
     # a bare threshold, or a bound without the 1 + |rhs| scale, is not the test
     assert violation_tests("a = m < -t\nb = m < -t * abs(r)\nc = m > -t * (1.0 + abs(r))\n") == []
+    assert sym_unpacks("def f(q):\n    return [c.w for c in q.sym.coeffs]\n") == ["f"]
+    assert sym_unpacks("s = tuple(t.w for t in sym.coeffs)\n"
+                       "n = len(f.sym.coeffs)\n") == [None, None]
+    # the stored floats, another polynomial's parts, or the view itself are not an unpack
+    assert sym_unpacks("a = [w for w in f._sym]\nb = [c.w for c in conum.coeffs]\n"
+                       "c = f.sym * 2.0\nd = [v.w for c in f.sym for v in c]\n") == []
