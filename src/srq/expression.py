@@ -9,10 +9,10 @@ Grammar (blanks are allowed at both ends and between any two tokens):
 
 Every value is a regular polynomial in q; '*' is the star product, which on
 constants is the ordinary quaternion product.  A power may take its exponent
-and its degree, and a product its degree, up to ``_MAX_DEGREE``; the products
-of two polynomials in one text share a budget of ``_MAX_PRODUCTS`` coefficient
-products, and parentheses nested deeper than the recursion limit allows are
-a ``ParseError`` too.
+and its degree, and a product its degree, up to ``_MAX_DEGREE``; the polynomial
+operations of one text share a budget of ``_BUDGET`` coefficient operations,
+and parentheses nested deeper than the recursion limit allows are a
+``ParseError`` too.
 Constants stay quaternions until they meet q and ``q^n`` is built directly,
 yet every coefficient has the bits of ``RegularPolynomial`` arithmetic,
 signed zeros included: unary minus is the product with -1.0, and a zero
@@ -26,13 +26,16 @@ import re
 
 from .errors import ParseError
 from .quaternion import _NUMBER, I, J, K, ONE, ZERO, Quaternion, _make
-from .series import RegularPolynomial, _from_made
+from .series import _ZERO4, RegularPolynomial, _from_parts, _hamilton
 
 _TOKEN = re.compile(r"\s*(?:(" + _NUMBER + r")([ijk]?)|([-+*^()ijkq])|(\S))")
 _MAX_DEGREE = 1000
-#: Coefficient products one text may spend on products of two polynomials; the
-#: slowest power allowed, (q+i)^1000, spends 4 + 6 + ... + 2000 = 1,000,998.
-_MAX_PRODUCTS = _MAX_DEGREE * (_MAX_DEGREE + 1)
+#: Coefficient operations one text may spend: a product of two polynomials costs
+#: its coefficient products, a sum or a constant times a polynomial its
+#: coefficient count.  The slowest power allowed, (q+i)^1000, spends
+#: 4 + 6 + ... + 2000 = 1,000,998 products, which leaves room for ten sums or
+#: constant maps of degree 1000 around it.
+_BUDGET = (_MAX_DEGREE + 10) * (_MAX_DEGREE + 1)
 _Q = RegularPolynomial.identity()
 _NAMES = {"i": I, "j": J, "k": K, "q": _Q}
 _MINUS_ONE = Quaternion(-1.0)
@@ -65,22 +68,20 @@ def _token_error(text: str):
 
 def _reduced(p: RegularPolynomial):
     """``p`` as a value: a constant when its degree is below 1."""
-    coeffs = p.coeffs
-    return p if len(coeffs) > 1 else coeffs[0] if coeffs else ZERO
+    return p if p.degree > 0 else p.coefficient(0)
 
 
-def _times(a: Quaternion, b: Quaternion) -> Quaternion:
-    """The star product of constants: a * b with each component summed onto
-    +0.0, as the convolution sums it."""
-    p = a * b
-    return _make(0.0 + p.w, 0.0 + p.x, 0.0 + p.y, 0.0 + p.z)
+def _times(a: tuple, b: tuple) -> tuple:
+    """The star product of constants, float 4-tuples: each component of a * b
+    summed onto +0.0, as the convolution sums it."""
+    w, x, y, z = _hamilton(a, b)
+    return 0.0 + w, 0.0 + x, 0.0 + y, 0.0 + z
 
 
 def _negated(value):
-    """value * -1.0, the product with the quaternion -1 (not ``Quaternion.__neg__``)."""
-    if type(value) is Quaternion:
-        return ZERO if value == ZERO else value * _MINUS_ONE
-    return _from_made([c * _MINUS_ONE for c in value.coeffs])
+    """value * -1.0, the product with the quaternion -1 (not ``Quaternion.__neg__``);
+    a polynomial maps each coefficient so."""
+    return ZERO if value == ZERO else value * _MINUS_ONE
 
 
 class _Parser:
@@ -91,30 +92,38 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
-        self.budget = _MAX_PRODUCTS
+        self.budget = _BUDGET
+
+    def spend(self, cost: int):
+        """Charge ``cost`` coefficient operations, refusing the text once it
+        overdraws its budget."""
+        self.budget -= cost
+        if self.budget < 0:
+            raise ParseError(f"{self.text!r} needs more than {_BUDGET} coefficient operations")
 
     def product(self, a, b):
         """a * b; a polynomial times a constant maps its coefficients, so ``q^n * c``
         is a shifted coefficient list, and a product of two polynomials is refused
-        before it is built if its degree would exceed ``_MAX_DEGREE`` or its
-        coefficient products would overdraw the text's budget."""
+        if its degree would exceed ``_MAX_DEGREE``.  Each is charged before it is built."""
         if type(a) is Quaternion:
             if type(b) is Quaternion:
-                return _times(a, b)
-            return _reduced(_from_made([c if c is ZERO else _times(a, c) for c in b.coeffs]))
+                return _make(*_times((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z)))
+            self.spend(len(b._c))
+            a = (a.w, a.x, a.y, a.z)
+            return _reduced(_from_parts([c if c is _ZERO4 else _times(a, c) for c in b._c]))
         if type(b) is Quaternion:
-            return _reduced(_from_made([c if c is ZERO else _times(c, b) for c in a.coeffs]))
+            self.spend(len(a._c))
+            b = (b.w, b.x, b.y, b.z)
+            return _reduced(_from_parts([c if c is _ZERO4 else _times(c, b) for c in a._c]))
         if a.degree + b.degree > _MAX_DEGREE:
             raise ParseError(f"product in {self.text!r} exceeds degree {_MAX_DEGREE}")
-        self.budget -= len(a.coeffs) * len(b.coeffs)
-        if self.budget < 0:
-            raise ParseError(f"{self.text!r} needs more than {_MAX_PRODUCTS} coefficient products")
+        self.spend(len(a._c) * len(b._c))
         return _reduced(a * b)
 
     def power(self, base, n: int):
         """base^n by the loop out = out * base from out = 1, with q^n built directly."""
         if base is _Q and n:
-            return _from_made([ZERO] * n + [ONE])
+            return _from_parts([_ZERO4] * n + [(1.0, 0.0, 0.0, 0.0)])
         value = ONE
         for _ in range(n):
             value = self.product(value, base)
@@ -130,6 +139,7 @@ class _Parser:
                 if value == ZERO:  # a sum that cancels is the zero polynomial
                     value = ZERO
             else:
+                self.spend(max(v.degree + 1 for v in (value, rhs) if type(v) is RegularPolynomial))
                 value = _reduced(value + rhs if op == "+" else value - rhs)
             op = self.tokens[i]
         return value, i
@@ -181,7 +191,7 @@ def parse_polynomial(text: str) -> RegularPolynomial:
         raise ParseError("parentheses nest too deeply") from None
     if parser.tokens[i] is not None:
         raise ParseError(f"trailing input in {text!r}")
-    return value if type(value) is RegularPolynomial else _from_made([value])
+    return value if type(value) is RegularPolynomial else RegularPolynomial([value])
 
 
 _SIMPLE_COEFF = re.compile(r"^(?:\d+(?:\.\d+)?(?:e-?\d+)?)?[ijk]?$")

@@ -22,8 +22,8 @@ import sys
 from .errors import NonConvergence, PoleError
 from .quaternion import (_EPS_SQ, _INF, EPS, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _make,
                          _norm, _slice_point, _zero_bound, as_quaternion)
-from .series import (RegularPolynomial, _convolve, _horner_floats, _lift, _parts,
-                     _real_polynomial, _real_star, _reals, _symmetrized, evaluate_any)
+from .series import (RegularPolynomial, _convolve, _horner_floats, _lift, _real_polynomial,
+                     _real_star, _reals, _symmetrized, evaluate_any)
 
 #: Relative distance within which roots merge, or count as real.
 _CLUSTER_TOL = 1e-6
@@ -57,7 +57,7 @@ class RegularQuotient(_Frozen):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         if den.is_zero:
             raise ValueError("denominator is identically zero")
-        sym = _symmetrized(den.coeffs)
+        sym = _symmetrized(den._c)
         conum = den.conjugate() * num if side == "left" else num * den.conjugate()
         self._install(den, num, side, sym, conum)
 
@@ -134,7 +134,7 @@ class RegularQuotient(_Frozen):
         out = []
         sym = [(w, 0.0, 0.0, 0.0) for w in self._sym]
         for p, (sw, sx, sy, sz), c in zip(points, _horner_floats(sym, points),
-                                          _horner_floats(_parts(self.conum.coeffs), points)):
+                                          _horner_floats(self.conum._c, points)):
             n2 = sw * sw + sx * sx + sy * sy + sz * sz
             if not _EPS_SQ < n2 < _INF:
                 s = _make(sw, sx, sy, sz)
@@ -238,7 +238,7 @@ class RegularQuotient(_Frozen):
             return NotImplemented
         return RegularQuotient._expanded(
             _reals(_convolve(self._sym, other._sym)),
-            _real_star(other._sym, self.conum.coeffs) + _real_star(self._sym, other.conum.coeffs))
+            _real_star(other._sym, self.conum._c) + _real_star(self._sym, other.conum._c))
 
     __radd__ = __add__
 
@@ -274,7 +274,7 @@ class RegularQuotient(_Frozen):
         sym = self._sym
         ds = _reals([sym[n] * float(n) for n in range(1, len(sym))])
         dp = self.conum.cullen_derivative()
-        numerator = _real_star(sym, dp.coeffs) - _real_star(ds, self.conum.coeffs)
+        numerator = _real_star(sym, dp._c) - _real_star(ds, self.conum._c)
         return RegularQuotient._expanded(_reals(_convolve(sym, sym)), numerator)
 
     def sphere_zero_set(self) -> "SphereZeroSet":
@@ -328,7 +328,7 @@ def _values_at(f, points) -> list:
     if isinstance(f, RegularQuotient):
         return f._evaluate_floats(points)
     if isinstance(f, RegularPolynomial):
-        return _horner_floats(_parts(f.coeffs), points)
+        return _horner_floats(f._c, points)
     out = []
     for p in points:
         v = evaluate_any(f, _make(*p))
@@ -367,7 +367,7 @@ def _moduli_at(maps, points) -> list:
             sym_moduli = syms[f._sym] = [_norm(s.real, s.imag, 0.0, 0.0)
                                          for s in _horner(f._sym, slices)]
         scale = f._pole_scale
-        for p, s, c in zip(points, sym_moduli, _horner_floats(_parts(f.conum.coeffs), points)):
+        for p, s, c in zip(points, sym_moduli, _horner_floats(f.conum._c, points)):
             if s < scale:
                 raise _pole_at(p)
             n = _norm(*c) / s
@@ -595,7 +595,7 @@ def sphere_zero_set(f: RegularPolynomial) -> SphereZeroSet:
     complex-polynomial roots on one slice; conjugate pairs collapse to one
     sphere entry, with multiplicities counted in f^s.
     """
-    return _zero_set_of_real_polynomial(_symmetrized(f.coeffs))
+    return _zero_set_of_real_polynomial(_symmetrized(f._c))
 
 
 def zeros_on_sphere(f: RegularPolynomial, x: float, y: float):

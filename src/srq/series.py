@@ -10,26 +10,29 @@ spherical expansion this is the algebraic core of the package.
 from __future__ import annotations
 
 import math
+from itertools import starmap, zip_longest
 
 from .errors import DegenerateCenter, RealPoint
-from .quaternion import (EPS, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _make,
+from .quaternion import (EPS, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _make, _norm,
                          _zero_bound, as_quaternion)
+
+_ZERO4 = (0.0, 0.0, 0.0, 0.0)
 
 
 class RegularPolynomial(_Frozen):
     """Finite sequence of right coefficients (a_0, ..., a_N) for sum q^n a_n.
 
     Trailing zero coefficients are stripped so the degree is normalized; the
-    zero polynomial has an empty coefficient tuple and degree -1.
+    zero polynomial has no coefficients and degree -1.  ``_c`` holds them as
+    float 4-tuples (w, x, y, z), the form every kernel runs on; ``coeffs``
+    builds them as quaternions on each read.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_c",)
 
     def __init__(self, coeffs=()):
-        lifted = [as_quaternion(c) for c in coeffs]
-        while lifted and lifted[-1] == ZERO:
-            lifted.pop()
-        object.__setattr__(self, "coeffs", tuple(lifted))
+        parts = [(c.w, c.x, c.y, c.z) for c in map(as_quaternion, coeffs)]
+        object.__setattr__(self, "_c", _from_parts(parts)._c)
 
     # -- constructors --------------------------------------------------------
 
@@ -49,27 +52,33 @@ class RegularPolynomial(_Frozen):
         return cls([Quaternion.from_json(c) for c in obj["coeffs"]])
 
     def to_json(self) -> dict:
-        return {"coeffs": [c.to_json() for c in self.coeffs]}
+        return {"coeffs": [list(c) for c in self._c]}
 
     # -- basic structure -------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as quaternions, built on each read: a loop reads them
+        once, or one at a time through ``coefficient(n)``."""
+        return tuple(starmap(_make, self._c))
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._c) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._c
 
     def coefficient(self, n: int) -> Quaternion:
-        return self.coeffs[n] if 0 <= n < len(self.coeffs) else ZERO
+        return _make(*self._c[n]) if 0 <= n < len(self._c) else ZERO
 
     def coefficient_norm_sum(self) -> float:
         """sum |a_n|; bounds |f| on the closed unit ball."""
-        return _fold_sum(c.norm() for c in self.coeffs)
+        return _fold_sum(starmap(_norm, self._c))
 
     def is_real(self, tol: float = 0.0) -> bool:
-        return all(c.imag_norm() <= tol for c in self.coeffs)
+        return all(_norm(0.0, x, y, z) <= tol for _, x, y, z in self._c)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -78,13 +87,10 @@ class RegularPolynomial(_Frozen):
 
         The loop is ``_horner_floats``; only its result is built as a
         quaternion, which checks that it is finite (a NaN/Inf, once produced,
-        reaches every later component).  A constant is its own value.
+        reaches every later component).
         """
         q = as_quaternion(q)
-        coeffs = self.coeffs
-        if len(coeffs) < 2:
-            return coeffs[0] if coeffs else ZERO
-        return _make(*_horner_floats(_parts(coeffs), [(q.w, q.x, q.y, q.z)])[0])
+        return _make(*_horner_floats(self._c, [(q.w, q.x, q.y, q.z)])[0])
 
     __call__ = evaluate
 
@@ -94,8 +100,8 @@ class RegularPolynomial(_Frozen):
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return _from_made([self.coefficient(k) + other.coefficient(k) for k in range(n)])
+        return _from_parts([(w1 + w2, x1 + x2, y1 + y2, z1 + z2) for (w1, x1, y1, z1), (w2, x2, y2, z2)
+                            in zip_longest(self._c, other._c, fillvalue=_ZERO4)])
 
     __radd__ = __add__
 
@@ -103,8 +109,8 @@ class RegularPolynomial(_Frozen):
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return _from_made([self.coefficient(k) - other.coefficient(k) for k in range(n)])
+        return _from_parts([(w1 - w2, x1 - x2, y1 - y2, z1 - z2) for (w1, x1, y1, z1), (w2, x2, y2, z2)
+                            in zip_longest(self._c, other._c, fillvalue=_ZERO4)])
 
     def __rsub__(self, other):
         other = _lift(other)
@@ -113,7 +119,7 @@ class RegularPolynomial(_Frozen):
         return other - self
 
     def __neg__(self):
-        return _from_made([-c for c in self.coeffs])
+        return _from_parts([(-w, -x, -y, -z) for w, x, y, z in self._c])
 
     # -- star product ----------------------------------------------------------------
 
@@ -127,11 +133,12 @@ class RegularPolynomial(_Frozen):
         """
         if isinstance(other, (int, float, Quaternion)):
             c = as_quaternion(other)
-            return _from_made([a * c for a in self.coeffs])
+            c = (c.w, c.x, c.y, c.z)
+            return _from_parts([_hamilton(a, c) for a in self._c])
         if isinstance(other, RegularPolynomial):
             if self.is_zero or other.is_zero:
                 return RegularPolynomial()
-            a, b = self.coeffs, other.coeffs
+            a, b = self._c, other._c
             ra = _exact_real_parts(a)
             if ra is not None:
                 return _real_star(ra, b)
@@ -140,22 +147,21 @@ class RegularPolynomial(_Frozen):
                 return _real_star(rb, a, real_first=False)
             size = len(a) + len(b) - 1
             parts = ow, ox, oy, oz = [0.0] * size, [0.0] * size, [0.0] * size, [0.0] * size
-            rhs = _parts(b)
-            for k, c in enumerate(a):
-                w1, x1, y1, z1 = c.w, c.x, c.y, c.z
-                for n, (w2, x2, y2, z2) in enumerate(rhs, k):
+            for k, (w1, x1, y1, z1) in enumerate(a):
+                for n, (w2, x2, y2, z2) in enumerate(b, k):
                     ow[n] = ow[n] + (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2)
                     ox[n] = ox[n] + (w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2)
                     oy[n] = oy[n] + (w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2)
                     oz[n] = oz[n] + (w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
-            return _from_made([_make(*c) for c in zip(*parts)])
+            return _from_parts(list(zip(*parts)))
         return NotImplemented
 
     def __rmul__(self, other):
         # constant * f multiplies every coefficient on the left
         if isinstance(other, (int, float, Quaternion)):
             c = as_quaternion(other)
-            return _from_made([c * a for a in self.coeffs])
+            c = (c.w, c.x, c.y, c.z)
+            return _from_parts([_hamilton(c, a) for a in self._c])
         return NotImplemented
 
     def __pow__(self, n):
@@ -170,11 +176,11 @@ class RegularPolynomial(_Frozen):
 
     def conjugate(self) -> "RegularPolynomial":
         """Regular conjugate f^c: the same powers with conjugated coefficients."""
-        return _from_made([c.conjugate() for c in self.coeffs])
+        return _from_parts([(w, -x, -y, -z) for w, x, y, z in self._c])
 
     def symmetrization(self) -> "RegularPolynomial":
         """f^s = f * f^c, which has real coefficients (``_symmetrized``)."""
-        return _real_polynomial(_symmetrized(self.coeffs))
+        return _real_polynomial(_symmetrized(self._c))
 
     # -- calculus -----------------------------------------------------------------------
 
@@ -185,17 +191,19 @@ class RegularPolynomial(_Frozen):
         with no division; the degree drops by one.
         """
         q0 = as_quaternion(q0)
-        if self.degree <= 0:
-            return RegularPolynomial()
-        b = [ZERO] * self.degree
-        b[-1] = self.coeffs[-1]
-        for n in range(self.degree - 1, 0, -1):
-            b[n - 1] = self.coeffs[n] + q0 * b[n]
-        return _from_made(b)
+        q0 = (q0.w, q0.x, q0.y, q0.z)
+        c = self._c
+        b = list(c[1:])  # b_{N-1} = c_N; the loop overwrites the rest
+        for n in range(len(b) - 1, 0, -1):
+            w, x, y, z = _hamilton(q0, b[n])
+            w0, x0, y0, z0 = c[n]
+            b[n - 1] = (w0 + w, x0 + x, y0 + y, z0 + z)
+        return _from_parts(b)
 
     def cullen_derivative(self) -> "RegularPolynomial":
-        """Termwise derivative sum q^{n-1} n a_n."""
-        return _from_made([self.coeffs[n] * float(n) for n in range(1, len(self.coeffs))])
+        """Termwise derivative sum q^{n-1} n a_n (an int n multiplies as float(n))."""
+        return _from_parts([(w * n, x * n, y * n, z * n)
+                            for n, (w, x, y, z) in enumerate(self._c[1:], 1)])
 
     def spherical_expansion(self, q0, n_max: int) -> "SphericalExpansion":
         """Expansion around the sphere through q0 by iterated remainders.
@@ -229,34 +237,47 @@ class RegularPolynomial(_Frozen):
 
     def isclose(self, other: "RegularPolynomial", rel_tol: float = EPS,
                 abs_tol: float = 0.0) -> bool:
-        n = max(len(self.coeffs), len(other.coeffs))
         scale = max(self.coefficient_norm_sum(), other.coefficient_norm_sum())
         bound = max(rel_tol * scale, abs_tol)
         return all((self.coefficient(k) - other.coefficient(k)).norm() <= bound
-                   for k in range(n))
+                   for k in range(max(self.degree, other.degree) + 1))
 
     def __repr__(self):
         return f"RegularPolynomial({[str(c) for c in self.coeffs]})"
 
 
-def _from_made(coeffs: list) -> RegularPolynomial:
-    """``RegularPolynomial(coeffs)`` for quaternions that are already built, as
-    ``_make`` builds them: the same trailing-zero strip, without the
-    ``as_quaternion`` lift of every coefficient."""
-    while coeffs and coeffs[-1] == ZERO:
-        coeffs.pop()
+def _from_parts(parts: list) -> RegularPolynomial:
+    """The polynomial with the coefficients ``parts``, float 4-tuples, trailing
+    zeros (either sign) stripped.  The first coefficient that holds a NaN or an
+    infinity raises ``_make``'s ``ValueError``."""
+    while parts and parts[-1] == _ZERO4:
+        parts.pop()
+    for w, x, y, z in parts:
+        if not math.isfinite(0.0 * w + 0.0 * x + 0.0 * y + 0.0 * z):  # _make's test
+            _make(w, x, y, z)
     poly = _new(RegularPolynomial)
-    _set_coeffs(poly, tuple(coeffs))
+    _set_c(poly, tuple(parts))
     return poly
 
 
 _new = object.__new__
-_set_coeffs = RegularPolynomial.__dict__["coeffs"].__set__
+_set_c = RegularPolynomial.__dict__["_c"].__set__
+
+
+def _hamilton(p: tuple, q: tuple) -> tuple:
+    """The Hamilton product p * q of float 4-tuples, in ``Quaternion.__mul__``'s
+    operation order, so its bits are that product's."""
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
 
 
 def _horner_floats(coeffs, points) -> list:
-    """The components of sum_n q^n coeffs[n] at each q of ``points``, for lists
-    ``coeffs`` and ``points`` of float 4-tuples (w, x, y, z), as such a list.
+    """The components of sum_n q^n coeffs[n] at each q of ``points``, for sequences
+    ``coeffs`` and ``points`` of float 4-tuples (w, x, y, z), as a list of them.
 
     Each Horner step ``acc = q * acc + a_n`` runs on unpacked floats in the
     exact operation order of the Hamilton product and sum, so every result is
@@ -264,7 +285,7 @@ def _horner_floats(coeffs, points) -> list:
     every point.
     """
     if not coeffs:
-        return [(0.0, 0.0, 0.0, 0.0)] * len(points)
+        return [_ZERO4] * len(points)
     tw, tx, ty, tz = coeffs[-1]
     rest = coeffs[-2::-1]
     out = []
@@ -279,22 +300,17 @@ def _horner_floats(coeffs, points) -> list:
     return out
 
 
-def _parts(coeffs) -> list:
-    """The components of each quaternion of ``coeffs`` as a float 4-tuple."""
-    return [(c.w, c.x, c.y, c.z) for c in coeffs]
-
-
 def _exact_real_parts(coeffs):
-    """The w parts of ``coeffs`` if every x, y and z is exactly 0.0, else None.
+    """The w parts of the 4-tuples ``coeffs`` if every x, y and z is exactly 0.0,
+    else None.
 
     This picks a star-product kernel, so it is exact on purpose: a
     coefficient that is real only within a tolerance (``is_real(tol)``)
     takes the Hamilton kernel, whose zero terms would not be zero for it.
     """
-    for c in coeffs:
-        if c.x != 0.0 or c.y != 0.0 or c.z != 0.0:
-            return None
-    return [c.w for c in coeffs]
+    if all(x == y == z == 0.0 for _, x, y, z in coeffs):
+        return [c[0] for c in coeffs]
+    return None
 
 
 def _convolve(a, b):
@@ -309,7 +325,7 @@ def _convolve(a, b):
 
 def _real_star(real, coeffs, real_first: bool = True) -> RegularPolynomial:
     """The star product ``real * coeffs`` (``coeffs * real`` if not ``real_first``)
-    of real coefficients, floats, and quaternion ones.
+    of real coefficients, floats, and quaternion ones, float 4-tuples.
 
     Real coefficients are central, so each component is a float convolution,
     summed in the left operand's order (``real`` taken last to first when it
@@ -319,22 +335,21 @@ def _real_star(real, coeffs, real_first: bool = True) -> RegularPolynomial:
     A unit ``real`` leaves one term, ``0.0 + 1.0 * c``, which is ``0.0 + c``.
     """
     if len(real) == 1 and real[0] == 1.0:
-        return _from_made([_make(0.0 + c.w, 0.0 + c.x, 0.0 + c.y, 0.0 + c.z) for c in coeffs])
-    parts = _parts(coeffs)
-    size = len(real) + len(parts) - 1
+        return _from_parts([(0.0 + w, 0.0 + x, 0.0 + y, 0.0 + z) for w, x, y, z in coeffs])
+    size = len(real) + len(coeffs) - 1
     out = ow, ox, oy, oz = [0.0] * size, [0.0] * size, [0.0] * size, [0.0] * size
     for k in range(len(real)) if real_first else range(len(real) - 1, -1, -1):
         s = real[k]
-        for n, (w, x, y, z) in enumerate(parts, k):
+        for n, (w, x, y, z) in enumerate(coeffs, k):
             ow[n] = ow[n] + s * w
             ox[n] = ox[n] + s * x
             oy[n] = oy[n] + s * y
             oz[n] = oz[n] + s * z
-    return _from_made([_make(*c) for c in zip(*out)])
+    return _from_parts(list(zip(*out)))
 
 
 def _symmetrized(coeffs) -> tuple:
-    """The real coefficients (``_reals``) of f^s = f * f^c for f's ``coeffs``.
+    """The real coefficients (``_reals``) of f^s = f * f^c for f's ``coeffs``, float 4-tuples.
 
     Only the real part of the convolution is accumulated: the Hamilton real
     part w1*w2 - x1*(-x2) - y1*(-y2) - z1*(-z2) against the conjugate is
@@ -342,16 +357,15 @@ def _symmetrized(coeffs) -> tuple:
     the real part of ``f * f.conjugate()``.  Its imaginary parts, zero up to
     rounding, are never formed.
     """
-    parts = _parts(coeffs)
-    out = [0.0] * (2 * len(parts) - 1)  # empty for the zero polynomial
-    for k, (w1, x1, y1, z1) in enumerate(parts):
-        for n, (w2, x2, y2, z2) in enumerate(parts, k):
+    out = [0.0] * (2 * len(coeffs) - 1)  # empty for the zero polynomial
+    for k, (w1, x1, y1, z1) in enumerate(coeffs):
+        for n, (w2, x2, y2, z2) in enumerate(coeffs, k):
             out[n] = out[n] + (w1 * w2 + x1 * x2 + y1 * y2 + z1 * z2)
     return _reals(out)
 
 
 def _reals(values: list) -> tuple:
-    """Real coefficients as a tuple, trailing zeros stripped as ``_from_made``
+    """Real coefficients as a tuple, trailing zeros stripped as ``_from_parts``
     strips them; a NaN or an infinity raises ``ValueError`` as ``_make`` does."""
     while values and values[-1] == 0.0:
         values.pop()
@@ -361,8 +375,8 @@ def _reals(values: list) -> tuple:
 
 
 def _real_polynomial(reals) -> RegularPolynomial:
-    """The polynomial with the real coefficients ``reals``, each ``_make(w, 0.0, 0.0, 0.0)``."""
-    return _from_made([_make(w, 0.0, 0.0, 0.0) for w in reals])
+    """The polynomial with the real coefficients ``reals``, each (w, 0.0, 0.0, 0.0)."""
+    return _from_parts([(w, 0.0, 0.0, 0.0) for w in reals])
 
 
 def _lift(value):
@@ -397,7 +411,8 @@ class SphericalExpansion(_Frozen):
         brackets = [a + offset * b for a, b in zip(evens, odds)] + list(evens[len(odds):])
         shifted = q - self.x0
         s = shifted * shifted + self.y0 * self.y0
-        return _make(*_horner_floats(_parts(brackets), [(s.w, s.x, s.y, s.z)])[0])
+        brackets = [(c.w, c.x, c.y, c.z) for c in brackets]
+        return _make(*_horner_floats(brackets, [(s.w, s.x, s.y, s.z)])[0])
 
     __call__ = evaluate
 

@@ -189,13 +189,16 @@ def test_huge_power_exits_2_at_once():
 
 @pytest.mark.parametrize("text, message", [
     ("q^1000*q^1000*q^1000*q^1000", "exceeds degree 1000"),
-    # the first power spends the text's budget of coefficient products, so the
-    # second is refused at its first product
-    ("(q+i)^1000*(q+i)^1000", "needs more than 1001000 coefficient products"),
-    (" + ".join(["(0.5*q+0.5i)^1000"] * 3), "needs more than 1001000 coefficient products"),
+    # the first power spends most of the text's budget of coefficient operations,
+    # so the second is refused within its first hundred products
+    ("(q+i)^1000*(q+i)^1000", "needs more than 1011010 coefficient operations"),
+    (" + ".join(["(0.5*q+0.5i)^1000"] * 3), "needs more than 1011010 coefficient operations"),
+    # each sum of degree 1000 costs 1001, so the text is refused after about a thousand
+    ("+".join(["q^1000"] * 20000), "needs more than 1011010 coefficient operations"),
     ("(" * 340 + "q" + ")" * 340, "nest too deeply"),
     ("(" * 10000 + "q" + ")" * 10000, "nest too deeply"),
-], ids=["q-products", "binomial-product", "binomial-sum", "nested-340", "nested-10000"])
+], ids=["q-products", "binomial-product", "binomial-sum", "q-power-sums", "nested-340",
+        "nested-10000"])
 def test_unbounded_text_exits_2_with_an_error_line(capsys, text, message):
     code, out, err = run_cli(capsys, "eval", "--f", text, "--at", "0.5")
     assert code == 2

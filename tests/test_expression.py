@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srq.errors import ParseError
-from srq.expression import format_polynomial, parse_polynomial
+from srq.expression import _Parser, format_polynomial, parse_polynomial
 from srq.quaternion import I, J, K, ONE, ZERO, Quaternion
 from srq.series import RegularPolynomial
 
@@ -106,13 +106,31 @@ def test_one_budget_of_coefficient_products_for_the_whole_text(monkeypatch):
     # the slowest power allowed spends just below the budget of one text
     binomial = parse_polynomial("(q+i)^1000")
     assert binomial.degree == 1000 and sum(spent) <= 1001000
-    # a second such term overdraws it at its first product, so the text is
+    # a second such term overdraws it within the headroom, so the text is
     # refused after one term's products, not after all three
     spent.clear()
     term = "(0.5*q+0.5i)^1000"
-    with pytest.raises(ParseError, match="needs more than 1001000 coefficient products"):
+    with pytest.raises(ParseError, match="needs more than 1011010 coefficient operations"):
         parse_polynomial(" + ".join([term] * 3))
-    assert sum(spent) <= 1001000
+    assert sum(spent) <= 1011010
+
+
+def test_sums_and_constant_maps_spend_the_same_budget(monkeypatch):
+    # the headroom above (q+i)^1000 takes the sums and constants around it
+    assert parse_polynomial("(q+i)^1000 + q^1000*i + 1").degree == 1000
+    sums, products = [], []
+    add, product = RegularPolynomial.__add__, _Parser.product
+    monkeypatch.setattr(RegularPolynomial, "__add__", lambda f, g: sums.append(1) or add(f, g))
+    monkeypatch.setattr(_Parser, "product", lambda p, a, b: products.append(1) or product(p, a, b))
+    # every term is built directly and every sum costs 1001, so about a
+    # thousand of the 20,000 sums run before the text is refused
+    with pytest.raises(ParseError, match="needs more than 1011010 coefficient operations"):
+        parse_polynomial("+".join(["q^1000"] * 20000))
+    assert 1000 <= len(sums) <= 1011
+    # a constant times q^1000 costs 1001 as well
+    with pytest.raises(ParseError, match="needs more than 1011010 coefficient operations"):
+        parse_polynomial("q^1000" + "*i" * 20000)
+    assert 1000 <= len(products) <= 1011
 
 
 @pytest.mark.parametrize("depth", [340, 10000])

@@ -383,6 +383,20 @@ def test_normal_form_rejects_non_members():
         normal_form(QuaternionMatrix2(Quaternion(2), ZERO, ZERO, ONE))
 
 
+@pytest.mark.parametrize("matrix, message", [
+    # entries of 1e5 give the identity an absolute tolerance near 10, so these pass
+    # is_sp11; all equal entries recover q0 = -1, on the boundary
+    (QuaternionMatrix2(1e5, 1e5, 1e5, 1e5), "recovered zero |q0| = 1 escapes the ball"),
+    # |c| just below |d| keeps q0 inside, but |a| / |d| = 1.001 is no unit phase
+    (QuaternionMatrix2(1.001e5, 1e5 * (1 - 1e-11), 1.001e5 * (1 - 1e-11), 1e5),
+     "recovered phase is not unit: |u| = 1.001"),
+], ids=["zero-outside-the-ball", "phase-not-unit"])
+def test_normal_form_refuses_members_within_tolerance_that_recover_no_normal_form(matrix, message):
+    assert matrix.is_sp11()
+    with pytest.raises(NotSp11, match=message.replace("|", r"\|")):
+        normal_form(matrix)
+
+
 def test_sp11_maps_keep_the_ball():
     rng = random.Random(15)
     for _ in range(10):

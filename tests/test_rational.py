@@ -344,6 +344,29 @@ def test_unique_zero_of_nonsymmetric_product():
     assert zeros[0].isclose(-J, abs_tol=1e-9)
 
 
+def test_a_candidate_off_the_zero_is_rejected_by_its_residual():
+    # f = q * (q - p) vanishes at p = 0.5 + 3.9j.  On the sphere 0.5 + y S with
+    # y = 3.9 (1 + 5e-7), I = -b c^-1 is within the 1e-6 unit test, but the
+    # candidate 0.5 + y I misses the zero by a residual above 1e-6 (1 + sum |a_n|):
+    # |c| is larger than the coefficient sum there, so the residual outgrows the test
+    class Traced(RegularPolynomial):
+        __slots__ = ()
+
+        def evaluate(self, q):
+            candidates.append(q)
+            return RegularPolynomial.evaluate(self, q)
+
+    p = Quaternion(0.5, 0.0, 3.9)
+    f = Traced([ZERO, -p, ONE])
+    candidates = []
+    assert zeros_on_sphere(f, 0.5, 3.9) == (False, [p])
+    candidates = []
+    y = 3.9 * (1 + 5e-7)
+    assert zeros_on_sphere(f, 0.5, y) == (False, [])
+    assert len(candidates) == 1 and candidates[0].isclose(Quaternion(0.5, 0.0, y), abs_tol=1e-12)
+    assert f.evaluate(candidates[0]).norm() > 1e-6 * (1.0 + f.coefficient_norm_sum())
+
+
 def test_symmetrization_vanishes_on_whole_sphere():
     spherical, zeros = zeros_on_sphere((Q - I).symmetrization(), 0.0, 1.0)
     assert spherical and not zeros

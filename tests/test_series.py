@@ -1,6 +1,9 @@
 """Star-product algebra, remainders, derivatives, and spherical expansions."""
 
+import copy
+import json
 import math
+import pickle
 import random
 
 import numpy as np
@@ -466,3 +469,145 @@ def test_coefficient_norm_sum_adds_left_to_right():
     # would give 1e16 + 2; every Python gives the left-to-right 1e16 here
     f = RegularPolynomial([Quaternion(1e16), ONE, -ONE])
     assert f.coefficient_norm_sum() == 1e16
+
+
+# -- the coefficient substrate against quaternion-level oracles --------------------------
+#
+# a polynomial stores its coefficients as float 4-tuples; every operation must give
+# the bits of the quaternion-level loop below, written in the operation order of
+# the quaternion implementation, signed zeros and trailing-zero strips included.
+
+signed = st.one_of(component, zero)
+signed_quats = st.builds(Quaternion, signed, signed, signed, signed)
+signed_reals = st.builds(Quaternion, signed, zero, zero, zero)
+zero_quats = st.builds(Quaternion, zero, zero, zero, zero)
+substrate_polys = st.builds(
+    lambda head, tail: RegularPolynomial(head + tail),
+    st.one_of(st.lists(signed_quats, max_size=6), st.lists(signed_reals, max_size=6)),
+    st.lists(zero_quats, max_size=2))
+scalars = st.one_of(signed_quats, component, st.integers(-3, 3))
+
+
+def stripped(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == ZERO:
+        coeffs.pop()
+    return [bits(c) for c in coeffs]
+
+
+def padded(f, n):
+    return list(f.coeffs) + [ZERO] * (n - len(f.coeffs))
+
+
+def remainder_oracle(f, q0):
+    if f.degree <= 0:
+        return []
+    b = [ZERO] * f.degree
+    b[-1] = f.coeffs[-1]
+    for n in range(f.degree - 1, 0, -1):
+        b[n - 1] = f.coeffs[n] + q0 * b[n]
+    return b
+
+
+def sums_oracle(f, g):
+    n = max(len(f.coeffs), len(g.coeffs))
+    return [a + b for a, b in zip(padded(f, n), padded(g, n))]
+
+
+def differences_oracle(f, g):
+    n = max(len(f.coeffs), len(g.coeffs))
+    return [a - b for a, b in zip(padded(f, n), padded(g, n))]
+
+
+def products_oracle(f, g):
+    if f.is_zero or g.is_zero:
+        return []
+    out = [ZERO] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for k, a in enumerate(f.coeffs):
+        for l, b in enumerate(g.coeffs):
+            out[k + l] = out[k + l] + a * b
+    return out
+
+
+@given(substrate_polys, substrate_polys)
+def test_ring_operations_keep_the_bits_of_quaternion_arithmetic(f, g):
+    assert coefficient_bits(f + g) == stripped(sums_oracle(f, g))
+    assert coefficient_bits(f - g) == stripped(differences_oracle(f, g))
+    assert coefficient_bits(-f) == stripped(-c for c in f.coeffs)
+    assert coefficient_bits(f * g) == stripped(products_oracle(f, g))
+    assert coefficient_bits(f.conjugate()) == stripped(c.conjugate() for c in f.coeffs)
+    assert coefficient_bits(f.cullen_derivative()) == stripped(
+        f.coeffs[n] * float(n) for n in range(1, len(f.coeffs)))
+    real_parts = [Quaternion(c.w) for c in products_oracle(f, f.conjugate())]
+    assert coefficient_bits(f.symmetrization()) == stripped(real_parts)
+
+
+@given(substrate_polys, scalars)
+def test_scalar_maps_are_the_full_hamilton_product_on_either_side(f, c):
+    # f * c and c * f multiply each coefficient by the quaternion c, never by a float
+    lifted = Quaternion(c) if not isinstance(c, Quaternion) else c
+    assert coefficient_bits(f * c) == stripped(a * lifted for a in f.coeffs)
+    assert coefficient_bits(c * f) == stripped(lifted * a for a in f.coeffs)
+    assert coefficient_bits(f + c) == stripped(sums_oracle(f, RegularPolynomial([lifted])))
+    assert coefficient_bits(c - f) == stripped(
+        differences_oracle(RegularPolynomial([lifted]), f))
+
+
+@given(substrate_polys, signed_quats, quats)
+def test_evaluation_remainder_and_expansion_keep_their_bits(f, q0, q):
+    assert bits(f.evaluate(q)) == bits(horner_oracle(f, q))
+    assert coefficient_bits(f.remainder(q0)) == stripped(remainder_oracle(f, q0))
+    if q0.is_real():
+        return
+    expected, g, qc = [], f, q0.conjugate()
+    for _ in range(2):
+        expected.append(horner_oracle(g, q0))
+        h = RegularPolynomial(remainder_oracle(g, q0))
+        expected.append(horner_oracle(h, qc))
+        g = RegularPolynomial(remainder_oracle(h, qc))
+    got = f.spherical_expansion(q0, 1).coefficients
+    assert [bits(c) for c in got] == [bits(c) for c in expected]
+
+
+@given(substrate_polys)
+def test_the_coefficient_view_round_trips_and_compares_by_value(f):
+    assert all(type(c) is Quaternion for c in f.coeffs)
+    assert [bits(f.coefficient(n)) for n in range(-1, len(f.coeffs) + 2)] == (
+        [bits(ZERO)] + coefficient_bits(f) + [bits(ZERO)] * 2)
+    again = RegularPolynomial(f.coeffs)
+    assert again == f and hash(again) == hash(f) and coefficient_bits(again) == coefficient_bits(f)
+    assert RegularPolynomial.from_json(f.to_json()) == f
+    assert RegularPolynomial.from_json(json.loads(json.dumps(f.to_json()))) == f
+    for other in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert other == f and hash(other) == hash(f)
+        assert coefficient_bits(other) == coefficient_bits(f)
+    # -0.0 compares equal to 0.0, so a sign flip of a zero keeps equality and hash
+    flipped = RegularPolynomial([Quaternion(*(-v if v == 0.0 else v for v in c.to_json()))
+                                 for c in f.coeffs])
+    assert flipped == f and hash(flipped) == hash(f)
+    assert f != RegularPolynomial(list(f.coeffs) + [ONE])
+
+
+_BIG = RegularPolynomial([Quaternion(1e200, -1e200, 0.0, 1e-300), Quaternion(1e308, 1e308, -1e308, 0.0)])
+
+
+@pytest.mark.parametrize("operation, message", [
+    (lambda: _BIG + RegularPolynomial([Quaternion(1.0, 2.0), Quaternion(-1e308, 1e308, 3.0, -0.0)]),
+     "(0.0, inf, -1e+308, 0.0)"),
+    (lambda: _BIG - RegularPolynomial([Quaternion(1.0, 2.0), Quaternion(-1e308, 1e308, 3.0, -0.0)]),
+     "(inf, 0.0, -1e+308, 0.0)"),
+    (lambda: _BIG * _BIG, "(nan, -inf, 0.0, 2e-100)"),
+    (lambda: _BIG * RegularPolynomial([Quaternion(1e200, 0.5)]), "(inf, -inf, 5e-301, 1e-100)"),
+    (lambda: RegularPolynomial([Quaternion(-1e200)]) * _BIG, "(-inf, inf, 0.0, -1e-100)"),
+    (lambda: _BIG * Quaternion(1e200, 1.0), "(inf, -inf, 1e-300, 1e-100)"),
+    (lambda: Quaternion(1e200, 1.0) * _BIG, "(inf, -inf, -1e-300, 1e-100)"),
+    (lambda: _BIG * 1e300, "(inf, -inf, 0.0, 1.0)"),
+    (lambda: RegularPolynomial([ZERO] * 5 + [Quaternion(1e308, -1e308, 2.0)]).cullen_derivative(),
+     "(inf, -inf, 10.0, 0.0)"),
+], ids=["sum", "difference", "star", "star-by-constant", "real-star", "times-scalar",
+        "scalar-times", "times-float", "derivative"])
+def test_an_overflow_reports_the_first_non_finite_coefficient(operation, message):
+    # the messages an operation on quaternion coefficients gave, pinned
+    with pytest.raises(ValueError) as raised:
+        operation()
+    assert str(raised.value) == "non-finite quaternion component in " + message

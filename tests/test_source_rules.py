@@ -18,6 +18,10 @@
   read.  Nothing reads that view's coefficients back (``.sym.coeffs``, or
   ``c.w for c in ...sym...``); the one place that takes floats from a
   quaternion ``sym`` is ``from_expanded``, whose caller passes a polynomial.
+- One substrate for polynomials: ``RegularPolynomial._c`` holds the
+  coefficients as float 4-tuples, and ``coeffs`` builds quaternions from them
+  on each read.  Only the readers in ``_COEFFS_READERS`` take that view, and
+  nothing calls ``_parts``, which unpacked a view back into 4-tuples.
 """
 
 import ast
@@ -166,6 +170,26 @@ def sym_unpacks(text: str) -> list:
     return _innermost_functions(tree, sorted(lines))
 
 
+#: (module, function) pairs that may read a polynomial's quaternion view ``.coeffs``:
+#: the CLI's output table, ``isclose`` and ``__repr__``, ``from_expanded`` (whose
+#: caller passes a polynomial) and the power-form loop of ``zeros_on_sphere``.
+_COEFFS_READERS = {("cli.py", "_cmd_star"), ("series.py", "isclose"), ("series.py", "__repr__"),
+                   ("rational.py", "from_expanded"), ("rational.py", "zeros_on_sphere")}
+
+
+def coeffs_reads(text: str) -> list:
+    """The innermost function around each ``.coeffs`` read, None at module level."""
+    tree = ast.parse(text)
+    return _innermost_functions(tree, sorted(n.lineno for n in ast.walk(tree)
+                                             if isinstance(n, ast.Attribute) and n.attr == "coeffs"))
+
+
+def parts_calls(text: str) -> list:
+    """Lines of calls to ``_parts``, as a name or an attribute."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(text))
+                  if isinstance(n, ast.Call) and _called(n) == "_parts")
+
+
 def test_the_scan_sees_every_module():
     assert {"quaternion.py", "rational.py", "verify.py"} <= {p.name for p in MODULES}
 
@@ -242,3 +266,19 @@ def test_the_rules_catch_what_they_forbid():
     # the stored floats, another polynomial's parts, or the view itself are not an unpack
     assert sym_unpacks("a = [w for w in f._sym]\nb = [c.w for c in conum.coeffs]\n"
                        "c = f.sym * 2.0\nd = [v.w for c in f.sym for v in c]\n") == []
+
+
+def test_one_polynomial_substrate():
+    reads = {(p.name, f) for p in MODULES for f in coeffs_reads(p.read_text())}
+    assert reads <= _COEFFS_READERS
+    assert {p.name: parts_calls(p.read_text()) for p in MODULES if parts_calls(p.read_text())} == {}
+
+
+def test_the_substrate_rule_catches_what_it_forbids():
+    assert coeffs_reads("def f(p):\n    return [c.w for c in p.coeffs]\n") == ["f"]
+    assert coeffs_reads("n = len(f.conum.coeffs)\nclass A:\n    def g(self):\n"
+                        "        return self.coeffs[0]\n") == [None, "g"]
+    # the stored tuples, a local name and a JSON key are not the view
+    assert coeffs_reads("a = f._c\ncoeffs = [1]\nb = obj['coeffs']\nc = e.coefficients\n") == []
+    assert parts_calls("h = _horner_floats(_parts(f.coeffs), points)\nx = series._parts(c)\n") == [1, 2]
+    assert parts_calls("parts = [(c.w, c.x, c.y, c.z) for c in cs]\n_partsx(c)\n") == []
