@@ -12,7 +12,7 @@ from .errors import (CoincidentPoints, DegenerateCenter, DegenerateComposite,
                      DegenerateSwap, DomainError, NonConvergence, NotHermitian,
                      NotSp11, OutsideBall, ParseError, PoleError, RealPoint,
                      SingularMatrix)
-from .expression import format_polynomial, parse_polynomial
+from .expression import format_polynomial, parse_polynomial, parse_quaternion
 from .fractional import (MoebiusNormalForm, QuaternionMatrix2, classical_fractional,
                          from_normal_form, generator, hermitian_coincidence_check,
                          left_action, left_right_convert, normal_form,
@@ -48,9 +48,9 @@ __all__ = [
     "from_normal_form", "generator", "geodesic", "hermitian_coincidence_check",
     "left_action", "left_right_convert", "make_zero_case_map",
     "moebius_expansion_coefficients", "normal_form", "parse_polynomial",
-    "poincare_distance", "pseudo_distance_sq", "random_self_map", "random_sp11",
-    "regular_fractional", "regular_moebius", "regular_moebius_map", "right_action",
-    "run_all", "run_suite", "sphere_zero_set", "spherical_derivative_at",
+    "parse_quaternion", "poincare_distance", "pseudo_distance_sq", "random_self_map",
+    "random_sp11", "regular_fractional", "regular_moebius", "regular_moebius_map",
+    "right_action", "run_all", "run_suite", "sphere_zero_set", "spherical_derivative_at",
     "star_transform", "star_transform_inverse", "twist_map", "twist_map_inverse",
     "zeros_on_sphere",
 ]

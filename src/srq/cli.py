@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: eval, star, quotient, mobius, distance, expand, normal-form,
-verify.  Quaternion arguments accept 'w+xi+yj+zk' or JSON '[w,x,y,z]';
-polynomial arguments use the expression grammar.  Exit codes: 0 success,
-1 domain error (pole, outside ball, failed suite), 2 parse/usage error.
+verify.  Polynomial arguments use the expression grammar; quaternion
+arguments are JSON '[w,x,y,z]' or the same grammar without q ('2i*3').
+Exit codes: 0 success, 1 domain error (pole, outside ball, failed suite),
+2 parse/usage error (an overflow in a text too).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 
 from . import verify as verify_mod
 from .errors import DomainError, ParseError
-from .expression import format_polynomial, parse_polynomial
+from .expression import format_polynomial, parse_polynomial, parse_quaternion
 from .fractional import QuaternionMatrix2, from_normal_form, normal_form
 from .geometry import (classical_moebius, poincare_distance, regular_moebius)
 from .quaternion import Quaternion
@@ -65,7 +66,7 @@ def _quat_table(key: str, labelled) -> list:
 
 
 def _cmd_eval(args) -> int:
-    _emit_quat(args, parse_polynomial(args.f).evaluate(Quaternion.parse(args.at)))
+    _emit_quat(args, parse_polynomial(args.f).evaluate(parse_quaternion(args.at)))
     return 0
 
 
@@ -79,7 +80,7 @@ def _cmd_star(args) -> int:
 def _cmd_quotient(args) -> int:
     quotient = RegularQuotient(parse_polynomial(args.den), parse_polynomial(args.num),
                                args.side)
-    q = Quaternion.parse(args.at)
+    q = parse_quaternion(args.at)
     if args.route == "direct":
         _emit_quat(args, quotient.evaluate(q))
     elif args.route == "transform":
@@ -96,11 +97,11 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_mobius(args) -> int:
-    q0 = Quaternion.parse(args.q0)
-    q = Quaternion.parse(args.at)
-    u = Quaternion.parse(args.u)
+    q0 = parse_quaternion(args.q0)
+    q = parse_quaternion(args.at)
+    u = parse_quaternion(args.u)
     if args.classical:
-        value = classical_moebius(q0, u, Quaternion.parse(args.v), q)
+        value = classical_moebius(q0, u, parse_quaternion(args.v), q)
     else:
         value = regular_moebius(q0, u, q)
     _emit_quat(args, value)
@@ -108,14 +109,14 @@ def _cmd_mobius(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    d = poincare_distance(Quaternion.parse(args.q1), Quaternion.parse(args.q2))
+    d = poincare_distance(parse_quaternion(args.q1), parse_quaternion(args.q2))
     _emit(args, repr(d), {"distance": d}, [("distance",), (d,)])
     return 0
 
 
 def _cmd_expand(args) -> int:
     f = parse_polynomial(args.f)
-    expansion = f.spherical_expansion(Quaternion.parse(args.center), args.nmax)
+    expansion = f.spherical_expansion(parse_quaternion(args.center), args.nmax)
     lines = [f"A_{n} = {c}" for n, c in enumerate(expansion.coefficients)]
     _emit(args, "\n".join(lines), expansion.to_json(),
           _quat_table("index", enumerate(expansion.coefficients)))
@@ -138,7 +139,7 @@ def _cmd_normal_form(args) -> int:
         return 0
     if args.q0 is None or args.u is None:
         raise ParseError("normal-form needs either --matrix or both --q0 and --u")
-    matrix = from_normal_form(Quaternion.parse(args.q0), Quaternion.parse(args.u))
+    matrix = from_normal_form(parse_quaternion(args.q0), parse_quaternion(args.u))
     entries = [("a", matrix.a), ("c", matrix.c), ("b", matrix.b), ("d", matrix.d)]
     _emit(args, "\n".join(f"{name} = {e}" for name, e in entries), matrix.to_json(),
           _quat_table("entry", entries))

@@ -16,18 +16,22 @@ and parentheses nested deeper than the recursion limit allows are a
 Constants stay quaternions until they meet q and ``q^n`` is built directly,
 yet every coefficient has the bits of ``RegularPolynomial`` arithmetic,
 signed zeros included: unary minus is the product with -1.0, and a zero
-constant is the zero polynomial.
+constant is the zero polynomial.  An overflow anywhere is a ``ParseError``.
+A quaternion is JSON ``[w, x, y, z]`` or a text of this grammar without q.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 
 from .errors import ParseError
-from .quaternion import _NUMBER, I, J, K, ONE, ZERO, Quaternion, _make
+from .quaternion import I, J, K, ONE, ZERO, Quaternion, _make
 from .series import _ZERO4, RegularPolynomial, _from_parts, _hamilton
 
+# an unsigned decimal literal; blanks never split it from its digits or its unit
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _TOKEN = re.compile(r"\s*(?:(" + _NUMBER + r")([ijk]?)|([-+*^()ijkq])|(\S))")
 _MAX_DEGREE = 1000
 #: Coefficient operations one text may spend: a product of two polynomials costs
@@ -189,9 +193,28 @@ def parse_polynomial(text: str) -> RegularPolynomial:
         value, i = parser.expr(0)
     except RecursionError:  # each '(' is three frames deeper
         raise ParseError("parentheses nest too deeply") from None
+    except ValueError as exc:  # _make's test: a constant or coefficient overflowed
+        raise ParseError(f"{text!r} overflows: {exc}") from None
     if parser.tokens[i] is not None:
         raise ParseError(f"trailing input in {text!r}")
     return value if type(value) is RegularPolynomial else RegularPolynomial([value])
+
+
+def parse_quaternion(text: str) -> Quaternion:
+    """JSON ``[w, x, y, z]``, or a polynomial text that does not depend on q."""
+    s = text.strip()
+    if s.startswith("["):
+        try:
+            obj = json.loads(s)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad quaternion JSON {text!r}: {exc}") from exc
+        return Quaternion.from_json(obj)
+    p = parse_polynomial(text)
+    if p.degree > 0:
+        raise ParseError(f"a quaternion cannot depend on q, got {text!r}")
+    c = p.coefficient(0)
+    # each component summed onto +0.0, so no literal reads as -0.0
+    return _make(0.0 + c.w, 0.0 + c.x, 0.0 + c.y, 0.0 + c.z)
 
 
 _SIMPLE_COEFF = re.compile(r"^(?:\d+(?:\.\d+)?(?:e-?\d+)?)?[ijk]?$")

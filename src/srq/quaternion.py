@@ -1,4 +1,4 @@
-"""Quaternion arithmetic, slice decomposition, and text/JSON formats.
+"""Quaternion arithmetic, slice decomposition, and the printed and JSON forms.
 
 Every value in the package ultimately reduces to the :class:`Quaternion`
 defined here.  There are two ways to build one:
@@ -13,13 +13,13 @@ defined here.  There are two ways to build one:
 Both keep the same invariant: every component is a finite, exact Python
 ``float``, and the instance is immutable, so it is safe for unrestricted
 concurrent use.
+
+Text is read by ``expression.parse_quaternion``, in the polynomial grammar.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import re
 import sys
 
 from .errors import ParseError
@@ -247,41 +247,6 @@ class Quaternion(_Frozen):
         except (TypeError, ValueError) as exc:
             raise ParseError(str(exc)) from exc
 
-    @classmethod
-    def parse(cls, text: str) -> "Quaternion":
-        """Parse 'w+xi+yj+zk' with optional terms (e.g. '0.5i'), or JSON '[w,x,y,z]'.
-
-        Whitespace is allowed only at the ends and around the signs, so
-        '1 + 2i' parses but '1 2' and '1e 3' are refused.
-        """
-        s = text.strip()
-        if not s:
-            raise ParseError("empty quaternion literal")
-        if s.startswith("["):
-            try:
-                obj = json.loads(s)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad quaternion JSON {text!r}: {exc}") from exc
-            return cls.from_json(obj)
-        body = text.rstrip()  # not stripped on the left, so offsets index ``text``
-        comp = {"": 0.0, "i": 0.0, "j": 0.0, "k": 0.0}
-        pos = 0
-        first = True
-        while pos < len(body):
-            m = _TERM.match(body, pos)
-            if m is None or (m.group("num") is None and not m.group("unit")):
-                raise ParseError(f"invalid quaternion literal {text!r} (at offset {pos})")
-            if not first and not m.group("sign"):
-                raise ParseError(f"invalid quaternion literal {text!r}: "
-                                 f"terms after the first need a sign (at offset {pos})")
-            first = False
-            mag = 1.0 if m.group("num") is None else float(m.group("num"))
-            if m.group("sign") == "-":
-                mag = -mag
-            comp[m.group("unit") or ""] += mag
-            pos = m.end()
-        return cls.from_json([comp[""], comp["i"], comp["j"], comp["k"]])  # overflow -> ParseError
-
     def __str__(self):
         parts = []
         for value, unit in ((self.w, ""), (self.x, "i"), (self.y, "j"), (self.z, "k")):
@@ -359,12 +324,6 @@ def _fold_sum(values, start=0.0):
     for v in values:
         total = total + v
     return total
-
-
-# an unsigned decimal literal; the polynomial grammar in expression.py uses it too
-_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-# whitespace may surround the sign, but never splits a number from its digits or unit
-_TERM = re.compile(r"\s*(?P<sign>[+-]?)\s*(?P<num>" + _NUMBER + r")?(?P<unit>[ijk]?)")
 
 
 def _fmt_float(v: float) -> str:

@@ -445,14 +445,25 @@ def test_json_and_csv_together_is_a_usage_error(capsys):
     assert "--json" in err and "--csv" in err
 
 
-@pytest.mark.parametrize("argv", [("distance", "1e400", "0"),
-                                  ("distance", "[1e400,0,0,0]", "0"),
-                                  ("eval", "--f", "1e400*q", "--at", "0")],
-                         ids=["text", "json", "expression"])
-def test_overflowing_literal_exits_2(capsys, argv):
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert "error" in err
+# quaternion arguments share the polynomial grammar, so an overflow anywhere in
+# a text exits 2 as a malformed text does; a literal with an operator or a
+# repeated sign exits 0 and prints its value, and one with q exits 2
+@pytest.mark.parametrize("argv, code, message", [
+    pytest.param(("distance", "1e400", "0"), 2, "error", id="text"),
+    pytest.param(("distance", "[1e400,0,0,0]", "0"), 2, "error", id="json"),
+    pytest.param(("eval", "--f", "1e400*q", "--at", "0"), 2, "error", id="expression"),
+    pytest.param(("eval", "--f", "1e308+1e308", "--at", "0"), 2, "overflows", id="sum"),
+    pytest.param(("eval", "--f", "(1e200*q)^2", "--at", "0"), 2, "overflows", id="power"),
+    pytest.param(("eval", "--f", "q", "--at", "q"), 2, "cannot depend on q", id="q"),
+    pytest.param(("eval", "--f", "q", "--at", "2i*3"), 0, "6i", id="product-literal"),
+    pytest.param(("mobius", "--q0", "(0.5i)", "--at", "0.5j"), 0, "-0.4i+0.4j",
+                 id="parenthesized-literal"),
+    pytest.param(("eval", "--f", "q", "--at=--1"), 0, "1", id="double-sign-literal"),
+])
+def test_overflowing_literal_exits_2(capsys, argv, code, message):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert message in err if code else (out, err) == (message + "\n", "")
 
 
 def test_valid_tolerance_reaches_the_suite(capsys):

@@ -22,6 +22,9 @@
   coefficients as float 4-tuples, and ``coeffs`` builds quaternions from them
   on each read.  Only the readers in ``_COEFFS_READERS`` take that view, and
   nothing calls ``_parts``, which unpacked a view back into 4-tuples.
+- One literal grammar: quaternion and polynomial texts are both read in
+  ``expression.py``, the one module that imports ``re``, and no module
+  defines ``_TERM``, the pattern of a second, term-by-term literal grammar.
 """
 
 import ast
@@ -190,6 +193,19 @@ def parts_calls(text: str) -> list:
                   if isinstance(n, ast.Call) and _called(n) == "_parts")
 
 
+def re_imports(text: str) -> list:
+    """Lines of ``import re`` (under any alias) and ``from re import ...``."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(text))
+                  if isinstance(n, ast.Import) and any(a.name == "re" for a in n.names)
+                  or isinstance(n, ast.ImportFrom) and n.module == "re" and not n.level)
+
+
+def term_definitions(text: str) -> list:
+    """Lines that bind the name ``_TERM``."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(text))
+                  if isinstance(n, ast.Name) and n.id == "_TERM" and isinstance(n.ctx, ast.Store))
+
+
 def test_the_scan_sees_every_module():
     assert {"quaternion.py", "rational.py", "verify.py"} <= {p.name for p in MODULES}
 
@@ -282,3 +298,16 @@ def test_the_substrate_rule_catches_what_it_forbids():
     assert coeffs_reads("a = f._c\ncoeffs = [1]\nb = obj['coeffs']\nc = e.coefficients\n") == []
     assert parts_calls("h = _horner_floats(_parts(f.coeffs), points)\nx = series._parts(c)\n") == [1, 2]
     assert parts_calls("parts = [(c.w, c.x, c.y, c.z) for c in cs]\n_partsx(c)\n") == []
+
+
+def test_one_literal_grammar():
+    assert {p.name for p in MODULES if re_imports(p.read_text())} <= {"expression.py"}
+    assert {p.name: term_definitions(p.read_text()) for p in MODULES
+            if term_definitions(p.read_text())} == {}
+
+
+def test_the_literal_grammar_rule_catches_what_it_forbids():
+    assert re_imports("import math, re\nimport re as regex\nfrom re import compile\n") == [1, 2, 3]
+    assert re_imports("import json\nfrom .re import x\ns = 'import re'\n") == []
+    assert term_definitions("_TERM = re.compile(r'x')\nA, _TERM = 1, 2\n") == [1, 2]
+    assert term_definitions("m = _TERM.match(s)\n_TERMS = 1\n") == []

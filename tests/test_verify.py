@@ -412,6 +412,53 @@ def test_random_sp11_reaches_unit_diagonal_factors_and_keeps_self_maps_in_the_ba
         assert check_reg_preservation(f, A, 50, rng=rng).passed
 
 
+def test_random_self_map_redraws_a_leading_coefficient_below_one_hundredth(monkeypatch):
+    # a draw that small has probability about 3e-9, so no seed reaches the
+    # redraw; a stand-in for the cube draws makes the leading one tiny twice
+    import srq.verify as verify
+
+    cube_point, drawn = verify._cube_point, []
+
+    def tiny_lead_twice(rng):
+        q = Quaternion(0.0, 0.0, 5e-3) if len(drawn) in (2, 3) else cube_point(rng)
+        drawn.append(q)
+        return q
+
+    monkeypatch.setattr(verify, "_cube_point", tiny_lead_twice)
+    f = random_self_map(3, 2)
+    assert len(drawn) == 5 and f.degree == 2
+    # every coefficient is its draw times one scale, the third draw replaced by the fifth
+    scale = f.coefficient(0).norm() / drawn[0].norm()
+    assert f.coefficient(1).isclose(drawn[1] * scale)
+    assert f.coefficient(2).isclose(drawn[4] * scale)
+
+
+def test_modulus_batch_replaces_a_zero_h_with_one(monkeypatch):
+    # h is zero only when every one of its cube draws is, which no seed reaches;
+    # a stand-in returns zero for h's draws and the real points after them
+    import srq.verify as verify
+
+    rng = stream(5, "modulus")
+    probe = random.Random()
+    probe.setstate(rng.getstate())
+    h_draws = probe.randint(1, 4)  # the batch draws h's length first
+    cube_point, drawn, checked = verify._cube_point, [], []
+
+    def zero_for_h(r):
+        drawn.append(1)
+        return ZERO if len(drawn) <= h_draws else cube_point(r)
+
+    def recording(h, f, g, n, **kwargs):
+        checked.append(h)
+        return check_modulus_product(h, f, g, n, **kwargs)
+
+    monkeypatch.setattr(verify, "_cube_point", zero_for_h)
+    monkeypatch.setattr(verify, "check_modulus_product", recording)
+    reports = verify._modulus_batch(rng, 0, 20, verify.DEFAULT_TOL)
+    assert checked == [RegularPolynomial([ONE])]
+    assert len(reports) == 1 and reports[0].passed
+
+
 def test_zero_case_redraws_a_batch_that_hits_a_pole_and_gives_up_after_ten(monkeypatch):
     # no seeded run hits the removable singularity on the sphere of q0, so a
     # stand-in for the moduli raises PoleError on the first draws
