@@ -130,7 +130,7 @@ def _cmd_normal_form(args) -> int:
         try:
             obj = json.loads(args.matrix)
             matrix = QuaternionMatrix2.from_json(obj)
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:  # malformed, or too many digits
             raise ParseError(f"bad matrix JSON: {exc}") from exc
         nf = normal_form(matrix)
         _emit(args, f"q0 = {nf.q0}\nu  = {nf.u}",

@@ -206,7 +206,7 @@ def parse_quaternion(text: str) -> Quaternion:
     if s.startswith("["):
         try:
             obj = json.loads(s)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed, or an int beyond the digit limit
             raise ParseError(f"bad quaternion JSON {text!r}: {exc}") from exc
         return Quaternion.from_json(obj)
     p = parse_polynomial(text)

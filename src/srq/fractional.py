@@ -10,12 +10,15 @@ and normal forms of the self-maps of the unit ball.
 
 from __future__ import annotations
 
+from itertools import starmap
+
 from .errors import (DegenerateComposite, DegenerateSwap, NotHermitian,
                      NotSp11, PoleError, SingularMatrix)
 from .geometry import _in_ball, _require_unit, sample_ball
-from .quaternion import ONE, ZERO, Quaternion, _Frozen, _zero_bound, as_quaternion
+from .quaternion import (ONE, ZERO, Quaternion, _Frozen, _inverse, _make, _norm, _zero_bound,
+                         as_quaternion)
 from .rational import RegularQuotient, as_quotient
-from .series import RegularPolynomial
+from .series import RegularPolynomial, _hamilton, _lift, _real_star
 
 #: Entrywise tolerance of the matrix identities (membership, Hermitian shape),
 #: relative to the entries' scale.
@@ -23,7 +26,8 @@ _MATRIX_TOL = 1e-9
 
 
 class QuaternionMatrix2(_Frozen):
-    """Quaternionic 2x2 matrix with rows (a, c) and (b, d)."""
+    """Quaternionic 2x2 matrix with rows (a, c) and (b, d); its kernels unpack each
+    entry once (``_floats``) and keep the bits of the quaternion formulas."""
 
     __slots__ = ("a", "c", "b", "d")
 
@@ -46,11 +50,8 @@ class QuaternionMatrix2(_Frozen):
     def __mul__(self, other):
         if not isinstance(other, QuaternionMatrix2):
             return NotImplemented
-        return QuaternionMatrix2(
-            self.a * other.a + self.c * other.b,
-            self.a * other.c + self.c * other.d,
-            self.b * other.a + self.d * other.b,
-            self.b * other.c + self.d * other.d)
+        (a, c, b, d), (a2, c2, b2, d2) = _floats(self), _floats(other)
+        return _matrix(_dot(a, a2, c, b2), _dot(a, c2, c, d2), _dot(b, a2, d, b2), _dot(b, c2, d, d2))
 
     def scale(self, t: float) -> "QuaternionMatrix2":
         return QuaternionMatrix2(self.a * t, self.c * t, self.b * t, self.d * t)
@@ -61,17 +62,10 @@ class QuaternionMatrix2(_Frozen):
                                  self.b.conjugate(), self.d.conjugate())
 
     def transpose(self) -> "QuaternionMatrix2":
-        return QuaternionMatrix2(self.a, self.b, self.c, self.d)
-
-    def conj_transpose(self) -> "QuaternionMatrix2":
-        return self.conj().transpose()
+        return _matrix(self.a, self.b, self.c, self.d)
 
     def entry_scale(self) -> float:
-        return max(self.a.norm(), self.b.norm(), self.c.norm(), self.d.norm())
-
-    def isclose(self, other: "QuaternionMatrix2", tol: float) -> bool:
-        return ((self.a - other.a).norm() <= tol and (self.c - other.c).norm() <= tol
-                and (self.b - other.b).norm() <= tol and (self.d - other.d).norm() <= tol)
+        return max(starmap(_norm, _floats(self)))
 
     def dieudonne_det(self) -> float:
         """The multiplicative nonnegative-real determinant.
@@ -80,23 +74,69 @@ class QuaternionMatrix2(_Frozen):
         |b||c|; agrees with the square root of the determinant of the 4x4
         complex adjoint matrix.
         """
-        if self.a.norm() > _zero_bound(self.entry_scale()):
-            return self.a.norm() * (self.d - self.b * self.a.inverse() * self.c).norm()
-        return self.b.norm() * self.c.norm()
+        return _det_and_scale(self)[0]
 
     def is_sp11(self, tol: float = _MATRIX_TOL) -> bool:
         """Whether conj-transpose * diag(1,-1) * self equals diag(1,-1) entrywise.
 
-        The product's entries grow like the square of the matrix entries, so
-        ``tol`` is relative to (1 + entry_scale())^2.
+        Its entry (r, s) is conj(x_r) x_s - conj(y_r) y_s for the rows x = (a, c)
+        and y = (b, d), which grows like the square of the entries, so ``tol`` is
+        relative to (1 + entry_scale())^2.
         """
-        h = QuaternionMatrix2(ONE, ZERO, ZERO, -ONE)
-        m = self.conj_transpose() * (h * self)
-        return m.isclose(h, tol * (1.0 + self.entry_scale()) ** 2)
+        a, c, b, d = e = _floats(self)
+        gap = max(_gram_gap(a, a, b, b, 1.0), _gram_gap(a, c, b, d, 0.0),
+                  _gram_gap(c, a, d, b, 0.0), _gram_gap(c, c, d, d, -1.0))
+        return gap <= tol * (1.0 + max(starmap(_norm, e))) ** 2
 
     def __repr__(self):
         return (f"QuaternionMatrix2(a={self.a!s}, c={self.c!s}, "
                 f"b={self.b!s}, d={self.d!s})")
+
+
+_set_a, _set_c, _set_b, _set_d = (QuaternionMatrix2.__dict__[s].__set__ for s in "acbd")
+
+
+def _matrix(a: Quaternion, c: Quaternion, b: Quaternion, d: Quaternion) -> QuaternionMatrix2:
+    """The builder of every matrix result: it fills the slots as ``_make`` does a quaternion's."""
+    m = object.__new__(QuaternionMatrix2)
+    _set_a(m, a)
+    _set_c(m, c)
+    _set_b(m, b)
+    _set_d(m, d)
+    return m
+
+
+def _floats(m: QuaternionMatrix2) -> tuple:
+    """The entries a, c, b, d of ``m`` as float 4-tuples."""
+    a, c, b, d = m.a, m.c, m.b, m.d
+    return (a.w, a.x, a.y, a.z), (c.w, c.x, c.y, c.z), (b.w, b.x, b.y, b.z), (d.w, d.x, d.y, d.z)
+
+
+def _dot(p: tuple, q: tuple, r: tuple, s: tuple) -> Quaternion:
+    """p*q + r*s of float 4-tuples, with the bits of that quaternion expression."""
+    w1, x1, y1, z1 = _hamilton(p, q)
+    w2, x2, y2, z2 = _hamilton(r, s)
+    return _make(w1 + w2, x1 + x2, y1 + y2, z1 + z2)
+
+
+def _gram_gap(x: tuple, y: tuple, z: tuple, w: tuple, target: float) -> float:
+    """|conj(x) y - conj(z) w - target|.  Negation is exact and rounding symmetric, so
+    only the sign of an exact zero differs from the product conj(A)^T (diag(1,-1) A);
+    the one quaternion built is ``_make``'s finiteness check, where that product had it."""
+    p = _hamilton((x[0], -x[1], -x[2], -x[3]), y)
+    q = _hamilton((z[0], -z[1], -z[2], -z[3]), w)
+    return _make(p[0] - q[0] - target, p[1] - q[1], p[2] - q[2], p[3] - q[3]).norm()
+
+
+def _det_and_scale(A: QuaternionMatrix2) -> tuple:
+    """The Dieudonne determinant and the entry scale of ``A``, in one pass."""
+    a, c, b, d = _floats(A)
+    na, nb, nc = _norm(*a), _norm(*b), _norm(*c)
+    scale = max(na, nb, nc, _norm(*d))
+    if na <= _zero_bound(scale):
+        return nb * nc, scale
+    w, x, y, z = _hamilton(_hamilton(b, _inverse(*a)), c)
+    return na * _make(d[0] - w, d[1] - x, d[2] - y, d[3] - z).norm(), scale
 
 
 class MoebiusNormalForm(_Frozen):
@@ -106,8 +146,8 @@ class MoebiusNormalForm(_Frozen):
 
 
 def _require_invertible(A: QuaternionMatrix2):
-    scale = A.entry_scale()
-    if A.dieudonne_det() <= _zero_bound(scale) * (1.0 + scale):
+    det, scale = _det_and_scale(A)
+    if det <= _zero_bound(scale) * (1.0 + scale):
         raise SingularMatrix(f"matrix has vanishing Dieudonne determinant: {A!r}")
 
 
@@ -149,6 +189,16 @@ def generator(kind: str, param=None) -> QuaternionMatrix2:
 # -- the two actions ---------------------------------------------------------------
 
 
+def _as_pair(f, side: str):
+    """``(den, num)`` of f read as a pair of ``side``.  A polynomial or a scalar g is
+    the quotient 1^{-*}*g, read without building it: its left pair is (1, g) and its
+    right pair, its (sym, conum), is (1, 1*g), each with the bits of that read."""
+    g = _lift(f)
+    if g is NotImplemented:
+        return as_quotient(f)._pair(side)
+    return RegularPolynomial([ONE]), (g if side == "left" else _real_star((1.0,), g._c))
+
+
 def right_action(f, A: QuaternionMatrix2) -> RegularQuotient:
     """f.A = (f c + d)^{-*} * (f a + b).
 
@@ -156,7 +206,7 @@ def right_action(f, A: QuaternionMatrix2) -> RegularQuotient:
     from its sym and conum), this is the left pair den = G*c + F*d, num = G*a + F*b.
     """
     _require_invertible(A)
-    F, G = as_quotient(f)._pair("left")
+    F, G = _as_pair(f, "left")
     den = G * A.c + F * A.d
     if den.is_zero:
         raise DegenerateComposite("composite denominator is identically zero")
@@ -172,15 +222,14 @@ def left_action(A: QuaternionMatrix2, f) -> RegularQuotient:
     and the ball-preserving subgroup keeps self-maps inside the ball.  With f
     read as the right pair G*H^{-*} (a polynomial g as g*1^{-*}, any other
     quotient as P*S^{-*} from its sym and conum), this is the right pair
-    num = a*G + b*H, den = c*G + d*H.
+    num = a*G + b*H, den = c*G + d*H in the transpose's entries.
     """
     _require_invertible(A)
-    A = A.transpose()
-    H, G = as_quotient(f)._pair("right")
-    den = A.c * G + A.d * H
+    H, G = _as_pair(f, "right")
+    den = A.b * G + A.d * H
     if den.is_zero:
         raise DegenerateComposite("composite denominator is identically zero")
-    return RegularQuotient(den, A.a * G + A.b * H, "right")
+    return RegularQuotient(den, A.a * G + A.c * H, "right")
 
 
 def hermitian_coincidence_check(f, A: QuaternionMatrix2, *, points=None) -> bool:
@@ -257,8 +306,10 @@ def from_normal_form(q0, u) -> QuaternionMatrix2:
     u = as_quaternion(u)
     _require_unit(u, "phase")
     lam = 1.0 / (1.0 - q0.norm_sq()) ** 0.5
-    return QuaternionMatrix2(u * lam, -q0.conjugate() * lam,
-                             -(q0 * u) * lam, Quaternion(lam))
+    w, x, y, z = p = q0.w, q0.x, q0.y, q0.z
+    pw, px, py, pz = _hamilton(p, (u.w, u.x, u.y, u.z))
+    return _matrix(u * lam, _make(-w * lam, x * lam, y * lam, z * lam),
+                   _make(-pw * lam, -px * lam, -py * lam, -pz * lam), _make(lam, 0.0, 0.0, 0.0))
 
 
 def normal_form(A: QuaternionMatrix2) -> MoebiusNormalForm:
@@ -271,12 +322,14 @@ def normal_form(A: QuaternionMatrix2) -> MoebiusNormalForm:
     """
     if not A.is_sp11():
         raise NotSp11("matrix does not satisfy the defining identity")
-    # |d|^2 = 1 + |c|^2 >= 1 for these matrices, so d is invertible
-    dinv = A.d.inverse()
-    q0 = -(dinv * A.c).conjugate()
+    a, c, _, d = _floats(A)
+    dinv = _inverse(*d)  # |d|^2 = 1 + |c|^2 >= 1 for these matrices, so d is invertible
+    w, x, y, z = _hamilton(dinv, c)
+    q0 = _make(-w, x, y, z)  # -conj(d^{-1} c)
     if q0.norm() >= 1.0:
         raise NotSp11(f"recovered zero |q0| = {q0.norm():g} escapes the ball")
-    u = dinv * A.a
-    if abs(u.norm() - 1.0) > 1e-6:
-        raise NotSp11(f"recovered phase is not unit: |u| = {u.norm():g}")
-    return MoebiusNormalForm(q0, u / u.norm())
+    w, x, y, z = _hamilton(dinv, a)
+    n = _norm(w, x, y, z)
+    if abs(n - 1.0) > 1e-6:
+        raise NotSp11(f"recovered phase is not unit: |u| = {n:g}")
+    return MoebiusNormalForm(q0, _make(w / n, x / n, y / n, z / n))

@@ -195,15 +195,7 @@ class Quaternion(_Frozen):
 
     def inverse(self) -> "Quaternion":
         """q^{-1} = conj(q)/|q|^2; refuses when |q| is below ``EPS`` or overflows."""
-        n2 = self.norm_sq()
-        if n2 <= _EPS_SQ:
-            raise ZeroDivisionError(f"quaternion too small to invert (|q| = {self.norm():g})")
-        if n2 < _INF:
-            return _make(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
-        n = self.norm()  # |q|^2 overflowed, so divide by |q| twice
-        if n == _INF:
-            raise ZeroDivisionError(f"quaternion too large to invert ({self!r})")
-        return _make(self.w / n / n, -self.x / n / n, -self.y / n / n, -self.z / n / n)
+        return _make(*_inverse(self.w, self.x, self.y, self.z))
 
     def imag(self) -> "Quaternion":
         return _make(0.0, self.x, self.y, self.z)
@@ -240,11 +232,12 @@ class Quaternion(_Frozen):
 
     @classmethod
     def from_json(cls, obj) -> "Quaternion":
-        if not isinstance(obj, (list, tuple)) or len(obj) != 4:
-            raise ParseError(f"quaternion JSON must be a list [w, x, y, z], got {obj!r}")
+        if (not isinstance(obj, (list, tuple)) or len(obj) != 4
+                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in obj)):
+            raise ParseError(f"quaternion JSON must be a list [w, x, y, z] of numbers, got {obj!r}")
         try:
             return cls(*obj)
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, ValueError) as exc:  # an int too large for a float, or inf
             raise ParseError(str(exc)) from exc
 
     def __str__(self):
@@ -301,6 +294,19 @@ def _norm(w: float, x: float, y: float, z: float) -> float:
     if _TINY <= n2 < _INF:
         return math.sqrt(n2)
     return math.hypot(w, x, y, z)
+
+
+def _inverse(w: float, x: float, y: float, z: float) -> tuple:
+    """The components of ``Quaternion(w, x, y, z).inverse()``, with its refusals."""
+    n2 = w * w + x * x + y * y + z * z
+    if n2 <= _EPS_SQ:
+        raise ZeroDivisionError(f"quaternion too small to invert (|q| = {_norm(w, x, y, z):g})")
+    if n2 < _INF:
+        return w / n2, -x / n2, -y / n2, -z / n2
+    n = _norm(w, x, y, z)  # |q|^2 overflowed, so divide by |q| twice
+    if n == _INF:
+        raise ZeroDivisionError(f"quaternion too large to invert ({_make(w, x, y, z)!r})")
+    return w / n / n, -x / n / n, -y / n / n, -z / n / n
 
 
 def _slice_floats(x: float, y: float, I: Quaternion) -> tuple:

@@ -474,3 +474,39 @@ def test_valid_tolerance_reaches_the_suite(capsys):
     assert code == 0
     want = run_suite("schwarz-pick", 3, 50, tol=1e-6).to_json_dict()
     assert out == json.dumps(want, sort_keys=True) + "\n"
+
+
+# a JSON quaternion holds JSON numbers only: a string or a boolean entry used to
+# be coerced by float() ("1_0" read as 10, true as 1), and an integer too large
+# for a float ended in an OverflowError traceback
+_HUGE_INT = "1" + "0" * 400
+
+
+def _matrix_with_d(entry):
+    return '{"a":[1,0,0,0],"c":[0,0,0,0],"b":[0,0,0,0],"d":[%s,0,0,0]}' % entry
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("distance", '["1_0",0,0,0]', "0"), id="underscore-string"),
+    pytest.param(("distance", '[" 4 ",0,0,0]', "0"), id="padded-string"),
+    pytest.param(("distance", "[true,0,0,0]", "0"), id="boolean"),
+    pytest.param(("distance", "[null,0,0,0]", "0"), id="null"),
+    pytest.param(("eval", "--f", "q", "--at", "[%s,0,0,0]" % _HUGE_INT), id="overflowing-int"),
+    pytest.param(("eval", "--f", "q", "--at", "[1%s,0,0,0]" % ("0" * 5000)),
+                 id="int-beyond-the-digit-limit"),
+    pytest.param(("normal-form", "--matrix", _matrix_with_d('"1"')), id="matrix-string"),
+    pytest.param(("normal-form", "--matrix", _matrix_with_d("false")), id="matrix-boolean"),
+    pytest.param(("normal-form", "--matrix", _matrix_with_d(_HUGE_INT)),
+                 id="matrix-overflowing-int"),
+])
+def test_json_quaternion_entries_must_be_finite_numbers(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_json_quaternion_integers_are_numbers(capsys):
+    code, out, _ = run_cli(capsys, "normal-form", "--matrix", _matrix_with_d("1"))
+    assert (code, out) == (0, "q0 = 0\nu  = 1\n")
+    code, out, _ = run_cli(capsys, "distance", "[0, 0.5, 0, 0]", "0")
+    assert code == 0

@@ -5,17 +5,17 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from srq.errors import (DegenerateComposite, NotHermitian, NotSp11, PoleError,
                         SingularMatrix)
-from srq.fractional import (QuaternionMatrix2, classical_fractional,
+from srq.fractional import (QuaternionMatrix2, _require_invertible, classical_fractional,
                             from_normal_form, generator, hermitian_coincidence_check,
                             left_action, left_right_convert, normal_form,
                             regular_fractional, right_action)
 from srq.geometry import regular_moebius_map
-from srq.quaternion import I, J, K, ONE, ZERO, Quaternion
+from srq.quaternion import I, J, K, ONE, ZERO, Quaternion, _zero_bound
 from srq.rational import RegularQuotient
 from srq.series import RegularPolynomial
 
@@ -75,14 +75,23 @@ def pointwise_close(f, g, rng, count=50, tol=1e-9, radius=0.9):
         assert (a - b).norm() <= tol * (1 + a.norm()), f"mismatch at {q}: {a} vs {b}"
 
 
+def _entries(m):
+    return m.a, m.c, m.b, m.d
+
+
+def matrices_close(m, n, tol):
+    """Every entry of ``m`` within ``tol`` of ``n``'s."""
+    return all((p - q).norm() <= tol for p, q in zip(_entries(m), _entries(n)))
+
+
 def test_matrix_multiplication():
     rng = random.Random(0)
     a, b = rand_matrix(rng), rand_matrix(rng)
-    assert (ID2 * a).isclose(a, 1e-15)
-    assert (a * ID2).isclose(a, 1e-15)
+    assert matrices_close(ID2 * a, a, 1e-15)
+    assert matrices_close(a * ID2, a, 1e-15)
     # associativity
     c = rand_matrix(rng)
-    assert ((a * b) * c).isclose(a * (b * c), 1e-12)
+    assert matrices_close((a * b) * c, a * (b * c), 1e-12)
 
 
 def test_dieudonne_det_examples():
@@ -436,7 +445,7 @@ def test_matrix_json_roundtrip():
     rng = random.Random(17)
     m = rand_matrix(rng)
     again = QuaternionMatrix2.from_json(m.to_json())
-    assert again.isclose(m, 0.0)
+    assert again == m
 
 
 @pytest.mark.parametrize("junk", ["q", None, [1.0, 2.0]])
@@ -603,3 +612,191 @@ def test_hermitian_coincidence_reports_actions_that_differ(monkeypatch):
     left = fractional.left_action
     monkeypatch.setattr(fractional, "left_action", lambda A, g: left(A, g) + 1e-6)
     assert hermitian_coincidence_check(f, herm) is False
+
+
+# -- the float kernels against the quaternion formulas they replaced --------------------
+#
+# The matrix kernels run on unpacked floats.  These oracles are the quaternion-level
+# formulas they replaced; products, transposes, normal forms and determinants must
+# keep their bits (repr shows the sign of a zero), and the membership and
+# invertibility tests their verdicts.  An outcome is the value or the error's type.
+
+
+def oracle_product(A, B):
+    return QuaternionMatrix2(A.a * B.a + A.c * B.b, A.a * B.c + A.c * B.d,
+                             A.b * B.a + A.d * B.b, A.b * B.c + A.d * B.d)
+
+
+def oracle_entry_scale(A):
+    return max(A.a.norm(), A.b.norm(), A.c.norm(), A.d.norm())
+
+
+def oracle_det(A):
+    if A.a.norm() > _zero_bound(oracle_entry_scale(A)):
+        return A.a.norm() * (A.d - A.b * A.a.inverse() * A.c).norm()
+    return A.b.norm() * A.c.norm()
+
+
+def oracle_is_sp11(A, tol=1e-9):
+    h = QuaternionMatrix2(ONE, ZERO, ZERO, -ONE)
+    conj_transpose = QuaternionMatrix2(A.a.conjugate(), A.b.conjugate(),
+                                       A.c.conjugate(), A.d.conjugate())
+    m = oracle_product(conj_transpose, oracle_product(h, A))
+    bound = tol * (1.0 + oracle_entry_scale(A)) ** 2
+    return all((p - q).norm() <= bound for p, q in zip(_entries(m), _entries(h)))
+
+
+def oracle_invertible(A):
+    scale = oracle_entry_scale(A)
+    return oracle_det(A) > _zero_bound(scale) * (1.0 + scale)
+
+
+def oracle_from_normal_form(q0, u):
+    lam = 1.0 / (1.0 - q0.norm_sq()) ** 0.5
+    return QuaternionMatrix2(u * lam, -q0.conjugate() * lam, -(q0 * u) * lam, Quaternion(lam))
+
+
+def oracle_normal_form(A):
+    if not oracle_is_sp11(A):
+        raise NotSp11("matrix does not satisfy the defining identity")
+    dinv = A.d.inverse()
+    q0 = -(dinv * A.c).conjugate()
+    if q0.norm() >= 1.0:
+        raise NotSp11(f"recovered zero |q0| = {q0.norm():g} escapes the ball")
+    u = dinv * A.a
+    if abs(u.norm() - 1.0) > 1e-6:
+        raise NotSp11(f"recovered phase is not unit: |u| = {u.norm():g}")
+    return u / u.norm(), q0
+
+
+def outcome(func, *args):
+    """The bits of a result (quaternions, matrices and floats by repr), or the
+    type and, for the normal form's refusals, the message of its error."""
+    try:
+        value = func(*args)
+    except NotSp11 as exc:
+        return "NotSp11", str(exc)
+    except (ValueError, ZeroDivisionError, OverflowError, SingularMatrix) as exc:
+        return type(exc).__name__
+    if isinstance(value, QuaternionMatrix2):
+        value = _entries(value)
+    elif hasattr(value, "q0"):  # a MoebiusNormalForm
+        value = value.u, value.q0
+    return repr(value)
+
+
+def verdict(func, *args):
+    try:
+        return bool(func(*args))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc).__name__
+
+
+def _invertible(A):
+    try:
+        _require_invertible(A)
+    except SingularMatrix:
+        return False
+    return True
+
+
+# components: ordinary values, both zeros, values far below and far above one, and
+# entries so large that the squares the identities form overflow
+part = st.one_of(st.floats(min_value=-2.0, max_value=2.0),
+                 st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-13, -1e-13, 1e-300, 1e5, -1e5,
+                                  1e160, -1e160]))
+quaternions = st.builds(Quaternion, part, part, part, part)
+# a may be nonzero yet below the determinant's zero bound beside the other entries
+tiny = st.builds(Quaternion, *[st.sampled_from([0.0, -0.0, 1e-13, -3e-13, 1.5e-12])] * 4)
+raw_matrices = st.builds(QuaternionMatrix2, st.one_of(quaternions, tiny), quaternions,
+                         quaternions, quaternions)
+members = st.builds(lambda w, q0, u: diag(w) * from_normal_form(q0, u), units, centers, units)
+# entries near 1e5, as in the refusals of the normal form above: the identity's
+# tolerance is then near 10, so matrices far from the group pass is_sp11, and
+# d = 0 passes it too and reaches the inverse of d
+large = st.builds(lambda a, c, b, d, e: QuaternionMatrix2(a, c * (1 - e), b * (1 - e), d),
+                  *[st.sampled_from([1e5, -1e5, 1.001e5, 0.0])] * 4,
+                  st.sampled_from([0.0, 1e-11, 1e-9, 1e-5]))
+
+
+@st.composite
+def near_tolerance(draw):
+    """A member scaled by 1 + delta, delta about where is_sp11's tolerance lies."""
+    m = draw(members)
+    s = oracle_entry_scale(m)
+    delta = draw(st.floats(min_value=0.8, max_value=1.2)) * 0.5e-9 * (1.0 + s) ** 2
+    return m.scale(1.0 + delta * draw(st.sampled_from([1.0, -1.0])))
+
+
+matrices = st.one_of(raw_matrices, members, large, near_tolerance())
+
+
+# exact members, where a zero tolerance is met with equality; a at its zero bound
+# beside entries of modulus one (|a| = EPS * (1 + 1)); squares that overflow
+@example(ID2, QuaternionMatrix2(ONE, ZERO, ZERO, -ONE))
+@example(QuaternionMatrix2(2e-12, 1, 1, 1), QuaternionMatrix2(-0.0, -0.0, 0.0, 1))
+@example(QuaternionMatrix2(1, 1e160, 1e160, 1), QuaternionMatrix2(1e160, 1, 1, 1e160))
+@example(QuaternionMatrix2(1e290, 1e300, 1e300, 1), ID2)  # b a^{-1} c overflows
+@given(matrices, matrices)
+def test_matrix_kernels_keep_the_bits_of_the_quaternion_formulas(A, B):
+    assert outcome(lambda: A * B) == outcome(oracle_product, A, B)
+    assert outcome(A.transpose) == repr((A.a, A.b, A.c, A.d))
+    assert outcome(A.dieudonne_det) == outcome(oracle_det, A)
+    assert outcome(A.entry_scale) == outcome(oracle_entry_scale, A)
+    assert verdict(A.is_sp11) == verdict(oracle_is_sp11, A)
+    assert verdict(A.is_sp11, 1e-6) == verdict(oracle_is_sp11, A, 1e-6)
+    assert verdict(A.is_sp11, 0.0) == verdict(oracle_is_sp11, A, 0.0)
+    assert verdict(_invertible, A) == verdict(oracle_invertible, A)
+    assert outcome(normal_form, A) == outcome(oracle_normal_form, A)
+
+
+signed = st.one_of(st.floats(min_value=-0.5, max_value=0.5), st.sampled_from([0.0, -0.0]))
+
+
+# zeros whose recovered components come back as -0.0
+@example(Quaternion(-0.0, -0.0, -0.0, 0.0), ONE)
+@example(Quaternion(-0.0, 0.0, -0.0, -0.0), ONE)
+@example(Quaternion(-0.0, -0.0, 0.0, -0.0), ONE)
+@given(st.builds(Quaternion, signed, signed, signed, signed), units)
+def test_from_normal_form_keeps_the_bits_of_the_quaternion_formula(q0, u):
+    assert outcome(from_normal_form, q0, u) == outcome(oracle_from_normal_form, q0, u)
+    A = from_normal_form(q0, u)
+    assert outcome(normal_form, A) == outcome(oracle_normal_form, A)
+
+
+def test_near_tolerance_matrices_meet_both_verdicts():
+    # the scale(1 + delta) strategy straddles is_sp11's tolerance, so the verdict
+    # property above sees members and non-members that differ by a rounding
+    rng = random.Random("near-tolerance")
+    seen = set()
+    for _ in range(200):
+        m = diag(sample_unit(rng)) * from_normal_form(sample_ball(rng) * 0.9, sample_unit(rng))
+        s = oracle_entry_scale(m)
+        delta = rng.uniform(0.8, 1.2) * 0.5e-9 * (1.0 + s) ** 2
+        scaled = m.scale(1.0 + delta)
+        seen.add(scaled.is_sp11())
+        assert scaled.is_sp11() == oracle_is_sp11(scaled)
+    assert seen == {True, False}
+
+
+@example(RegularPolynomial([Quaternion(-0.0, -0.0, -0.0, -0.0), Quaternion(0.0, -0.0, 0.25, -0.0)]))
+@example(-0.0)
+@example(Quaternion(0.5, -0.0, -0.0, 0.0))
+@given(st.one_of(st.builds(RegularPolynomial, st.lists(st.builds(Quaternion, signed, signed, signed,
+                                                                  signed), max_size=4)),
+                 st.builds(Quaternion, signed, signed, signed, signed), signed))
+def test_actions_on_polynomials_keep_the_bits_of_the_lifted_quotient(g):
+    # the actions read a polynomial or a scalar as the pair of 1^{-*}*g without
+    # building that quotient; each part keeps the bits that quotient's pair had.
+    # The second matrix's zeros let the sign of a zero coefficient of g reach the result
+    matrices = (from_normal_form(Quaternion(0.25, -0.5, 0.0, 0.125), Quaternion(0.6, 0.0, -0.8)),
+                QuaternionMatrix2(Quaternion(-1.0, 1.0, -0.0, -0.0), Quaternion(-1.0, 0.0, -0.0, -1.0),
+                                  Quaternion(1.0, 1.0, 1.0, 0.0), Quaternion(1.0, 0.0, 1.0, -0.0)))
+    lifted = RegularQuotient.from_polynomial(g)
+
+    def bits(f):
+        return [repr(p._c) for p in (f.den, f.num, f.sym, f.conum)]
+
+    for A in matrices:
+        for act in (lambda h: left_action(A, h), lambda h: right_action(h, A)):
+            assert outcome(lambda: bits(act(g))) == outcome(lambda: bits(act(lifted)))

@@ -178,6 +178,17 @@ def test_json_roundtrip():
         Quaternion.from_json([1, 2, 3])
 
 
+@pytest.mark.parametrize("entry", ["1", "1_0", True, False, None, [1], 10 ** 400],
+                         ids=["string", "underscore-string", "true", "false", "null", "list",
+                              "overflowing-int"])
+def test_json_entries_are_numbers_only(entry):
+    with pytest.raises(ParseError):
+        Quaternion.from_json([0, entry, 0, 0])
+    with pytest.raises(ParseError):
+        RegularPolynomial.from_json({"coeffs": [[1, 0, 0, 0], [0, 0, entry, 0]]})
+    assert Quaternion.from_json([1, 2.5, -3, 0]) == Quaternion(1, 2.5, -3)
+
+
 def test_real_quaternion_hashes_like_its_float():
     # equal objects must hash equally, or sets and dicts hold both
     for x in (1, 0.5, -2.0, 0.0):
