@@ -27,8 +27,8 @@ import math
 import re
 
 from .errors import ParseError
-from .quaternion import I, J, K, ONE, ZERO, Quaternion, _make
-from .series import _ZERO4, RegularPolynomial, _from_parts, _hamilton
+from .quaternion import I, J, K, ONE, ZERO, Quaternion, _hamilton, _make
+from .series import _ZERO4, RegularPolynomial, _from_parts
 
 # an unsigned decimal literal; blanks never split it from its digits or its unit
 _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"

@@ -15,14 +15,16 @@ from itertools import starmap
 from .errors import (DegenerateComposite, DegenerateSwap, NotHermitian,
                      NotSp11, PoleError, SingularMatrix)
 from .geometry import _in_ball, _require_unit, sample_ball
-from .quaternion import (ONE, ZERO, Quaternion, _Frozen, _inverse, _make, _norm, _zero_bound,
-                         as_quaternion)
+from .quaternion import (ONE, ZERO, Quaternion, _Frozen, _hamilton, _inverse, _make, _norm,
+                         _zero_bound, as_quaternion)
 from .rational import RegularQuotient, as_quotient
-from .series import RegularPolynomial, _hamilton, _lift, _real_star
+from .series import RegularPolynomial, _lift, _real_star
 
 #: Entrywise tolerance of the matrix identities (membership, Hermitian shape),
 #: relative to the entries' scale.
 _MATRIX_TOL = 1e-9
+#: How far from 1 ``normal_form`` lets |d| fall and the recovered phase's modulus stray.
+_UNIT_TOL = 1e-6
 
 
 class QuaternionMatrix2(_Frozen):
@@ -32,7 +34,11 @@ class QuaternionMatrix2(_Frozen):
     __slots__ = ("a", "c", "b", "d")
 
     def __init__(self, a, c, b, d):
-        super().__init__(as_quaternion(a), as_quaternion(c), as_quaternion(b), as_quaternion(d))
+        # the member descriptors, as in _make, are faster than the generic _Frozen.__init__
+        _set_a(self, as_quaternion(a))
+        _set_c(self, as_quaternion(c))
+        _set_b(self, as_quaternion(b))
+        _set_d(self, as_quaternion(d))
 
     @classmethod
     def identity(cls) -> "QuaternionMatrix2":
@@ -51,7 +57,8 @@ class QuaternionMatrix2(_Frozen):
         if not isinstance(other, QuaternionMatrix2):
             return NotImplemented
         (a, c, b, d), (a2, c2, b2, d2) = _floats(self), _floats(other)
-        return _matrix(_dot(a, a2, c, b2), _dot(a, c2, c, d2), _dot(b, a2, d, b2), _dot(b, c2, d, d2))
+        return QuaternionMatrix2(_dot(a, a2, c, b2), _dot(a, c2, c, d2),
+                                 _dot(b, a2, d, b2), _dot(b, c2, d, d2))
 
     def scale(self, t: float) -> "QuaternionMatrix2":
         return QuaternionMatrix2(self.a * t, self.c * t, self.b * t, self.d * t)
@@ -62,7 +69,7 @@ class QuaternionMatrix2(_Frozen):
                                  self.b.conjugate(), self.d.conjugate())
 
     def transpose(self) -> "QuaternionMatrix2":
-        return _matrix(self.a, self.b, self.c, self.d)
+        return QuaternionMatrix2(self.a, self.b, self.c, self.d)
 
     def entry_scale(self) -> float:
         return max(starmap(_norm, _floats(self)))
@@ -94,16 +101,6 @@ class QuaternionMatrix2(_Frozen):
 
 
 _set_a, _set_c, _set_b, _set_d = (QuaternionMatrix2.__dict__[s].__set__ for s in "acbd")
-
-
-def _matrix(a: Quaternion, c: Quaternion, b: Quaternion, d: Quaternion) -> QuaternionMatrix2:
-    """The builder of every matrix result: it fills the slots as ``_make`` does a quaternion's."""
-    m = object.__new__(QuaternionMatrix2)
-    _set_a(m, a)
-    _set_c(m, c)
-    _set_b(m, b)
-    _set_d(m, d)
-    return m
 
 
 def _floats(m: QuaternionMatrix2) -> tuple:
@@ -308,8 +305,9 @@ def from_normal_form(q0, u) -> QuaternionMatrix2:
     lam = 1.0 / (1.0 - q0.norm_sq()) ** 0.5
     w, x, y, z = p = q0.w, q0.x, q0.y, q0.z
     pw, px, py, pz = _hamilton(p, (u.w, u.x, u.y, u.z))
-    return _matrix(u * lam, _make(-w * lam, x * lam, y * lam, z * lam),
-                   _make(-pw * lam, -px * lam, -py * lam, -pz * lam), _make(lam, 0.0, 0.0, 0.0))
+    return QuaternionMatrix2(u * lam, _make(-w * lam, x * lam, y * lam, z * lam),
+                             _make(-pw * lam, -px * lam, -py * lam, -pz * lam),
+                             _make(lam, 0.0, 0.0, 0.0))
 
 
 def normal_form(A: QuaternionMatrix2) -> MoebiusNormalForm:
@@ -323,13 +321,15 @@ def normal_form(A: QuaternionMatrix2) -> MoebiusNormalForm:
     if not A.is_sp11():
         raise NotSp11("matrix does not satisfy the defining identity")
     a, c, _, d = _floats(A)
-    dinv = _inverse(*d)  # |d|^2 = 1 + |c|^2 >= 1 for these matrices, so d is invertible
+    if _norm(*d) < 1.0 - _UNIT_TOL:  # is_sp11's tolerance grows with the entries
+        raise NotSp11(f"|d| = {_norm(*d):g} is below 1, but |d|^2 = 1 + |c|^2 in the group")
+    dinv = _inverse(*d)
     w, x, y, z = _hamilton(dinv, c)
     q0 = _make(-w, x, y, z)  # -conj(d^{-1} c)
     if q0.norm() >= 1.0:
         raise NotSp11(f"recovered zero |q0| = {q0.norm():g} escapes the ball")
     w, x, y, z = _hamilton(dinv, a)
     n = _norm(w, x, y, z)
-    if abs(n - 1.0) > 1e-6:
+    if abs(n - 1.0) > _UNIT_TOL:
         raise NotSp11(f"recovered phase is not unit: |u| = {n:g}")
     return MoebiusNormalForm(q0, _make(w / n, x / n, y / n, z / n))

@@ -309,6 +309,17 @@ def _inverse(w: float, x: float, y: float, z: float) -> tuple:
     return w / n / n, -x / n / n, -y / n / n, -z / n / n
 
 
+def _hamilton(p: tuple, q: tuple) -> tuple:
+    """The Hamilton product p * q of float 4-tuples, in ``Quaternion.__mul__``'s
+    operation order, so its bits are that product's."""
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
+
+
 def _slice_floats(x: float, y: float, I: Quaternion) -> tuple:
     """The components of x + y*I for floats x, y: the bits of ``Quaternion(x) + I * y``
     (each ``0.0 +`` turns -0.0 into +0.0, as that sum does)."""

@@ -20,8 +20,8 @@ import math
 import sys
 
 from .errors import NonConvergence, PoleError
-from .quaternion import (_EPS_SQ, _INF, EPS, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _make,
-                         _norm, _slice_point, _zero_bound, as_quaternion)
+from .quaternion import (_INF, EPS, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _hamilton,
+                         _inverse, _make, _norm, _slice_point, _zero_bound, as_quaternion)
 from .series import (RegularPolynomial, _convolve, _horner_floats, _lift, _real_polynomial,
                      _real_star, _reals, _symmetrized, evaluate_any)
 
@@ -122,39 +122,27 @@ class RegularQuotient(_Frozen):
     def _evaluate_floats(self, points) -> list:
         """``evaluate`` at each of ``points``, float 4-tuples, as float 4-tuples.
 
-        Both Horner passes, the pole test, the inverse and the product run on
-        unpacked floats in the operation order of ``norm()``, ``inverse()``
-        and the Hamilton product, so each result is bit-identical to
-        ``sym.evaluate(q).inverse() * conum.evaluate(q)`` and the first point
-        where that raises raises the same error here.  A ``sym(q)`` whose
-        squared modulus is at most ``EPS**2``, overflows or is not finite
-        takes that quaternion-level path itself.
+        Both Horner passes, the pole test (``_norm``), the inverse (``_inverse``)
+        and the product (``_hamilton``) run on unpacked floats, so each result
+        is bit-identical to ``sym.evaluate(q).inverse() * conum.evaluate(q)``
+        and the first point where that raises raises the same error here.  The
+        pole scale exceeds ``EPS``, so no ``sym(q)`` that small reaches the inverse.
         """
         scale = self._pole_scale
         out = []
         sym = [(w, 0.0, 0.0, 0.0) for w in self._sym]
-        for p, (sw, sx, sy, sz), c in zip(points, _horner_floats(sym, points),
-                                          _horner_floats(self.conum._c, points)):
-            n2 = sw * sw + sx * sx + sy * sy + sz * sz
-            if not _EPS_SQ < n2 < _INF:
-                s = _make(sw, sx, sy, sz)
-                if s.norm() < scale:
-                    raise _pole_at(p)
-                v = s.inverse() * _make(*c)
-                out.append((v.w, v.x, v.y, v.z))
-                continue
-            if math.sqrt(n2) < scale:  # norm()'s rule for an n2 in range
+        for p, s, c in zip(points, _horner_floats(sym, points),
+                           _horner_floats(self.conum._c, points)):
+            n = _norm(*s)
+            if not n < _INF:
+                _make(*s)  # a non-finite sym(q) is reported as itself
+            if n < scale:
                 raise _pole_at(p)
-            w1, x1, y1, z1 = sw / n2, -sx / n2, -sy / n2, -sz / n2
-            w2, x2, y2, z2 = c
-            w, x, y, z = (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-                          w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-                          w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-                          w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
+            w, x, y, z = v = _hamilton(_inverse(*s), c)
             if 0.0 * w + 0.0 * x + 0.0 * y + 0.0 * z != 0.0:  # _make's finiteness test
                 _make(*c)  # a non-finite conum(q) is reported as itself
-                _make(w, x, y, z)
-            out.append((w, x, y, z))
+                _make(*v)
+            out.append(v)
         return out
 
     __call__ = evaluate

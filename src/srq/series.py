@@ -13,8 +13,8 @@ import math
 from itertools import starmap, zip_longest
 
 from .errors import DegenerateCenter, RealPoint
-from .quaternion import (EPS, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _make, _norm,
-                         _zero_bound, as_quaternion)
+from .quaternion import (EPS, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _hamilton, _make,
+                         _norm, _zero_bound, as_quaternion)
 
 _ZERO4 = (0.0, 0.0, 0.0, 0.0)
 
@@ -262,17 +262,6 @@ def _from_parts(parts: list) -> RegularPolynomial:
 
 _new = object.__new__
 _set_c = RegularPolynomial.__dict__["_c"].__set__
-
-
-def _hamilton(p: tuple, q: tuple) -> tuple:
-    """The Hamilton product p * q of float 4-tuples, in ``Quaternion.__mul__``'s
-    operation order, so its bits are that product's."""
-    w1, x1, y1, z1 = p
-    w2, x2, y2, z2 = q
-    return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
 
 
 def _horner_floats(coeffs, points) -> list:

@@ -20,8 +20,8 @@ import random
 from .errors import PoleError
 from .fractional import QuaternionMatrix2, from_normal_form, left_action, right_action
 from .geometry import _ball_floats, _cube_point, _moebius_den, regular_moebius_map, sample_ball
-from .quaternion import (_INF, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _make, _norm,
-                         _slice_floats, _zero_bound, as_quaternion)
+from .quaternion import (_INF, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _hamilton, _make,
+                         _norm, _slice_floats, _zero_bound, as_quaternion)
 from .rational import RegularQuotient, _moduli_at, _values_at, as_quotient
 from .series import RegularPolynomial, spherical_derivative_at
 
@@ -321,12 +321,9 @@ def _slice_residuals(f, samples) -> list:
     out = []
     for (_, _, I), a, b, c, d in zip(samples, values, values, values, values):
         gw, gx, gy, gz = (a[0] - b[0]) / h, (a[1] - b[1]) / h, (a[2] - b[2]) / h, (a[3] - b[3]) / h
-        ew, ex, ey, ez = (c[0] - d[0]) / h, (c[1] - d[1]) / h, (c[2] - d[2]) / h, (c[3] - d[3]) / h
-        iw, ix, iy, iz = I.w, I.x, I.y, I.z
-        residual = _norm(0.5 * (gw + (iw * ew - ix * ex - iy * ey - iz * ez)),
-                         0.5 * (gx + (iw * ex + ix * ew + iy * ez - iz * ey)),
-                         0.5 * (gy + (iw * ey - ix * ez + iy * ew + iz * ex)),
-                         0.5 * (gz + (iw * ez + ix * ey - iy * ex + iz * ew)))
+        e = (c[0] - d[0]) / h, (c[1] - d[1]) / h, (c[2] - d[2]) / h, (c[3] - d[3]) / h
+        iw, ix, iy, iz = _hamilton((I.w, I.x, I.y, I.z), e)  # I * e
+        residual = _norm(0.5 * (gw + iw), 0.5 * (gx + ix), 0.5 * (gy + iy), 0.5 * (gz + iz))
         if not residual < _INF:
             a, b, c, d = (_make(*v) for v in (a, b, c, d))
             residual = (0.5 * ((a - b) / h + I * ((c - d) / h))).norm()

@@ -256,6 +256,14 @@ def test_normal_form_rejects_non_member(capsys):
     assert code == 1
 
 
+def test_normal_form_refuses_a_member_within_tolerance_whose_d_vanishes(capsys):
+    # it passes is_sp11 (entries of 1e5), so d = 0 must be refused before it is inverted
+    vanishing_d = {"a": [1e5, 0, 0, 0], "c": [0, 0, 0, 0], "b": [1e5, 0, 0, 0], "d": [0, 0, 0, 0]}
+    code, out, err = run_cli(capsys, "normal-form", "--matrix", json.dumps(vanishing_d))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "too small to invert" not in err
+
+
 def test_normal_form_matrix_with_q0_or_u_is_a_usage_error(capsys):
     for extra in (("--q0", "0.1j", "--u", "k"), ("--q0", "0.1j"), ("--u", "k")):
         code, out, err = run_cli(capsys, "normal-form", "--matrix", _MATRIX, *extra)

@@ -406,6 +406,15 @@ def test_normal_form_refuses_members_within_tolerance_that_recover_no_normal_for
         normal_form(matrix)
 
 
+def test_normal_form_refuses_a_member_within_tolerance_whose_d_vanishes():
+    # entries of 1e5 pass is_sp11 with a determinant of 0; d = 0 has no inverse,
+    # and every member of the group has |d|^2 = 1 + |c|^2 >= 1
+    matrix = QuaternionMatrix2(1e5, 0, 1e5, 0)
+    assert matrix.is_sp11()
+    with pytest.raises(NotSp11, match=r"\|d\| = 0"):
+        normal_form(matrix)
+
+
 def test_sp11_maps_keep_the_ball():
     rng = random.Random(15)
     for _ in range(10):

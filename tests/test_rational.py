@@ -807,6 +807,19 @@ def test_durand_kerner_returns_exact_zero_roots(coeffs, wanted):
         assert min(abs(r - z) for r in roots) <= 1e-12 * (1.0 + abs(z))
 
 
+def test_durand_kerner_steps_past_a_vanishing_weierstrass_denominator():
+    # z^3 - z^2 - 2z = z (z - 2)(z + 1): the sweeps reach a root estimate whose
+    # Weierstrass denominator is exactly 0, so this input crosses the denom == 0 guard
+    coeffs = [0.0, -2.0, -1.0, 1.0]
+    roots = durand_kerner(coeffs)
+    assert len(roots) == 3
+    bound = 1e-12 * (1.0 + sum(abs(c) for c in coeffs))
+    for z in roots:
+        assert abs(((z - 1.0) * z - 2.0) * z) <= bound
+    for r in (2.0, -1.0, 0.0):
+        assert min(abs(z - r) for z in roots) <= 1e-12 * (1.0 + abs(r))
+
+
 # -- the conjugate-pair iteration ---------------------------------------------------------
 #
 # A real polynomial of even degree, every symmetrization among them, is iterated one

@@ -10,6 +10,11 @@
   ``acc = acc * t + a`` once, in ``rational._horner``; and one loop rejects
   cube draws outside a ball, in ``geometry._ball_floats``.  Callers with one
   point pass a one-point list, so a second hand-rolled copy has nothing to win.
+- One Hamilton product on floats: the formula's i component
+  ``w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2`` is written in ``Quaternion.__mul__``
+  and in ``quaternion._hamilton``, the product of float 4-tuples every other
+  kernel calls, and once more in the star convolution of
+  ``RegularPolynomial.__mul__``, which accumulates each term in place.
 - One violation test: ``margin < -tol * (1.0 + abs(rhs))`` is written once,
   in ``verify._margins``; every check summarises its margins there, and
   reports merge only through ``verify._fold``.
@@ -69,6 +74,19 @@ def horner_steps(text: str) -> int:
     """How often the token sequence of the Hamilton Horner step occurs."""
     tokens, step = _tokens(text), _tokens(_HORNER_STEP)
     return sum(tokens[i:i + len(step)] == step for i in range(len(tokens)))
+
+
+_HAMILTON_TERM = "w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2"
+
+
+def hamilton_products(text: str) -> list:
+    """The innermost function around each occurrence of the token sequence of
+    the Hamilton product's i component, None at module level."""
+    tokens = [t for t in tokenize.generate_tokens(io.StringIO(text).readline)
+              if t.type in (tokenize.NAME, tokenize.OP, tokenize.NUMBER, tokenize.STRING)]
+    strings, term = [t.string for t in tokens], _tokens(_HAMILTON_TERM)
+    lines = [tokens[i].start[0] for i in range(len(tokens)) if strings[i:i + len(term)] == term]
+    return _innermost_functions(ast.parse(text), lines)
 
 
 def _called(node) -> str:
@@ -224,6 +242,23 @@ def test_eps_is_scaled_only_in_quaternion(path):
 def test_one_horner_step():
     counts = {p.name: horner_steps(p.read_text()) for p in MODULES}
     assert {name: n for name, n in counts.items() if n} == {"series.py": 1}
+
+
+def test_one_hamilton_product():
+    found = {p.name: hamilton_products(p.read_text()) for p in MODULES}
+    assert {name: f for name, f in found.items() if f} == {
+        "quaternion.py": ["__mul__", "_hamilton"], "series.py": ["__mul__"]}
+
+
+def test_the_hamilton_rule_catches_what_it_forbids():
+    assert hamilton_products("def g(p, q):\n    w1, x1, y1, z1 = p\n    w2, x2, y2, z2 = q\n"
+                             "    x = (w1 * x2 + x1 * w2\n         + y1 * z2 - z1 * y2)\n") == ["g"]
+    assert hamilton_products("x = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2 + c\n") == [None]
+    # a comment, a string, another component or other names are not the formula
+    assert hamilton_products("x = 0.0  # w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2\n"
+                             "s = 'w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2'\n"
+                             "y = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2\n"
+                             "i = iw * ex + ix * ew + iy * ez - iz * ey\n") == []
 
 
 def test_one_scalar_horner_loop():
