@@ -25,8 +25,6 @@ from .quaternion import (_INF, EPS, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _
 from .series import (RegularPolynomial, _convolve, _horner_floats, _lift, _real_polynomial,
                      _real_star, _reals, _symmetrized, evaluate_any)
 
-#: Relative distance within which roots merge, or count as real.
-_CLUSTER_TOL = 1e-6
 #: Unit roundoff of IEEE double precision; the backward-error stop of
 #: ``durand_kerner`` compares residuals with it.
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -260,7 +258,7 @@ class RegularQuotient(_Frozen):
     def cullen_derivative(self) -> "RegularQuotient":
         """Slice derivative of S^{-1}P: (S^2)^{-1} (S P' - S' P)."""
         sym = self._sym
-        ds = _reals([sym[n] * float(n) for n in range(1, len(sym))])
+        ds = _reals(_derivative(sym))
         dp = self.conum.cullen_derivative()
         numerator = _real_star(sym, dp._c) - _real_star(ds, self.conum._c)
         return RegularQuotient._expanded(_reals(_convolve(sym, sym)), numerator)
@@ -415,7 +413,9 @@ def durand_kerner(coeffs):
     """All complex roots of sum_n coeffs[n] z^n by simultaneous iteration.
 
     Exact-zero low-order coefficients are stripped first, each a root at 0.
-    Each sweep moves every root by a Jacobi-style Weierstrass step.  A real
+    A linear polynomial and a real quadratic are solved in closed form
+    (``_real_quadratic``).  Otherwise each sweep moves every root by a
+    Jacobi-style Weierstrass step.  A real
     polynomial of even degree, as every symmetrization is, is iterated one
     root per conjugate pair (``_sweeps``), from the upper arc of the circle
     about the centroid -c_{n-1}/n of radius |p(centroid)|^(1/n).  A pair that
@@ -433,8 +433,8 @@ def durand_kerner(coeffs):
     - 500 sweeps have run.
 
     Raises ValueError on a non-finite coefficient, and NonConvergence when a
-    final residual does not count as zero beside the monic coefficients
-    (``_zero_bound`` of the sum of their moduli) or is NaN.
+    final residual, closed forms included, does not count as zero beside the
+    monic coefficients (``_zero_bound`` of the sum of their moduli) or is NaN.
     """
     c = [complex(v) for v in coeffs]
     if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in c):
@@ -456,14 +456,17 @@ def durand_kerner(coeffs):
         return next(((z, abs(r)) for z, r in zip(roots, _horner(monic, roots))
                      if not abs(r) <= bound), None)  # NaN roots fail here too
 
-    if n == 1:  # closed form; an overflowing normalization still fails the check
+    real = not any(v.imag for v in monic)
+    if n == 1:  # closed forms; an overflowing normalization still fails the check
         roots = [-monic[0]]
+    elif n == 2 and real:
+        roots = _real_quadratic(monic[1].real / 2.0, monic[0].real)
     else:
         radius = 1.0 + max(abs(v) for v in monic[:-1])
         if n * math.log(radius) > _LOG_FLOAT_MAX:
             # |z|^n overflows Horner on that circle; Fujiwara's bound is tighter
             radius = 2.0 * max(abs(v) ** (1.0 / (n - k)) for k, v in enumerate(monic[:-1]))
-        if n % 2 == 0 and not any(v.imag for v in monic):
+        if n % 2 == 0 and real:
             m = n // 2
             centre = -monic[-2] / n
             scale = abs(_horner(monic, [centre])[0]) ** (1.0 / n)
@@ -482,6 +485,19 @@ def durand_kerner(coeffs):
         z, residual = failure
         raise NonConvergence(f"root iteration stalled with residual {residual:g} at {z}")
     return roots + [0j] * zeros
+
+
+def _real_quadratic(h, c) -> list:
+    """The roots of z^2 + 2hz + c, c != 0: a conjugate pair, upper root first,
+    or two real roots, the larger in modulus without cancellation and the
+    other as c over it.  The discriminant h^2 - c is scaled by h^2 once
+    |h| >= 1, so that it overflows only with the roots."""
+    d = 1.0 - c / h / h if abs(h) >= 1.0 else h * h - c
+    s = math.sqrt(abs(d)) * max(1.0, abs(h))
+    if d < 0.0:
+        return [complex(-h, s), complex(-h, -s)]
+    r = -(h + math.copysign(s, h))
+    return [complex(r), complex(c / r)]
 
 
 def _sweeps(monic, roots, paired):
@@ -546,34 +562,147 @@ def _horner(coeffs, points) -> list:
     return out
 
 
-def _cluster(roots):
-    """Greedy clustering of complex roots within an absolute-ish tolerance."""
-    remaining = sorted(roots, key=lambda z: (z.real, z.imag))
-    clusters = []
-    for z in remaining:
-        for group in clusters:
-            if abs(z - group[0]) <= _CLUSTER_TOL * (1.0 + abs(z)):
-                group.append(z)
-                break
-        else:
-            clusters.append([z])
-    return clusters
-
-
 def _zero_set_of_real_polynomial(sym: tuple) -> SphereZeroSet:
+    """The zero set of the real polynomial ``sym``, solved factor by factor of
+    its square-free split, each root carrying its factor's multiplicity.
+
+    Each root of a factor takes two Newton steps on the derivative of ``sym``
+    of which it is a simple root, and must then pass ``durand_kerner``'s
+    residual test on ``sym``; if one fails, or a factor does not converge,
+    ``sym`` is solved whole, each root simple.  A root counts as real when no
+    other root of its factor lies nearer its conjugate than the root itself;
+    of a conjugate pair only the upper root is listed.
+    """
     if not sym:
         raise ValueError("the zero polynomial vanishes everywhere")
-    roots = durand_kerner(sym)
+    monic = [v / sym[-1] for v in sym]
+    split = _square_free_split(monic)
+    solved = None
+    if split:
+        try:
+            solved = [(_newton(monic, durand_kerner(factor), m), m) for factor, m in split]
+        except NonConvergence:
+            pass
+        else:
+            bound = _zero_bound(_fold_sum(map(abs, monic)))
+            if not all(abs(r) <= bound for roots, _ in solved for r in _horner(monic, roots)):
+                solved = None
     entries = []
-    for group in _cluster(roots):
-        center = _fold_sum(group, 0j) / len(group)
-        if abs(center.imag) <= _CLUSTER_TOL * (1.0 + abs(center)):
-            entries.append(ZeroEntry(center.real, 0.0, len(group)))
-        elif center.imag > 0.0:
-            entries.append(ZeroEntry(center.real, center.imag, len(group)))
-        # lower-halfplane clusters mirror the upper ones and are dropped
+    for roots, m in solved or [(durand_kerner(sym), 1)]:
+        for z in roots:
+            y, c = z.imag, z.conjugate()
+            if not y or c not in roots and all(abs(w - c) >= 2.0 * abs(y) for w in roots):
+                entries.append(ZeroEntry(z.real, 0.0, m))
+            elif y > 0.0:
+                entries.append(ZeroEntry(z.real, y, m))
     entries.sort(key=lambda e: (e.x, e.y))
     return SphereZeroSet(tuple(entries))
+
+
+def _newton(coeffs, roots, m) -> list:
+    """Each of ``roots``, roots of multiplicity ``m`` of ``coeffs``, after two
+    Newton steps on the (m-1)-th derivative, of which they are simple roots."""
+    for _ in range(m - 1):
+        coeffs = _derivative(coeffs)
+    slope = _derivative(coeffs)
+    for _ in range(2):
+        roots = [z - v / s if s else z
+                 for z, v, s in zip(roots, _horner(coeffs, roots), _horner(slope, roots))]
+    return roots
+
+
+def _derivative(coeffs) -> list:
+    """The coefficients of a real polynomial's derivative."""
+    return [coeffs[k] * float(k) for k in range(1, len(coeffs))]
+
+
+def _square_free_split(p: list):
+    """Yun's square-free split of the monic real polynomial ``p``: ``(factor,
+    multiplicity)`` pairs of monic factors with simple roots whose product,
+    each to its multiplicity, is ``p``; None for a square-free ``p``, and for
+    one whose split overflows or does not close.
+
+    Each polynomial travels with an absolute error bound on its coefficients,
+    ``_zero_bound`` of their moduli to begin with, which ``_gcd`` and
+    ``_quotient`` carry along.  The leading coefficient of each ``d = c - b'``
+    is exact: it counts the roots of multiplicity above m, so the split closes
+    when it is 0, with b the last factor, and the degrees add up to p's.
+    """
+    n = len(p) - 1
+    if n < 2 or not all(map(math.isfinite, p)):
+        return None
+    # z = 2^e u, exactly, with 2^e near the geometric mean of the roots' moduli if above 1
+    e = max(0, round(math.log2(abs(p[0])) / n)) if p[0] else 0
+    if e:
+        p = [math.ldexp(v, e * (k - n)) for k, v in enumerate(p)]
+    c = _derivative(p)
+    p, c = (p, _zero_bound(_fold_sum(map(abs, p)))), (c, _zero_bound(_fold_sum(map(abs, c))))
+    g = _gcd(p, c)
+    if len(g[0]) == 1:
+        return None
+    b, c = _quotient(p, g), _quotient(c, g)
+    split = []
+    for m in range(1, n + 1):
+        d = [u - v for u, v in zip(c[0], _derivative(b[0]))]
+        if not d or d[-1] < 0.0:
+            return None
+        if d[-1] == 0.0:
+            split.append((b[0], m))
+            if e:
+                split = [([math.ldexp(v, e * (len(a) - 1 - k)) for k, v in enumerate(a)], m)
+                         for a, m in split]
+            return split if all(math.isfinite(v) for a, _ in split for v in a) else None
+        d = d, c[1] + len(d) * b[1]
+        a = _gcd(b, d)
+        if len(a[0]) > 1:
+            split.append((a[0], m))
+        b, c = _quotient(b, a), _quotient(d, a)
+    return None
+
+
+def _gcd(a, b) -> tuple:
+    """The monic greatest common divisor of the monic ``a`` and of ``b``, of lower
+    degree, by Euclid's algorithm on (coefficients, error bound) pairs.  A
+    remainder's bound is the dividend's plus the quotient's moduli times the
+    divisor's, and its leading coefficients count as zero within it, a
+    backward-error test; the divisor then found is returned with the bound of
+    its own coefficients plus what was discarded."""
+    (a, err_a), (b, err_b) = a, (list(b[0]), b[1])
+    while True:
+        noise = 0.0
+        while b and abs(b[-1]) <= err_b:
+            noise += abs(b.pop())
+        if len(b) < 2:  # a nonzero constant remainder: coprime
+            return ([1.0], 0.0) if b else (a, _zero_bound(_fold_sum(map(abs, a))) + noise)
+        lead = b[-1]
+        divisor = [v / lead for v in b]
+        _, b, size = _divide(a, divisor)
+        a, err_a, err_b = divisor, err_b / abs(lead), err_a + size * err_b / abs(lead)
+
+
+def _quotient(a, b) -> tuple:
+    """``a`` divided by the monic ``b``, both (coefficients, error bound) pairs,
+    where b divides a: the quotient, with a's bound plus the moduli of the
+    remainder it drops."""
+    q, r, _ = _divide(a[0], b[0])
+    return q, a[1] + _fold_sum(map(abs, r))
+
+
+def _divide(a, b) -> tuple:
+    """Quotient and remainder of ``a`` by the monic ``b``, by synthetic division,
+    and the sum of the quotient's moduli."""
+    r = list(a)
+    k = len(b) - 1
+    q = []
+    size = 0.0
+    for i in range(len(a) - 1 - k, -1, -1):
+        t = r[i + k]
+        q.append(t)
+        size += abs(t)
+        for j in range(k):
+            r[i + j] -= t * b[j]
+    q.reverse()
+    return q, r[:k], size
 
 
 def sphere_zero_set(f: RegularPolynomial) -> SphereZeroSet:

@@ -9,6 +9,7 @@ estimate at the very end.
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 
 def exact(components) -> tuple:
@@ -54,3 +55,69 @@ def relative_error(computed: float, exact_sq: Fraction) -> float:
     exact |m^2 - r^2| = |m - r| (m + r)."""
     r = math.sqrt(exact_sq)
     return abs(float(Fraction(computed) ** 2 - exact_sq)) / (r * (computed + r))
+
+
+# -- Yun's square-free split over the rationals --------------------------------------
+#
+# Real polynomials are coefficient lists, lowest degree first, of Fractions with
+# no trailing zero.
+
+
+def _strip(a) -> list:
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def derivative(a) -> list:
+    return _strip(c * k for k, c in enumerate(a) if k)
+
+
+def divmod_poly(a, b) -> tuple:
+    """Quotient and remainder of ``a`` by ``b`` != 0, exactly."""
+    r = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        t = q[i] = r[i + len(b) - 1] / b[-1]
+        for j, c in enumerate(b):
+            r[i + j] -= t * c
+    return _strip(q), _strip(r)
+
+
+def monic(a) -> list:
+    return [c / a[-1] for c in a]
+
+
+def gcd_poly(a, b) -> list:
+    """The monic greatest common divisor of ``a`` and ``b``, not both zero."""
+    while b:
+        a, b = b, divmod_poly(a, b)[1]
+    return monic(a)
+
+
+def exact_quotient(a, b) -> list:
+    q, r = divmod_poly(a, b)
+    assert not r, "the divisor must divide exactly"
+    return q
+
+
+def yun(p) -> list:
+    """Yun's square-free split of ``p`` (degree >= 1): ``(factor, multiplicity)``
+    pairs of monic factors of degree >= 1, whose product, each to its
+    multiplicity, is ``p`` made monic."""
+    p = monic(_strip(Fraction(c) for c in p))
+    dp = derivative(p)
+    g = gcd_poly(p, dp)
+    b, c = exact_quotient(p, g), exact_quotient(dp, g)
+    out = []
+    m = 1
+    while len(b) > 1:
+        d = _strip(u - v for u, v in zip_longest(c, derivative(b), fillvalue=0))
+        a = gcd_poly(b, d) if d else monic(b)
+        if len(a) > 1:
+            out.append((a, m))
+        b = exact_quotient(b, a)
+        c = exact_quotient(d, a) if d else []
+        m += 1
+    return out

@@ -19,6 +19,8 @@ from srq.rational import (RegularQuotient, durand_kerner, sphere_zero_set,
                           star_transform, star_transform_inverse, zeros_on_sphere)
 from srq.series import RegularPolynomial
 
+import exact
+
 Q = RegularPolynomial.identity()
 
 
@@ -235,7 +237,7 @@ def test_overflowing_zero_set_is_not_reported_empty():
 
 @st.composite
 def factor_products(draw):
-    """One to three factors (q - p_j)^{m_j}, m_j <= 2, on spheres 0.4 apart."""
+    """One to three factors (q - p_j)^{m_j}, m_j <= 3, on spheres 0.4 apart."""
     count = draw(st.integers(1, 3))
     centre = st.tuples(st.floats(-0.8, 0.8), st.floats(0.2, 0.9))
     centres = draw(st.lists(centre, min_size=count, max_size=count))
@@ -247,7 +249,7 @@ def factor_products(draw):
         axis = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))
         norm = math.sqrt(sum(v * v for v in axis))
         assume(norm > 0.1)
-        m = draw(st.integers(1, 2))
+        m = draw(st.integers(1, 3))
         p = Quaternion(x, *(v * y / norm for v in axis))
         for _ in range(m):
             f = f * (Q - p)
@@ -1105,3 +1107,209 @@ def test_a_non_real_expanded_denominator_is_refused_as_non_real_even_with_zero_r
         RegularQuotient.from_expanded(RegularPolynomial([I]), Q)
     with pytest.raises(TypeError):
         RegularQuotient.from_expanded(RegularPolynomial([I]), "q")
+
+
+# -- the square-free split ----------------------------------------------------------------
+#
+# A zero set splits sym into square-free factors by Yun's algorithm, solves each
+# factor, and gives its roots the factor's multiplicity; a real quadratic, every
+# factor of a sphere of simple zeros, is solved in closed form.
+
+
+def test_durand_kerner_finds_a_small_root_beside_a_huge_one():
+    # the discriminant h^2 - c of z^2 + 1e200 z + 1 overflows unless it is scaled
+    # by h^2; the small root is c over the large one, so it keeps its digits
+    small, large = sorted(durand_kerner([1.0, 1e200, 1.0]), key=abs)
+    assert abs(large + 1e200) <= 1e-15 * 1e200
+    assert abs(small + 1e-200) <= 1e-15 * 1e-200
+
+
+@given(st.floats(-10.0, 10.0).filter(lambda v: abs(v) >= 1e-3), st.floats(-10.0, 10.0),
+       st.floats(-10.0, 10.0).filter(lambda v: abs(v) >= 0.1))
+def test_real_quadratics_are_solved_in_closed_form(c0, c1, c2):
+    roots = durand_kerner([c0, c1, c2])
+    monic = [c0 / c2, c1 / c2, 1.0]
+    bound = 1e-12 * (1.0 + sum(abs(c) for c in monic))
+    assert len(roots) == 2
+    for z in roots:
+        assert abs(np.polyval(monic[::-1], z)) <= bound
+    a, b = roots
+    assert (a.imag > 0.0 and b == a.conjugate()) or a.imag == b.imag == 0.0
+    for z in np.roots([c2, c1, c0]):  # numpy's companion roots, to within a double root's spread
+        assert min(abs(r - complex(z)) for r in roots) <= 1e-6 * (1.0 + abs(z))
+
+
+@pytest.mark.parametrize("coeffs", [[2.0, -3.0, 1.0], [1.0, 0.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1e200, 1.0]])
+def test_a_real_quadratic_takes_no_sweep(monkeypatch, coeffs):
+    calls = _spy_sweeps(monkeypatch)
+    assert len(durand_kerner(coeffs)) == 2
+    assert calls == []
+
+
+def test_zero_sets_with_multiple_factors_come_back_with_their_multiplicities():
+    # the examples of the roadmap: a triple sphere, a quadruple real point beside a
+    # simple sphere, and the zero quotient M + M - M - M of a regular Moebius map,
+    # whose sym of degree 8 vanishes on M's one sphere to order 4
+    entries = [(e.x, e.y, e.multiplicity) for e in sphere_zero_set((Q - I) ** 3)]
+    assert len(entries) == 1 and entries[0][2] == 3
+    assert abs(entries[0][0]) <= 1e-12 and abs(entries[0][1] - 1.0) <= 1e-12
+    entries = sorted((e.x, e.y, e.multiplicity) for e in sphere_zero_set((Q - 0.5) ** 2 * (Q - I)))
+    assert [m for _, _, m in entries] == [1, 4]
+    assert abs(entries[1][0] - 0.5) <= 1e-12 and entries[1][1] == 0.0
+    M = RegularQuotient(Q * Quaternion(-0.3, 0.2) + 1.0, Q - Quaternion(0.3, 0.2))
+    (one,) = M.sphere_zero_set()
+    (four,) = (M + M - M - M).sphere_zero_set()
+    assert four.multiplicity == 4 and one.multiplicity == 1
+    assert math.hypot(four.x - one.x, four.y - one.y) <= 1e-9
+    (point,) = sphere_zero_set(Q - 2)
+    assert (point.x, point.y, point.multiplicity) == (2.0, 0.0, 2)
+
+
+def _assert_zero_set(f, spheres, tol=1e-6):
+    """f's zero set lists each (x, y, m) of ``spheres`` once, matched by nearest
+    centre, and nothing else, so its multiplicities add up to sym's degree."""
+    entries = list(sphere_zero_set(f))
+    assert len(entries) == len(spheres)
+    assert sum(e.multiplicity * (1 if e.is_real_point else 2) for e in entries) == 2 * f.degree
+    for x, y, m in spheres:
+        entry = min(entries, key=lambda e: math.hypot(e.x - x, e.y - y))
+        assert abs(entry.x - x) <= tol and abs(entry.y - y) <= tol
+        assert entry.multiplicity == m and entry.is_real_point == (y == 0.0)
+
+
+def _point_on(x, y, axis):
+    norm = math.sqrt(sum(v * v for v in axis))
+    assume(norm > 0.1)
+    return Quaternion(x, *(v * y / norm for v in axis))
+
+
+axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+
+
+@given(st.tuples(st.floats(-0.8, 0.8), st.floats(0.03, 0.12)),
+       st.tuples(st.floats(-0.8, 0.8), st.floats(0.03, 0.12)), axes, axes)
+def test_near_real_double_spheres_come_back_once_each(a, b, axis_a, axis_b):
+    # two double spheres of radius 0.03 to 0.12, centres at least 0.1 apart: pair-mode
+    # iteration used to split each into two nearby simple spheres
+    assume(math.hypot(a[0] - b[0], a[1] - b[1]) >= 0.1)
+    pa, pb = _point_on(*a, axis_a), _point_on(*b, axis_b)
+    _assert_zero_set((Q - pa) * (Q - pb) * (Q - pa) * (Q - pb), [(*a, 2), (*b, 2)])
+
+
+@given(st.floats(-0.8, 0.8), st.lists(st.tuples(st.floats(-0.8, 0.8), st.floats(0.2, 0.9), axes),
+                                       max_size=2))
+def test_double_real_zeros_come_back_as_one_real_point(r, spheres):
+    # (q - r)^2 g with real r: sym vanishes to order 4 at r
+    centres = [(r, 0.0)] + [(x, y) for x, y, _ in spheres]
+    assume(all(math.hypot(a[0] - b[0], a[1] - b[1]) >= 0.4
+               for n, a in enumerate(centres) for b in centres[:n]))
+    f = (Q - r) * (Q - r)
+    for x, y, axis in spheres:
+        f = f * (Q - _point_on(x, y, axis))
+    _assert_zero_set(f, [(r, 0.0, 4)] + [(x, y, 1) for x, y, _ in spheres])
+
+
+def test_the_float_split_matches_yun_over_the_rationals():
+    # 240 seeded star products of linear factors with integer components, some on one
+    # sphere or real, so that sym has integer coefficients and converts exactly; the
+    # float split must find the factor degrees and multiplicities that Yun's
+    # algorithm over Fractions finds.  Runs in about 0.2 s on CPython 3.11.
+    rng = random.Random(26)
+    shapes = set()
+    for _ in range(240):
+        f = RegularPolynomial([ONE])
+        for _ in range(rng.randint(1, 3)):
+            p = Quaternion(*(rng.randint(-2, 2) for _ in range(4)))
+            for _ in range(rng.randint(1, 3)):
+                f = f * (Q - p)
+        sym = RegularQuotient(f, ONE)._sym
+        assert all(v == int(v) for v in sym)
+        want = sorted((len(a) - 1, m) for a, m in exact.yun(sym))
+        split = rational._square_free_split([v / sym[-1] for v in sym])
+        assert sorted((len(a) - 1, m) for a, m in split or [(sym, 1)]) == want
+        shapes.add(tuple(want))
+    assert len(shapes) > 20
+
+
+def _spy_solves(monkeypatch, fail=()):
+    """Degrees handed to durand_kerner; those in ``fail`` raise NonConvergence."""
+    degrees = []
+    solve = rational.durand_kerner
+
+    def spy(coeffs):
+        degrees.append(len(coeffs) - 1)
+        if len(coeffs) - 1 in fail:
+            raise NonConvergence("refused by the test")
+        return solve(coeffs)
+
+    monkeypatch.setattr(rational, "durand_kerner", spy)
+    return degrees
+
+
+_DOUBLE = (Q - I) * (Q - I) * (Q - J * 0.5 + 0.3)  # sym = ((z^2 + 1)^2) ((z + 0.3)^2 + 0.25)
+
+
+def _is_whole_solve(zero_set):
+    return (all(e.multiplicity == 1 for e in zero_set)
+            and sum(1 if e.is_real_point else 2 for e in zero_set) == 6)
+
+
+def test_a_split_solves_each_factor_once(monkeypatch):
+    degrees = _spy_solves(monkeypatch)
+    assert sorted((e.multiplicity, round(e.y, 9)) for e in sphere_zero_set(_DOUBLE)) == [(1, 0.5), (2, 1.0)]
+    assert sorted(degrees) == [2, 2]
+
+
+def test_a_split_that_does_not_close_falls_back_to_the_whole_solve(monkeypatch):
+    # the first GCD, of sym and sym', is right; a second that claims all of b divides
+    # d uses up b while roots of higher multiplicity are still counted, so the split
+    # never closes
+    gcd, calls = rational._gcd, []
+
+    def wrong(a, b):
+        calls.append(len(a[0]) - 1)
+        return gcd(a, b) if len(calls) == 1 else a
+
+    monkeypatch.setattr(rational, "_gcd", wrong)
+    degrees = _spy_solves(monkeypatch)
+    assert _is_whole_solve(sphere_zero_set(_DOUBLE))
+    assert calls == [6, 4] and degrees == [6]
+
+
+def test_a_split_whose_roots_fail_on_sym_falls_back_to_the_whole_solve(monkeypatch):
+    monkeypatch.setattr(rational, "_newton", lambda coeffs, roots, m: [z + 1e-3 for z in roots])
+    degrees = _spy_solves(monkeypatch)
+    assert _is_whole_solve(sphere_zero_set(_DOUBLE))
+    assert degrees == [2, 2, 6]
+
+
+def test_a_split_whose_factor_does_not_converge_falls_back_to_the_whole_solve(monkeypatch):
+    degrees = _spy_solves(monkeypatch, fail={2})
+    assert _is_whole_solve(sphere_zero_set(_DOUBLE))
+    assert degrees == [2, 6]
+
+
+@pytest.mark.parametrize("sym", [(1e300, 0.0, 0.0, 0.0, 1e-300), (1e300, 0.0, 2e-300, 0.0, 1e-300)])
+def test_a_split_that_overflows_raises_as_the_whole_solve_does(monkeypatch, sym):
+    # making sym monic overflows, so the split gives up and the whole solve reports it
+    degrees = _spy_solves(monkeypatch)
+    with pytest.raises(NonConvergence):
+        RegularQuotient.from_expanded(RegularPolynomial(list(sym)), ONE).sphere_zero_set()
+    assert degrees == [4]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                          st.floats(-1.0, 1.0)), min_size=2, max_size=6),
+       st.integers(1, 3))
+def test_a_zero_set_is_never_partial(coeffs, power):
+    # random polynomials and their powers: every root of sym is listed, with its
+    # multiplicity, or the solver says it failed
+    f = RegularPolynomial([Quaternion(*c) for c in coeffs])
+    assume(not f.is_zero and f.coeffs[-1].norm() >= 0.1)
+    f = f ** power
+    try:
+        zero_set = sphere_zero_set(f)
+    except NonConvergence:
+        return
+    assert sum(e.multiplicity * (1 if e.is_real_point else 2) for e in zero_set) == 2 * f.degree
