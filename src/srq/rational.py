@@ -274,8 +274,8 @@ class RegularQuotient(_Frozen):
 
 
 def _scale_of(sym) -> float:
-    """The pole scale ``_zero_bound(S.coefficient_norm_sum())`` of S from its real
-    coefficients ``sym``: |w| is the norm() of w + 0i + 0j + 0k bit for bit."""
+    """The zero bound of a polynomial's real coefficients ``sym``; for a quotient's S it is
+    the pole scale ``_zero_bound(S.coefficient_norm_sum())``, |w| being w's norm() bit for bit."""
     return _zero_bound(_fold_sum(map(abs, sym)))
 
 
@@ -433,8 +433,7 @@ def durand_kerner(coeffs):
     - 500 sweeps have run.
 
     Raises ValueError on a non-finite coefficient, and NonConvergence when a
-    final residual, closed forms included, does not count as zero beside the
-    monic coefficients (``_zero_bound`` of the sum of their moduli) or is NaN.
+    final root, closed forms included, fails ``_unconverged``.
     """
     c = [complex(v) for v in coeffs]
     if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in c):
@@ -449,13 +448,6 @@ def durand_kerner(coeffs):
         return [0j] * zeros
     lead = c[-1]
     monic = [v / lead for v in c[zeros:]]
-    bound = _zero_bound(_fold_sum(abs(v) for v in monic))
-
-    def unconverged(roots):
-        """(root, |residual|) for the first residual that does not count as zero, or None."""
-        return next(((z, abs(r)) for z, r in zip(roots, _horner(monic, roots))
-                     if not abs(r) <= bound), None)  # NaN roots fail here too
-
     real = not any(v.imag for v in monic)
     if n == 1:  # closed forms; an overflowing normalization still fails the check
         roots = [-monic[0]]
@@ -475,16 +467,26 @@ def durand_kerner(coeffs):
             # Aberth's angles (2 pi k + pi/2) / n on the upper arc
             roots = _sweeps(monic, [centre + scale * cmath.exp(1j * math.pi * (k + 0.25) / m)
                                     for k in range(m)], True)
-            if roots is not None and unconverged(roots) is None:
+            if roots is not None and _unconverged(monic, roots) is None:
                 return roots + [z.conjugate() for z in roots] + [0j] * zeros
         seed = 0.4 + 0.9j
         roots = _sweeps(monic, [max(1.0, radius) * seed ** (k + 1) / abs(seed) ** (k + 1)
                                 * (0.95 ** k) for k in range(n)], False)
-    failure = unconverged(roots)
-    if failure is not None:
-        z, residual = failure
-        raise NonConvergence(f"root iteration stalled with residual {residual:g} at {z}")
+    z = _unconverged(monic, roots)
+    if z is not None:
+        raise NonConvergence(f"root {z} did not converge: residual {abs(_horner(monic, [z])[0]):g}")
     return roots + [0j] * zeros
+
+
+def _unconverged(monic, roots):
+    """The first of ``roots`` whose residual |p(z)| on the monic p = sum c_k z^k is NaN,
+    infinite or above ``_zero_bound(sum |c_k| |z|^k)``, the size of Horner's rounding
+    error at z (Higham 2002, section 5.1); None when every residual counts as zero."""
+    sizes = _horner([abs(v) for v in monic], [abs(z) for z in roots])
+    for z, r, size in zip(roots, _horner(monic, roots), sizes):
+        if not abs(r) <= _zero_bound(size) or abs(r) == _INF:
+            return z
+    return None
 
 
 def _real_quadratic(h, c) -> list:
@@ -567,11 +569,11 @@ def _zero_set_of_real_polynomial(sym: tuple) -> SphereZeroSet:
     its square-free split, each root carrying its factor's multiplicity.
 
     Each root of a factor takes two Newton steps on the derivative of ``sym``
-    of which it is a simple root, and must then pass ``durand_kerner``'s
-    residual test on ``sym``; if one fails, or a factor does not converge,
-    ``sym`` is solved whole, each root simple.  A root counts as real when no
-    other root of its factor lies nearer its conjugate than the root itself;
-    of a conjugate pair only the upper root is listed.
+    of which it is a simple root, and must then pass ``_unconverged`` on
+    ``sym``; if one fails, or a factor does not converge, ``sym`` is solved
+    whole, each root simple.  A root counts as real when no other root of its
+    factor lies nearer its conjugate than the root itself; of a conjugate pair
+    only the upper root is listed.
     """
     if not sym:
         raise ValueError("the zero polynomial vanishes everywhere")
@@ -583,10 +585,8 @@ def _zero_set_of_real_polynomial(sym: tuple) -> SphereZeroSet:
             solved = [(_newton(monic, durand_kerner(factor), m), m) for factor, m in split]
         except NonConvergence:
             pass
-        else:
-            bound = _zero_bound(_fold_sum(map(abs, monic)))
-            if not all(abs(r) <= bound for roots, _ in solved for r in _horner(monic, roots)):
-                solved = None
+    if solved and _unconverged(monic, [z for roots, _ in solved for z in roots]) is not None:
+        solved = None
     entries = []
     for roots, m in solved or [(durand_kerner(sym), 1)]:
         for z in roots:
@@ -636,7 +636,7 @@ def _square_free_split(p: list):
     if e:
         p = [math.ldexp(v, e * (k - n)) for k, v in enumerate(p)]
     c = _derivative(p)
-    p, c = (p, _zero_bound(_fold_sum(map(abs, p)))), (c, _zero_bound(_fold_sum(map(abs, c))))
+    p, c = (p, _scale_of(p)), (c, _scale_of(c))
     g = _gcd(p, c)
     if len(g[0]) == 1:
         return None
@@ -673,7 +673,7 @@ def _gcd(a, b) -> tuple:
         while b and abs(b[-1]) <= err_b:
             noise += abs(b.pop())
         if len(b) < 2:  # a nonzero constant remainder: coprime
-            return ([1.0], 0.0) if b else (a, _zero_bound(_fold_sum(map(abs, a))) + noise)
+            return ([1.0], 0.0) if b else (a, _scale_of(a) + noise)
         lead = b[-1]
         divisor = [v / lead for v in b]
         _, b, size = _divide(a, divisor)

@@ -1313,3 +1313,106 @@ def test_a_zero_set_is_never_partial(coeffs, power):
     except NonConvergence:
         return
     assert sum(e.multiplicity * (1 if e.is_real_point else 2) for e in zero_set) == 2 * f.degree
+
+
+# -- one acceptance rule for computed roots ----------------------------------------------
+#
+# A computed root z of the monic p = sum c_k z^k is accepted when its residual |p(z)| is
+# at most _zero_bound(sum |c_k| |z|^k), the size of Horner's rounding error at z.  A bound
+# sized by sum |c_k| alone refused converged roots of modulus well above 1.
+
+
+def test_durand_kerner_solves_seeded_real_polynomials_with_separated_roots():
+    # degree 2 to 10, coefficients uniform in [-2, 2], |lead| >= 0.1: 22 of these 1000
+    # draws raised NonConvergence under a final check sized by sum |c_k|
+    rng = random.Random(6)
+    for _ in range(1000):
+        coeffs = [rng.uniform(-2.0, 2.0) for _ in range(rng.randint(2, 10) + 1)]
+        while abs(coeffs[-1]) < 0.1:
+            coeffs[-1] = rng.uniform(-2.0, 2.0)
+        ref = [complex(z) for z in np.roots(coeffs[::-1])]
+        assert min(abs(a - b) for n, a in enumerate(ref) for b in ref[:n]) >= 1e-2
+        roots = durand_kerner(coeffs)
+        assert len(roots) == len(ref)
+        for z in ref:
+            assert min(abs(r - z) for r in roots) <= 1e-12 * (1.0 + abs(z))
+
+
+def test_durand_kerner_accepts_a_converged_complex_root_far_from_the_unit_circle():
+    # a small leading coefficient puts one root near 12.04 + 5.43i, where |p(z)| is
+    # rounding noise of order sum |c_k| |z|^k, far above _zero_bound(sum |c_k|)
+    coeffs = [-0.236 + 0.343j, 0.182 + 1.631j, -1.602 - 0.739j, 1.671 - 1.879j,
+              0.835 + 0.56j, 1.719 + 1.36j, -0.166 - 0.038j]
+    roots = durand_kerner(coeffs)
+    ref = [complex(z) for z in np.roots(coeffs[::-1])]
+    assert len(roots) == len(ref) == 6 and max(map(abs, ref)) > 13.0
+    for z in ref:
+        assert min(abs(r - z) for r in roots) <= 1e-12 * (1.0 + abs(z))
+
+
+def test_a_generic_zero_set_whose_roots_pass_the_rule_on_sym_is_returned():
+    # input 84 of the benchmark's defect_cases(20): a degree-8 polynomial whose sym of
+    # degree 16 has simple roots up to |z| = 2.8, which the whole solve used to refuse
+    f = RegularPolynomial([Quaternion(*c) for c in [
+        (0.268, 0.551, 0.447, -0.992), (-0.893, -0.479, 0.338, -0.745),
+        (0.616, 0.375, 0.532, -0.995), (-0.074, 0.125, -0.67, 0.091),
+        (0.65, 0.558, 0.749, -0.18), (-0.505, 0.422, -0.356, -0.86),
+        (-0.264, -0.839, 0.286, 0.893), (-0.646, 0.919, -0.758, 0.44),
+        (-0.164, -0.25, -0.188, -0.308)]])
+    zero_set = sphere_zero_set(f)
+    assert sum(e.multiplicity * (1 if e.is_real_point else 2) for e in zero_set) == 16
+    sym = RegularQuotient(f, ONE)._sym
+    roots = [complex(e.x, sign * e.y) for e in zero_set for sign in (1.0, -1.0)]
+    assert rational._unconverged([v / sym[-1] for v in sym], roots) is None
+
+
+def test_an_infinite_residual_is_refused_where_its_size_overflows():
+    # durand_kerner([1, 1e200, 1]) returns -1e200 and -1e-200: at -1e200 the size
+    # 1 + 1e200 |z| + |z|^2 overflows, and the residual is 1
+    monic = [1.0, 1e200, 1.0]
+    assert rational._unconverged(monic, [complex(-1e200), complex(-1e-200)]) is None
+    # at -1e300 the residual overflows as well
+    assert rational._unconverged(monic, [complex(-1e-200), complex(-1e300)]) == -1e300
+    assert rational._unconverged(monic, [complex(math.nan)]) is not None
+
+
+def test_a_spurious_split_of_two_near_real_double_spheres_is_still_refused():
+    # input 28 of the benchmark's defect_cases(143): sym of (q - p1)^2 (q - p2)^2 with
+    # p1 = -0.47 - 0.036i + 0.006j + 0.012k and p2 = -0.594 + 0.072i + 0.024j - 0.021k.
+    # Its split finds a spurious factor, whose roots fail on sym, so the whole solve
+    # runs; an entry may come back simple, but never with a multiplicity it lacks
+    sym = (0.006374619119576887, 0.09607731645052715, 0.6331777689144114, 2.3832609254319586,
+           5.604077413320997, 8.430608983999997, 7.924649999999997, 4.255999999999999, 1.0)
+    spheres = [(-0.594, 0.07874642849044013, 2), (-0.47, 0.03841874542459709, 2)]
+    zero_set = RegularQuotient.from_expanded(RegularPolynomial(list(sym)), ONE).sphere_zero_set()
+    assert sum(e.multiplicity * (1 if e.is_real_point else 2) for e in zero_set) == 8
+    for e in zero_set:
+        x, y, m = min(spheres, key=lambda s: math.hypot(e.x - s[0], e.y - s[1]))
+        assert math.hypot(e.x - x, e.y - y) <= 1e-5 and e.multiplicity <= m
+
+
+def test_a_candidate_off_a_far_zero_is_rejected_by_its_residual():
+    # f = (q - p) * g vanishes at p, |Im p| = 30.  On p's sphere moved by a relative
+    # 1e-7, I = -b c^-1 still passes the 1e-6 unit test, but the residual at the
+    # candidate grows like |p|^deg f and exceeds 1e-6 (1 + sum |a_n|)
+    class Traced(RegularPolynomial):
+        __slots__ = ()
+
+        def evaluate(self, q):
+            candidates.append(q)
+            return RegularPolynomial.evaluate(self, q)
+
+    rng = random.Random(27)
+    candidates = []
+    for _ in range(20):
+        x = rng.uniform(-1.0, 1.0)
+        axis = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        norm = math.sqrt(sum(v * v for v in axis))
+        p = Quaternion(x, *(30.0 * v / norm for v in axis))
+        f = Traced(list(((Q - p) * rand_poly(rng, 2)).coeffs))
+        spherical, zeros = zeros_on_sphere(f, x, 30.0)
+        assert not spherical and len(zeros) == 1 and zeros[0].isclose(p, abs_tol=1e-9 * 30.0)
+        candidates = []
+        assert zeros_on_sphere(f, x, 30.0 * (1 + 1e-7)) == (False, [])
+        assert len(candidates) == 1
+        assert f.evaluate(candidates[0]).norm() > 1e-6 * (1.0 + f.coefficient_norm_sum())
