@@ -13,10 +13,11 @@ and its degree, and a product its degree, up to ``_MAX_DEGREE``; the polynomial
 operations of one text share a budget of ``_BUDGET`` coefficient operations,
 and parentheses nested deeper than the recursion limit allows are a
 ``ParseError`` too.
-Constants stay quaternions until they meet q and ``q^n`` is built directly,
-yet every coefficient has the bits of ``RegularPolynomial`` arithmetic,
-signed zeros included: unary minus is the product with -1.0, and a zero
-constant is the zero polynomial.  An overflow anywhere is a ``ParseError``.
+Constants fold as float 4-tuples (w, x, y, z) until they meet q, and ``q^n``
+is built directly, yet every coefficient has the bits of ``RegularPolynomial``
+arithmetic, signed zeros included: unary minus is the product with -1.0, and a
+zero constant is the zero polynomial.  Only the result is built, a polynomial
+or ``parse_quaternion``'s quaternion.  An overflow anywhere is a ``ParseError``.
 A quaternion is JSON ``[w, x, y, z]`` or a text of this grammar without q.
 """
 
@@ -25,9 +26,10 @@ from __future__ import annotations
 import json
 import math
 import re
+from itertools import repeat
 
 from .errors import ParseError
-from .quaternion import I, J, K, ONE, ZERO, Quaternion, _hamilton, _make
+from .quaternion import Quaternion, _finite, _hamilton, _make
 from .series import _ZERO4, RegularPolynomial, _from_parts
 
 # an unsigned decimal literal; blanks never split it from its digits or its unit
@@ -41,19 +43,24 @@ _MAX_DEGREE = 1000
 #: constant maps of degree 1000 around it.
 _BUDGET = (_MAX_DEGREE + 10) * (_MAX_DEGREE + 1)
 _Q = RegularPolynomial.identity()
-_NAMES = {"i": I, "j": J, "k": K, "q": _Q}
-_MINUS_ONE = Quaternion(-1.0)
+_NAMES = {"i": (0.0, 1.0, 0.0, 0.0), "j": (0.0, 0.0, 1.0, 0.0), "k": (0.0, 0.0, 0.0, 1.0), "q": _Q}
+_UNITS = {"": 0, "i": 1, "j": 2, "k": 3}
+_ONE = (1.0, 0.0, 0.0, 0.0)
+_MINUS_ONE = (-1.0, 0.0, 0.0, 0.0)
 
 
 def _tokenize(text: str) -> list:
-    """The tokens of ``text``, closed by None: a ``Quaternion`` per constant,
+    """The tokens of ``text``, closed by None: a float 4-tuple per constant,
     ``_Q`` for q and every operator as its character."""
     tokens = []
     for num, unit, op, _ in _TOKEN.findall(text):
         if op:
             tokens.append(_NAMES.get(op, op))
         elif num and not math.isinf(value := float(num)):
-            tokens.append(_NAMES[unit] * value if unit else Quaternion(value))
+            # the bits of value * i and the like: value is finite and unsigned
+            parts = [0.0, 0.0, 0.0, 0.0]
+            parts[_UNITS[unit]] = value
+            tokens.append(tuple(parts))
         else:
             _token_error(text)
     tokens.append(None)
@@ -72,7 +79,12 @@ def _token_error(text: str):
 
 def _reduced(p: RegularPolynomial):
     """``p`` as a value: a constant when its degree is below 1."""
-    return p if p.degree > 0 else p.coefficient(0)
+    return p if len(p._c) > 1 else p._c[0] if p._c else _ZERO4
+
+
+def _polynomial(value) -> RegularPolynomial:
+    """A value as a polynomial; a zero constant is the zero polynomial."""
+    return value if type(value) is RegularPolynomial else _from_parts([value])
 
 
 def _times(a: tuple, b: tuple) -> tuple:
@@ -83,15 +95,17 @@ def _times(a: tuple, b: tuple) -> tuple:
 
 
 def _negated(value):
-    """value * -1.0, the product with the quaternion -1 (not ``Quaternion.__neg__``);
-    a polynomial maps each coefficient so."""
-    return ZERO if value == ZERO else value * _MINUS_ONE
+    """value * -1.0, the product with the quaternion -1 (not plain negation), which
+    keeps every value finite; a polynomial maps each coefficient so."""
+    if type(value) is tuple:
+        return _ZERO4 if value == _ZERO4 else _hamilton(value, _MINUS_ONE)
+    return _from_parts(list(map(_hamilton, value._c, repeat(_MINUS_ONE))))
 
 
 class _Parser:
     """Recursive descent over the tokens.  Each rule takes the index of its
     first token and returns its value and the index after it; a value is a
-    ``Quaternion`` or a ``RegularPolynomial`` of degree at least 1."""
+    float 4-tuple or a ``RegularPolynomial`` of degree at least 1."""
 
     def __init__(self, text: str):
         self.text = text
@@ -109,15 +123,13 @@ class _Parser:
         """a * b; a polynomial times a constant maps its coefficients, so ``q^n * c``
         is a shifted coefficient list, and a product of two polynomials is refused
         if its degree would exceed ``_MAX_DEGREE``.  Each is charged before it is built."""
-        if type(a) is Quaternion:
-            if type(b) is Quaternion:
-                return _make(*_times((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z)))
+        if type(a) is tuple:
+            if type(b) is tuple:
+                return _finite(_times(a, b))
             self.spend(len(b._c))
-            a = (a.w, a.x, a.y, a.z)
             return _reduced(_from_parts([c if c is _ZERO4 else _times(a, c) for c in b._c]))
-        if type(b) is Quaternion:
+        if type(b) is tuple:
             self.spend(len(a._c))
-            b = (b.w, b.x, b.y, b.z)
             return _reduced(_from_parts([c if c is _ZERO4 else _times(c, b) for c in a._c]))
         if a.degree + b.degree > _MAX_DEGREE:
             raise ParseError(f"product in {self.text!r} exceeds degree {_MAX_DEGREE}")
@@ -127,8 +139,8 @@ class _Parser:
     def power(self, base, n: int):
         """base^n by the loop out = out * base from out = 1, with q^n built directly."""
         if base is _Q and n:
-            return _from_parts([_ZERO4] * n + [(1.0, 0.0, 0.0, 0.0)])
-        value = ONE
+            return _from_parts([_ZERO4] * n + [_ONE])
+        value = _ONE
         for _ in range(n):
             value = self.product(value, base)
         return value
@@ -138,12 +150,15 @@ class _Parser:
         op = self.tokens[i]
         while op == "+" or op == "-":
             rhs, i = self.term(i + 1)
-            if type(value) is Quaternion and type(rhs) is Quaternion:
-                value = value + rhs if op == "+" else value - rhs
-                if value == ZERO:  # a sum that cancels is the zero polynomial
-                    value = ZERO
+            if type(value) is tuple and type(rhs) is tuple:
+                (w1, x1, y1, z1), (w2, x2, y2, z2) = value, rhs
+                value = _finite((w1 + w2, x1 + x2, y1 + y2, z1 + z2) if op == "+"
+                                else (w1 - w2, x1 - x2, y1 - y2, z1 - z2))
+                if value == _ZERO4:  # a sum that cancels is the zero polynomial
+                    value = _ZERO4
             else:
                 self.spend(max(v.degree + 1 for v in (value, rhs) if type(v) is RegularPolynomial))
+                value, rhs = _polynomial(value), _polynomial(rhs)
                 value = _reduced(value + rhs if op == "+" else value - rhs)
             op = self.tokens[i]
         return value, i
@@ -163,7 +178,7 @@ class _Parser:
             negative ^= tok == "-"
             i += 1
             tok = tokens[i]
-        if type(tok) is Quaternion or tok is _Q:
+        if type(tok) is tuple or tok is _Q:
             value = tok
             i += 1
         elif tok == "(":
@@ -175,17 +190,19 @@ class _Parser:
             raise ParseError(f"unexpected token in {self.text!r}")
         if tokens[i] == "^":
             n = tokens[i + 1]
-            if type(n) is not Quaternion or not n.is_real() or n.w < 0 or n.w != int(n.w):
+            if type(n) is not tuple or n[1] or n[2] or n[3] or n[0] < 0 or n[0] != int(n[0]):
                 raise ParseError(f"exponent must be a nonnegative integer in {self.text!r}")
-            degree = 1 if type(value) is Quaternion else value.degree
-            if n.w * degree > _MAX_DEGREE:
+            n = n[0]
+            degree = 1 if type(value) is tuple else value.degree
+            if n * degree > _MAX_DEGREE:
                 raise ParseError(f"power in {self.text!r} exceeds degree {_MAX_DEGREE}")
-            value = self.power(value, int(n.w))
+            value = self.power(value, int(n))
             i += 2
         return (_negated(value) if negative else value), i
 
 
-def parse_polynomial(text: str) -> RegularPolynomial:
+def _parse(text: str):
+    """The value of ``text``: a float 4-tuple or a polynomial of degree at least 1."""
     if not text or not text.strip():
         raise ParseError("empty expression")
     parser = _Parser(text)
@@ -197,7 +214,11 @@ def parse_polynomial(text: str) -> RegularPolynomial:
         raise ParseError(f"{text!r} overflows: {exc}") from None
     if parser.tokens[i] is not None:
         raise ParseError(f"trailing input in {text!r}")
-    return value if type(value) is RegularPolynomial else RegularPolynomial([value])
+    return value
+
+
+def parse_polynomial(text: str) -> RegularPolynomial:
+    return _polynomial(_parse(text))
 
 
 def parse_quaternion(text: str) -> Quaternion:
@@ -209,12 +230,12 @@ def parse_quaternion(text: str) -> Quaternion:
         except ValueError as exc:  # malformed, or an int beyond the digit limit
             raise ParseError(f"bad quaternion JSON {text!r}: {exc}") from exc
         return Quaternion.from_json(obj)
-    p = parse_polynomial(text)
-    if p.degree > 0:
+    value = _parse(text)
+    if type(value) is not tuple:
         raise ParseError(f"a quaternion cannot depend on q, got {text!r}")
-    c = p.coefficient(0)
+    w, x, y, z = value
     # each component summed onto +0.0, so no literal reads as -0.0
-    return _make(0.0 + c.w, 0.0 + c.x, 0.0 + c.y, 0.0 + c.z)
+    return _make(0.0 + w, 0.0 + x, 0.0 + y, 0.0 + z)
 
 
 _SIMPLE_COEFF = re.compile(r"^(?:\d+(?:\.\d+)?(?:e-?\d+)?)?[ijk]?$")
@@ -233,15 +254,15 @@ def format_polynomial(p: RegularPolynomial) -> str:
         return "0"
     parts = []
     for n in range(p.degree, -1, -1):
-        c = p.coefficient(n)
-        if c == Quaternion():
+        c = p._c[n]
+        if c == _ZERO4:
             continue
         if n == 0:
-            parts.append(_coefficient_str(c, standalone=True))
+            parts.append(_coefficient_str(_make(*c), standalone=True))
             continue
         power = "q" if n == 1 else f"q^{n}"
-        if c == ONE:
+        if c == _ONE:
             parts.append(power)
         else:
-            parts.append(f"{power}*{_coefficient_str(c, standalone=False)}")
+            parts.append(f"{power}*{_coefficient_str(_make(*c), standalone=False)}")
     return " + ".join(parts)

@@ -10,7 +10,7 @@ and normal forms of the self-maps of the unit ball.
 
 from __future__ import annotations
 
-from itertools import starmap
+from itertools import repeat, starmap
 
 from .errors import (DegenerateComposite, DegenerateSwap, NotHermitian,
                      NotSp11, PoleError, SingularMatrix)
@@ -18,7 +18,7 @@ from .geometry import _in_ball, _require_unit, sample_ball
 from .quaternion import (ONE, ZERO, Quaternion, _Frozen, _hamilton, _inverse, _make, _norm,
                          _zero_bound, as_quaternion)
 from .rational import RegularQuotient, as_quotient
-from .series import RegularPolynomial, _lift, _real_star
+from .series import _ZERO4, RegularPolynomial, _from_parts, _lift, _polynomial_of, _real_star
 
 #: Entrywise tolerance of the matrix identities (membership, Hermitian shape),
 #: relative to the entries' scale.
@@ -196,6 +196,27 @@ def _as_pair(f, side: str):
     return RegularPolynomial([ONE]), (g if side == "left" else _real_star((1.0,), g._c))
 
 
+def _combination(P, p: tuple, R, r: tuple, left: bool = False) -> RegularPolynomial:
+    """P*p + R*r for coefficient lists P, R and constants p, r, all float 4-tuples
+    (p*P + r*R if ``left``), with the bits and the first error of that polynomial
+    expression: each product is stripped of trailing zeros before the sum.  A
+    non-finite product coefficient makes its sum's non-finite, so the products are
+    tested only when the sum fails."""
+    if left:
+        terms = list(map(_hamilton, repeat(p), P)), list(map(_hamilton, repeat(r), R))
+    else:
+        terms = list(map(_hamilton, P, repeat(p))), list(map(_hamilton, R, repeat(r)))
+    for parts in terms:
+        while parts and parts[-1] == _ZERO4:
+            parts.pop()
+    try:
+        return _polynomial_of(terms[0]) + _polynomial_of(terms[1])
+    except ValueError:
+        for parts in terms:
+            _from_parts(parts)  # the first product that fails raises as it did
+        raise
+
+
 def right_action(f, A: QuaternionMatrix2) -> RegularQuotient:
     """f.A = (f c + d)^{-*} * (f a + b).
 
@@ -204,10 +225,11 @@ def right_action(f, A: QuaternionMatrix2) -> RegularQuotient:
     """
     _require_invertible(A)
     F, G = _as_pair(f, "left")
-    den = G * A.c + F * A.d
+    a, c, b, d = _floats(A)
+    den = _combination(G._c, c, F._c, d)
     if den.is_zero:
         raise DegenerateComposite("composite denominator is identically zero")
-    return RegularQuotient(den, G * A.a + F * A.b, "left")
+    return RegularQuotient(den, _combination(G._c, a, F._c, b), "left")
 
 
 def left_action(A: QuaternionMatrix2, f) -> RegularQuotient:
@@ -223,10 +245,11 @@ def left_action(A: QuaternionMatrix2, f) -> RegularQuotient:
     """
     _require_invertible(A)
     H, G = _as_pair(f, "right")
-    den = A.b * G + A.d * H
+    a, c, b, d = _floats(A)
+    den = _combination(G._c, b, H._c, d, left=True)
     if den.is_zero:
         raise DegenerateComposite("composite denominator is identically zero")
-    return RegularQuotient(den, A.a * G + A.c * H, "right")
+    return RegularQuotient(den, _combination(G._c, a, H._c, c, left=True), "right")
 
 
 def hermitian_coincidence_check(f, A: QuaternionMatrix2, *, points=None) -> bool:

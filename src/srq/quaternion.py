@@ -283,6 +283,14 @@ def _make(w: float, x: float, y: float, z: float) -> Quaternion:
     return q
 
 
+def _finite(v: tuple) -> tuple:
+    """The float 4-tuple ``v`` once it passes ``_make``'s test, which raises its ``ValueError``."""
+    w, x, y, z = v
+    if not math.isfinite(0.0 * w + 0.0 * x + 0.0 * y + 0.0 * z):
+        _make(w, x, y, z)
+    return v
+
+
 def _norm(w: float, x: float, y: float, z: float) -> float:
     """|w + xi + yj + zk| of unpacked floats: the square root of the sum of
     squares, or ``math.hypot`` when those squares under- or overflowed.

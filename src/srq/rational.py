@@ -20,8 +20,9 @@ import math
 import sys
 
 from .errors import NonConvergence, PoleError
-from .quaternion import (_INF, EPS, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _hamilton,
-                         _inverse, _make, _norm, _slice_point, _zero_bound, as_quaternion)
+from .quaternion import (_INF, EPS, ONE, ZERO, Quaternion, _finite, _fold_sum, _Frozen,
+                         _hamilton, _inverse, _make, _norm, _slice_point, _zero_bound,
+                         as_quaternion)
 from .series import (RegularPolynomial, _convolve, _horner_floats, _lift, _real_polynomial,
                      _real_star, _reals, _symmetrized, evaluate_any)
 
@@ -60,7 +61,13 @@ class RegularQuotient(_Frozen):
         self._install(den, num, side, sym, conum)
 
     def _install(self, den, num, side, sym, conum):
-        _Frozen.__init__(self, den, num, side, sym, conum, _scale_of(sym))
+        # the member descriptors, as in _make, are faster than the generic _Frozen.__init__
+        _set_den(self, den)
+        _set_num(self, num)
+        _set_side(self, side)
+        _set_sym(self, sym)
+        _set_conum(self, conum)
+        _set_pole_scale(self, _scale_of(sym))
 
     @property
     def sym(self) -> RegularPolynomial:
@@ -153,23 +160,30 @@ class RegularQuotient(_Frozen):
         g(q) h^{-*}(p) with p = g(q)^{-1} q g(q), valid where g(q) != 0, and
         h^{-*}(p) = h(T_h(p))^{-1} is the left route of h^{-*}*1.  Both
         routes exist for cross-validation against :meth:`evaluate`; they share
-        no intermediate values (neither reads ``sym`` or ``conum``).
+        no intermediate values (neither reads ``sym`` or ``conum``).  Each step
+        runs on float 4-tuples with the bits, refusals and finiteness tests of
+        the quaternion chain; only the result is built as a quaternion.
         """
         if self.den is None:
             raise ValueError("transform-route evaluation needs a (den, num) pair")
-        q = p = as_quaternion(q)
+        q = as_quaternion(q)
+        p = q4 = (q.w, q.x, q.y, q.z)
+        num = self.num
         if self.side == "right":
-            gq = self.num.evaluate(q)
-            if gq.norm() < _zero_bound(self.num.coefficient_norm_sum()):
+            gq = _finite(_horner_floats(num._c, [q4])[0])
+            if _norm(*gq) < _zero_bound(num.coefficient_norm_sum()):
                 raise ValueError("transform route for a right quotient needs a nonzero numerator value")
-            p = gq.inverse() * q * gq
-        w = star_transform(self.den, p)
-        fw = self.den.evaluate(w)
-        if fw.norm() < _zero_bound(self.den.coefficient_norm_sum()):
+            p = _conjugated(gq, q4)
+        den = self.den
+        bound = _zero_bound(den.coefficient_norm_sum())
+        w = _transform_floats(den.conjugate()._c, bound, p)
+        fw = _finite(_horner_floats(den._c, [w])[0])
+        if _norm(*fw) < bound:
             raise PoleError(f"{q} maps onto a zero of the denominator")
+        inverse = _inverse(*fw)
         if self.side == "right":
-            return gq * fw.inverse()
-        return fw.inverse() * self.num.evaluate(w)
+            return _make(*_hamilton(gq, inverse))
+        return _make(*_hamilton(inverse, _finite(_horner_floats(num._c, [w])[0])))
 
     # -- ring structure --------------------------------------------------------------
 
@@ -273,6 +287,10 @@ class RegularQuotient(_Frozen):
         return f"RegularQuotient.from_expanded({self.sym!r}, {self.conum!r})"
 
 
+_set_den, _set_num, _set_side, _set_sym, _set_conum, _set_pole_scale = (
+    RegularQuotient.__dict__[s].__set__ for s in RegularQuotient.__slots__)
+
+
 def _scale_of(sym) -> float:
     """The zero bound of a polynomial's real coefficients ``sym``; for a quotient's S it is
     the pole scale ``_zero_bound(S.coefficient_norm_sum())``, |w| being w's norm() bit for bit."""
@@ -373,11 +391,25 @@ def star_transform(f: RegularPolynomial, q) -> Quaternion:
     the reals, and is inverted by the transform of f^c.
     """
     q = as_quaternion(q)
-    fc = f.conjugate()
-    v = fc.evaluate(q)
-    if v.norm() < _zero_bound(fc.coefficient_norm_sum()):
-        raise PoleError(f"conjugate denominator vanishes at {q}")
-    return v.inverse() * q * v
+    return _make(*_transform_floats(f.conjugate()._c, _zero_bound(f.coefficient_norm_sum()),
+                                    (q.w, q.x, q.y, q.z)))
+
+
+def _transform_floats(fc, bound: float, q: tuple) -> tuple:
+    """T_f(q) for the coefficients ``fc`` of f^c and a point ``q``, float 4-tuples,
+    with ``bound`` the zero bound of f's coefficient norm sum (f^c's, bit for bit):
+    the bits, refusals, messages and finiteness tests of the quaternion chain
+    ``v.inverse() * q * v`` for v = f^c(q)."""
+    v = _finite(_horner_floats(fc, [q])[0])
+    if _norm(*v) < bound:
+        raise PoleError(f"conjugate denominator vanishes at {_make(*q)}")
+    return _conjugated(v, q)
+
+
+def _conjugated(v: tuple, q: tuple) -> tuple:
+    """v^{-1} q v of float 4-tuples, each product tested finite as ``_make`` tests it
+    (the inverse of a finite v is finite)."""
+    return _finite(_hamilton(_finite(_hamilton(_inverse(*v), q)), v))
 
 
 def star_transform_inverse(f: RegularPolynomial, q) -> Quaternion:

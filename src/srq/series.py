@@ -119,7 +119,8 @@ class RegularPolynomial(_Frozen):
         return other - self
 
     def __neg__(self):
-        return _from_parts([(-w, -x, -y, -z) for w, x, y, z in self._c])
+        # negation keeps every coefficient finite and the last one nonzero
+        return _polynomial_of([(-w, -x, -y, -z) for w, x, y, z in self._c])
 
     # -- star product ----------------------------------------------------------------
 
@@ -176,7 +177,7 @@ class RegularPolynomial(_Frozen):
 
     def conjugate(self) -> "RegularPolynomial":
         """Regular conjugate f^c: the same powers with conjugated coefficients."""
-        return _from_parts([(w, -x, -y, -z) for w, x, y, z in self._c])
+        return _polynomial_of([(w, -x, -y, -z) for w, x, y, z in self._c])
 
     def symmetrization(self) -> "RegularPolynomial":
         """f^s = f * f^c, which has real coefficients (``_symmetrized``)."""
@@ -255,6 +256,15 @@ def _from_parts(parts: list) -> RegularPolynomial:
     for w, x, y, z in parts:
         if not math.isfinite(0.0 * w + 0.0 * x + 0.0 * y + 0.0 * z):  # _make's test
             _make(w, x, y, z)
+    poly = _new(RegularPolynomial)
+    _set_c(poly, tuple(parts))
+    return poly
+
+
+def _polynomial_of(parts: list) -> RegularPolynomial:
+    """The polynomial with the coefficients ``parts``, float 4-tuples with a nonzero
+    last one, taken without ``_from_parts``' scan: for coefficients known to be
+    finite, or that a later scan tests."""
     poly = _new(RegularPolynomial)
     _set_c(poly, tuple(parts))
     return poly

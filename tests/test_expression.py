@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from srq.errors import ParseError
 from srq.expression import _Parser, format_polynomial, parse_polynomial, parse_quaternion
-from srq.quaternion import I, J, K, ONE, ZERO, Quaternion
+from srq.quaternion import I, J, K, ONE, ZERO, Quaternion, _make
 from srq.series import RegularPolynomial
 
 Q = RegularPolynomial.identity()
@@ -164,6 +165,31 @@ def test_recorded_texts_parse_bit_for_bit(case):
     # and seeded random trees, with the coefficients (as repr, so the signs of zeros
     # count) that the token-by-token RegularPolynomial parser returned
     assert _bits(parse_polynomial(case["text"])) == case["coeffs"]
+
+
+def test_parsing_builds_no_quaternion(monkeypatch):
+    # constants fold as float 4-tuples, so a polynomial text builds no quaternion
+    # and a quaternion text builds only its result; _make is counted in every
+    # module that imported it
+    made = []
+    init, make = Quaternion.__init__, _make
+    monkeypatch.setattr(Quaternion, "__init__", lambda q, *args: made.append(1) or init(q, *args))
+    for module in [m for name, m in sys.modules.items()
+                   if name.startswith("srq") and getattr(m, "_make", None) is make]:
+        monkeypatch.setattr(module, "_make", lambda *args: made.append(1) or make(*args))
+    constants = 0
+    for case in PARSE_CASES:
+        made.clear()
+        parse_polynomial(case["text"])
+        assert made == [], case["text"]
+        try:
+            parse_quaternion(case["text"])
+        except ParseError:
+            assert made == [], case["text"]
+        else:
+            assert made == [1], case["text"]
+            constants += 1
+    assert constants == sum(parse_polynomial(case["text"]).degree < 1 for case in PARSE_CASES) > 0
 
 
 # An expression tree is (text, level, value): the text in the grammar, with

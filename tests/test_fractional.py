@@ -809,3 +809,61 @@ def test_actions_on_polynomials_keep_the_bits_of_the_lifted_quotient(g):
     for A in matrices:
         for act in (lambda h: left_action(A, h), lambda h: right_action(h, A)):
             assert outcome(lambda: bits(act(g))) == outcome(lambda: bits(act(lifted)))
+
+
+# -- the group actions against their polynomial expressions ------------------------------
+#
+# Each action builds its denominator and numerator as one fused combination of
+# coefficient lists; these oracles are the polynomial expressions it replaces.
+
+
+def right_action_oracle(F, G, A):
+    _require_invertible(A)
+    den = G * A.c + F * A.d
+    if den.is_zero:
+        raise DegenerateComposite("composite denominator is identically zero")
+    return RegularQuotient(den, G * A.a + F * A.b, "left")
+
+
+def left_action_oracle(A, H, G):
+    _require_invertible(A)
+    den = A.b * G + A.d * H
+    if den.is_zero:
+        raise DegenerateComposite("composite denominator is identically zero")
+    return RegularQuotient(den, A.a * G + A.c * H, "right")
+
+
+def action_bits(act, *args):
+    """repr(_c) of den, num, sym and conum, or the type and message of the error."""
+    try:
+        f = act(*args)
+    except (ValueError, SingularMatrix, DegenerateComposite) as exc:
+        return type(exc).__name__, str(exc)
+    return [repr(p._c) for p in (f.den, f.num, f.sym, f.conum)]
+
+
+signed_quaternions = st.builds(Quaternion, signed, signed, signed, signed)
+signed_polynomials = st.builds(RegularPolynomial, st.lists(signed_quaternions, max_size=4))
+# rotations and translations have zero entries
+action_matrices = st.one_of(st.builds(QuaternionMatrix2, *[signed_quaternions] * 4),
+                            units.map(lambda u: generator("rotation", u)),
+                            signed_quaternions.map(lambda p: generator("translation", p)))
+big = Quaternion(1e150)
+
+
+# a numerator product overflows; a denominator product overflows where the other
+# product's coefficient is nonzero, so the error must be that product's, not the sum's
+@example(RegularPolynomial([Quaternion(1e160, 0.5)]), None, QuaternionMatrix2(big, ZERO, ZERO, big))
+@example(RegularPolynomial([Quaternion(1e160, 0.5)]), RegularPolynomial([ONE]),
+         QuaternionMatrix2(big, big, big, Quaternion(1e150, 1e150)))
+@given(signed_polynomials, st.one_of(st.none(), signed_polynomials), action_matrices)
+def test_actions_keep_the_bits_of_their_polynomial_expressions(g, F, A):
+    one = RegularPolynomial([ONE])
+    if F is None or F.is_zero:  # a polynomial g, read as 1^{-*}*g and g*1^{-*}
+        assert action_bits(right_action, g, A) == action_bits(right_action_oracle, one, g, A)
+        assert action_bits(left_action, A, g) == action_bits(left_action_oracle, A, one, one * g)
+    else:
+        assert (action_bits(right_action, RegularQuotient(F, g, "left"), A)
+                == action_bits(right_action_oracle, F, g, A))
+        assert (action_bits(left_action, A, RegularQuotient(F, g, "right"))
+                == action_bits(left_action_oracle, A, F, g))

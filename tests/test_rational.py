@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from srq import rational
 from srq.errors import NonConvergence, PoleError
-from srq.quaternion import I, J, K, ONE, ZERO, Quaternion
+from srq.quaternion import I, J, K, ONE, ZERO, Quaternion, _zero_bound, as_quaternion
 from srq.rational import (RegularQuotient, durand_kerner, sphere_zero_set,
                           star_transform, star_transform_inverse, zeros_on_sphere)
 from srq.series import RegularPolynomial
@@ -745,6 +745,80 @@ def test_fused_evaluation_survives_an_overflowing_squared_modulus_bit_for_bit():
         got = outcome(RegularQuotient.evaluate, quotient, q)
         assert got == outcome(quotient_oracle, quotient, q)
         assert got[0] != PoleError
+
+
+# -- the transform route against its quaternion-level oracle ----------------------------
+#
+# star_transform and evaluate_via_transform run on float 4-tuples; the oracles are the
+# quaternion-level bodies they replace, and the two must agree bit for bit and raise
+# the same errors with the same messages.
+
+
+def star_transform_oracle(f, q):
+    q = as_quaternion(q)
+    fc = f.conjugate()
+    v = fc.evaluate(q)
+    if v.norm() < _zero_bound(fc.coefficient_norm_sum()):
+        raise PoleError(f"conjugate denominator vanishes at {q}")
+    return v.inverse() * q * v
+
+
+def transform_oracle(quotient, q):
+    q = p = as_quaternion(q)
+    if quotient.side == "right":
+        gq = quotient.num.evaluate(q)
+        if gq.norm() < _zero_bound(quotient.num.coefficient_norm_sum()):
+            raise ValueError("transform route for a right quotient needs a nonzero numerator value")
+        p = gq.inverse() * q * gq
+    w = star_transform_oracle(quotient.den, p)
+    fw = quotient.den.evaluate(w)
+    if fw.norm() < _zero_bound(quotient.den.coefficient_norm_sum()):
+        raise PoleError(f"{q} maps onto a zero of the denominator")
+    if quotient.side == "right":
+        return gq * fw.inverse()
+    return fw.inverse() * quotient.num.evaluate(w)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_transform_route_matches_the_quaternion_oracle_bit_for_bit(side):
+    # the fused cases' quotients and points, signed zeros and poles' spheres included
+    rng = random.Random(f"transform-route-{side}")
+    seen = set()
+    for _ in range(60):
+        quotient, pole = fused_case(rng, side, rng.randint(0, 3), rng.randint(-1, 3))
+        for q in fused_points(rng, quotient, pole, 50):
+            got = outcome(RegularQuotient.evaluate_via_transform, quotient, q)
+            assert got == outcome(transform_oracle, quotient, q)
+            assert (outcome(star_transform, quotient.den, q)
+                    == outcome(star_transform_oracle, quotient.den, q))
+            seen.add(got[0] if type(got[0]) is type else "value")
+    assert {"value", PoleError} <= seen
+
+
+c_unit = Quaternion(0.5, -0.5, -0.5, -0.5)
+huge = 1e308
+
+
+@pytest.mark.parametrize("quotient, q, error, message", [
+    # f = q - i has f^c = q + i, which vanishes at -i
+    (RegularQuotient(Q - I, Q + J), -I, PoleError, "conjugate denominator vanishes at -i"),
+    (RegularQuotient(Q + 2.0, Q - J, "right"), J, ValueError, "nonzero numerator value"),
+    # T_f(i) = i is a zero of f = q - i
+    (RegularQuotient(Q - I, Q + J), I, PoleError, "i maps onto a zero of the denominator"),
+    # f^c(q) = conj(c) makes T_f(q) a rotation of q, whose first product overflows
+    (RegularQuotient(RegularPolynomial([c_unit]), Q), Quaternion(huge, huge, huge, huge),
+     ValueError, "non-finite"),
+    # T_f(q) is finite, but f(T_f(q))^{-1} g(T_f(q)) overflows
+    (RegularQuotient(RegularPolynomial([c_unit]), Q), Quaternion(huge, -huge, -huge, -huge),
+     ValueError, "non-finite"),
+    # g(q) = c, and the first product of g(q)^{-1} q g(q) overflows
+    (RegularQuotient(ONE, RegularPolynomial([c_unit]), "right"), Quaternion(huge, -huge, -huge, -huge),
+     ValueError, "non-finite"),
+])
+def test_transform_route_raises_what_the_oracle_raises(quotient, q, error, message):
+    expected = outcome(transform_oracle, quotient, q)
+    assert expected[0] is error and message in expected[1]
+    assert outcome(RegularQuotient.evaluate_via_transform, quotient, q) == expected
 
 
 def test_zeros_on_sphere_at_a_real_point_and_on_a_sphere_without_zeros():
