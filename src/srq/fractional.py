@@ -15,8 +15,8 @@ from itertools import repeat, starmap
 from .errors import (DegenerateComposite, DegenerateSwap, NotHermitian,
                      NotSp11, PoleError, SingularMatrix)
 from .geometry import _in_ball, _require_unit, sample_ball
-from .quaternion import (ONE, ZERO, Quaternion, _Frozen, _hamilton, _inverse, _make, _norm,
-                         _zero_bound, as_quaternion)
+from .quaternion import (ONE, ZERO, Quaternion, _finite, _Frozen, _hamilton, _inverse, _make,
+                         _norm, _setters, _zero_bound, as_quaternion)
 from .rational import RegularQuotient, as_quotient
 from .series import _ZERO4, RegularPolynomial, _from_parts, _lift, _polynomial_of, _real_star
 
@@ -34,7 +34,6 @@ class QuaternionMatrix2(_Frozen):
     __slots__ = ("a", "c", "b", "d")
 
     def __init__(self, a, c, b, d):
-        # the member descriptors, as in _make, are faster than the generic _Frozen.__init__
         _set_a(self, as_quaternion(a))
         _set_c(self, as_quaternion(c))
         _set_b(self, as_quaternion(b))
@@ -100,7 +99,7 @@ class QuaternionMatrix2(_Frozen):
                 f"b={self.b!s}, d={self.d!s})")
 
 
-_set_a, _set_c, _set_b, _set_d = (QuaternionMatrix2.__dict__[s].__set__ for s in "acbd")
+_set_a, _set_c, _set_b, _set_d = _setters(QuaternionMatrix2)
 
 
 def _floats(m: QuaternionMatrix2) -> tuple:
@@ -119,10 +118,10 @@ def _dot(p: tuple, q: tuple, r: tuple, s: tuple) -> Quaternion:
 def _gram_gap(x: tuple, y: tuple, z: tuple, w: tuple, target: float) -> float:
     """|conj(x) y - conj(z) w - target|.  Negation is exact and rounding symmetric, so
     only the sign of an exact zero differs from the product conj(A)^T (diag(1,-1) A);
-    the one quaternion built is ``_make``'s finiteness check, where that product had it."""
+    ``_finite`` tests it as ``_make`` tested that product."""
     p = _hamilton((x[0], -x[1], -x[2], -x[3]), y)
     q = _hamilton((z[0], -z[1], -z[2], -z[3]), w)
-    return _make(p[0] - q[0] - target, p[1] - q[1], p[2] - q[2], p[3] - q[3]).norm()
+    return _norm(*_finite((p[0] - q[0] - target, p[1] - q[1], p[2] - q[2], p[3] - q[3])))
 
 
 def _det_and_scale(A: QuaternionMatrix2) -> tuple:
@@ -140,6 +139,13 @@ class MoebiusNormalForm(_Frozen):
     """The (zero, phase) pair identifying a regular self-map of the unit ball."""
 
     __slots__ = ("q0", "u")
+
+    def __init__(self, q0, u):
+        _set_q0(self, q0)
+        _set_u(self, u)
+
+
+_set_q0, _set_u = _setters(MoebiusNormalForm)
 
 
 def _require_invertible(A: QuaternionMatrix2):
@@ -328,7 +334,8 @@ def from_normal_form(q0, u) -> QuaternionMatrix2:
     lam = 1.0 / (1.0 - q0.norm_sq()) ** 0.5
     w, x, y, z = p = q0.w, q0.x, q0.y, q0.z
     pw, px, py, pz = _hamilton(p, (u.w, u.x, u.y, u.z))
-    return QuaternionMatrix2(u * lam, _make(-w * lam, x * lam, y * lam, z * lam),
+    return QuaternionMatrix2(_make(u.w * lam, u.x * lam, u.y * lam, u.z * lam),
+                             _make(-w * lam, x * lam, y * lam, z * lam),
                              _make(-pw * lam, -px * lam, -py * lam, -pz * lam),
                              _make(lam, 0.0, 0.0, 0.0))
 

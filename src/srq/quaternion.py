@@ -78,6 +78,13 @@ class _Frozen:
             object.__setattr__(self, name, value)
 
 
+def _setters(cls) -> tuple:
+    """The ``__set__`` of each slot's member descriptor of ``cls``, in slot order.  A value
+    class fills its slots through them, which is faster than the generic ``_Frozen.__init__``
+    and skips the immutability guard without weakening it."""
+    return tuple(cls.__dict__[s].__set__ for s in cls.__slots__)
+
+
 class Quaternion(_Frozen):
     """A quaternion w + x*i + y*j + z*k with double-precision components.
 
@@ -90,16 +97,13 @@ class Quaternion(_Frozen):
     __slots__ = ("w", "x", "y", "z")
 
     def __init__(self, w=0.0, x=0.0, y=0.0, z=0.0):
-        w = float(w)
-        x = float(x)
-        y = float(y)
-        z = float(z)
-        if not (math.isfinite(w) and math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        w, x, y, z = float(w), float(x), float(y), float(z)
+        if not math.isfinite(0.0 * w + 0.0 * x + 0.0 * y + 0.0 * z):  # _make's test
             raise ValueError(f"non-finite quaternion component in ({w}, {x}, {y}, {z})")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        _set_w(self, w)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_z(self, z)
 
     # -- algebra -----------------------------------------------------------
     # Outside scalars go through float() once, so a float subclass such as
@@ -259,10 +263,7 @@ class Quaternion(_Frozen):
 
 
 _new = object.__new__
-_set_w = Quaternion.__dict__["w"].__set__
-_set_x = Quaternion.__dict__["x"].__set__
-_set_y = Quaternion.__dict__["y"].__set__
-_set_z = Quaternion.__dict__["z"].__set__
+_set_w, _set_x, _set_y, _set_z = _setters(Quaternion)
 
 
 def _make(w: float, x: float, y: float, z: float) -> Quaternion:
@@ -362,8 +363,16 @@ class SliceCoordinates(_Frozen):
 
     __slots__ = ("x0", "y0", "I")
 
+    def __init__(self, x0, y0, I):
+        _set_x0(self, x0)
+        _set_y0(self, y0)
+        _set_I(self, I)
+
     def reconstruct(self) -> Quaternion:
         return _slice_point(float(self.x0), float(self.y0), self.I)
+
+
+_set_x0, _set_y0, _set_I = _setters(SliceCoordinates)
 
 
 ZERO = Quaternion()

@@ -21,8 +21,8 @@ import sys
 
 from .errors import NonConvergence, PoleError
 from .quaternion import (_INF, EPS, ONE, ZERO, Quaternion, _finite, _fold_sum, _Frozen,
-                         _hamilton, _inverse, _make, _norm, _slice_point, _zero_bound,
-                         as_quaternion)
+                         _hamilton, _inverse, _make, _norm, _setters, _slice_point,
+                         _zero_bound, as_quaternion)
 from .series import (RegularPolynomial, _convolve, _horner_floats, _lift, _real_polynomial,
                      _real_star, _reals, _symmetrized, evaluate_any)
 
@@ -61,7 +61,6 @@ class RegularQuotient(_Frozen):
         self._install(den, num, side, sym, conum)
 
     def _install(self, den, num, side, sym, conum):
-        # the member descriptors, as in _make, are faster than the generic _Frozen.__init__
         _set_den(self, den)
         _set_num(self, num)
         _set_side(self, side)
@@ -287,8 +286,7 @@ class RegularQuotient(_Frozen):
         return f"RegularQuotient.from_expanded({self.sym!r}, {self.conum!r})"
 
 
-_set_den, _set_num, _set_side, _set_sym, _set_conum, _set_pole_scale = (
-    RegularQuotient.__dict__[s].__set__ for s in RegularQuotient.__slots__)
+_set_den, _set_num, _set_side, _set_sym, _set_conum, _set_pole_scale = _setters(RegularQuotient)
 
 
 def _scale_of(sym) -> float:
@@ -424,6 +422,11 @@ class ZeroEntry(_Frozen):
 
     __slots__ = ("x", "y", "multiplicity")
 
+    def __init__(self, x, y, multiplicity):
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_multiplicity(self, multiplicity)
+
     @property
     def is_real_point(self) -> bool:
         return self.y == 0.0
@@ -434,11 +437,17 @@ class SphereZeroSet(_Frozen):
 
     __slots__ = ("entries",)
 
+    def __init__(self, entries):
+        _set_entries(self, entries)
+
     def __iter__(self):
         return iter(self.entries)
 
     def __len__(self):
         return len(self.entries)
+
+
+_set_x, _set_y, _set_multiplicity, _set_entries = _setters(ZeroEntry) + _setters(SphereZeroSet)
 
 
 def durand_kerner(coeffs):
@@ -449,8 +458,11 @@ def durand_kerner(coeffs):
     (``_real_quadratic``).  Otherwise each sweep moves every root by a
     Jacobi-style Weierstrass step.  A real
     polynomial of even degree, as every symmetrization is, is iterated one
-    root per conjugate pair (``_sweeps``), from the upper arc of the circle
-    about the centroid -c_{n-1}/n of radius |p(centroid)|^(1/n).  A pair that
+    root per conjugate pair (``_sweeps``).  A quartic starts from the upper
+    roots of its closed-form factorization into two real quadratics
+    (``_quartic_start``); other degrees, and a quartic with real roots, start
+    from the upper arc of the circle about the centroid -c_{n-1}/n of radius
+    |p(centroid)|^(1/n).  A pair that
     crosses the real axis twice, as between two simple real roots, or whose
     residual check fails, hands over to the full sweep, the only path for
     complex coefficients and odd degree.  The iteration stops at the first
@@ -492,13 +504,16 @@ def durand_kerner(coeffs):
             radius = 2.0 * max(abs(v) ** (1.0 / (n - k)) for k, v in enumerate(monic[:-1]))
         if n % 2 == 0 and real:
             m = n // 2
-            centre = -monic[-2] / n
-            scale = abs(_horner(monic, [centre])[0]) ** (1.0 / n)
-            if not 0.0 < scale < _INF:
-                scale = radius
-            # Aberth's angles (2 pi k + pi/2) / n on the upper arc
-            roots = _sweeps(monic, [centre + scale * cmath.exp(1j * math.pi * (k + 0.25) / m)
-                                    for k in range(m)], True)
+            roots = _quartic_start(monic) if n == 4 else None
+            if roots is None:
+                centre = -monic[-2] / n
+                scale = abs(_horner(monic, [centre])[0]) ** (1.0 / n)
+                if not 0.0 < scale < _INF:
+                    scale = radius
+                # Aberth's angles (2 pi k + pi/2) / n on the upper arc
+                roots = [centre + scale * cmath.exp(1j * math.pi * (k + 0.25) / m)
+                         for k in range(m)]
+            roots = _sweeps(monic, roots, True)
             if roots is not None and _unconverged(monic, roots) is None:
                 return roots + [z.conjugate() for z in roots] + [0j] * zeros
         seed = 0.4 + 0.9j
@@ -519,6 +534,36 @@ def _unconverged(monic, roots):
         if not abs(r) <= _zero_bound(size) or abs(r) == _INF:
             return z
     return None
+
+
+def _quartic_start(monic):
+    """The upper roots of the two real quadratics whose product is the monic real
+    quartic ``monic``, or None unless both lie strictly above the real axis.  With
+    z = t - h, h = c_3/4, it is t^4 + p t^2 + q t + r = (t^2 + s t + u)(t^2 - s t + v):
+    s^2 = y is the largest root of Descartes' resolvent y^3 + 2p y^2 + (p^2 - 4r) y - q^2
+    (three real roots when the quartic has none; Orellana and De Michele, ACM TOMS
+    46(2), 2020), u + v = p + y, and v - u = q/s, whose square is (p + y)^2 - 4r."""
+    c0, c1, c2, c3 = (v.real for v in monic[:4])
+    h = c3 / 4.0
+    p = c2 - 6.0 * h * h
+    q = c1 - 2.0 * c2 * h + 8.0 * h * h * h
+    r = c0 - c1 * h + c2 * h * h - 3.0 * h * h * h * h
+    a = -(p * p / 3.0 + 4.0 * r)  # y = x - 2p/3 turns the resolvent into x^3 + a x + b
+    b = 8.0 * p * r / 3.0 - 2.0 * p * p * p / 27.0 - q * q
+    k = math.sqrt(max(-a / 3.0, 0.0))
+    if not (b * b / 4.0 + a * a * a / 27.0 <= 0.0 and a * k < 0.0):
+        return None  # not three real roots, so the quartic has real ones, or a * k underflows
+    t = math.acos(max(-1.0, min(1.0, 1.5 * b / (a * k)))) / 3.0
+    y = max(2.0 * k * math.cos(t) - 2.0 * p / 3.0, 0.0)  # the largest root is never negative
+    s, sigma = math.sqrt(y), p + y
+    disc = sigma * sigma - 4.0 * r
+    # q/s rounds less than sqrt(disc) unless y is small beside the rounding error of disc
+    d = q / s if abs(p * disc) < y * sigma * sigma else math.copysign(math.sqrt(abs(disc)), q)
+    u, v = (sigma - d) / 2.0, (sigma + d) / 2.0
+    if not u * v > 0.0:  # a factor t^2 + st + u with u <= 0 has real roots
+        return None
+    roots = [_real_quadratic(s / 2.0, u)[0] - h, _real_quadratic(-s / 2.0, v)[0] - h]
+    return roots if all(0.0 < z.imag and abs(z) < _INF for z in roots) else None
 
 
 def _real_quadratic(h, c) -> list:

@@ -13,8 +13,8 @@ import math
 from itertools import starmap, zip_longest
 
 from .errors import DegenerateCenter, RealPoint
-from .quaternion import (EPS, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _hamilton, _make,
-                         _norm, _zero_bound, as_quaternion)
+from .quaternion import (EPS, ONE, ZERO, Quaternion, _finite, _fold_sum, _Frozen, _hamilton,
+                         _make, _norm, _setters, _zero_bound, as_quaternion)
 
 _ZERO4 = (0.0, 0.0, 0.0, 0.0)
 
@@ -399,19 +399,28 @@ class SphericalExpansion(_Frozen):
 
     def __init__(self, center, coefficients):
         center = as_quaternion(center)
-        sc = center.slice_decompose()
-        super().__init__(center, tuple(as_quaternion(c) for c in coefficients), sc.x0, sc.y0)
+        _set_center(self, center)
+        _set_coefficients(self, tuple(map(as_quaternion, coefficients)))
+        _set_x0(self, center.w)  # the center's slice coordinates
+        _set_y0(self, center.imag_norm())
 
     def evaluate(self, q) -> Quaternion:
-        """sum_n S^n [A_2n + (q-q0) A_2n+1], S = (q-x0)^2 + y0^2, by Horner's rule in S."""
+        """sum_n S^n [A_2n + (q-q0) A_2n+1], S = (q-x0)^2 + y0^2, by Horner's rule in S,
+        on float 4-tuples with the bits and finiteness tests of the quaternion expression."""
         q = as_quaternion(q)
-        offset = q - self.center
-        evens, odds = self.coefficients[0::2], self.coefficients[1::2]
-        brackets = [a + offset * b for a, b in zip(evens, odds)] + list(evens[len(odds):])
-        shifted = q - self.x0
-        s = shifted * shifted + self.y0 * self.y0
-        brackets = [(c.w, c.x, c.y, c.z) for c in brackets]
-        return _make(*_horner_floats(brackets, [(s.w, s.x, s.y, s.z)])[0])
+        c = self.center
+        offset = _finite((q.w - c.w, q.x - c.x, q.y - c.y, q.z - c.z))
+        coeffs = [(a.w, a.x, a.y, a.z) for a in self.coefficients]
+        brackets = []
+        for (aw, ax, ay, az), b in zip(coeffs[0::2], coeffs[1::2]):
+            w, x, y, z = _finite(_hamilton(offset, b))
+            brackets.append(_finite((aw + w, ax + x, ay + y, az + z)))
+        if len(coeffs) % 2:
+            brackets.append(coeffs[-1])
+        shifted = _finite((q.w - self.x0, q.x, q.y, q.z))
+        w, x, y, z = _finite(_hamilton(shifted, shifted))
+        s = _finite((w + self.y0 * self.y0, x, y, z))
+        return _make(*_horner_floats(brackets, [s])[0])
 
     __call__ = evaluate
 
@@ -422,6 +431,9 @@ class SphericalExpansion(_Frozen):
     def __repr__(self):
         return (f"SphericalExpansion(center={self.center!s}, "
                 f"coefficients={[str(c) for c in self.coefficients]})")
+
+
+_set_center, _set_coefficients, _set_x0, _set_y0 = _setters(SphericalExpansion)
 
 
 def evaluate_any(f, q) -> Quaternion:

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from srq.errors import (DegenerateComposite, NotHermitian, NotSp11, PoleError,
                         SingularMatrix)
-from srq.fractional import (QuaternionMatrix2, _require_invertible, classical_fractional,
-                            from_normal_form, generator, hermitian_coincidence_check,
-                            left_action, left_right_convert, normal_form,
-                            regular_fractional, right_action)
+from srq.fractional import (QuaternionMatrix2, _gram_gap, _require_invertible,
+                            classical_fractional, from_normal_form, generator,
+                            hermitian_coincidence_check, left_action, left_right_convert,
+                            normal_form, regular_fractional, right_action)
 from srq.geometry import regular_moebius_map
-from srq.quaternion import I, J, K, ONE, ZERO, Quaternion, _zero_bound
+from srq.quaternion import I, J, K, ONE, ZERO, Quaternion, _hamilton, _make, _zero_bound
 from srq.rational import RegularQuotient
 from srq.series import RegularPolynomial
 
@@ -771,6 +771,29 @@ def test_from_normal_form_keeps_the_bits_of_the_quaternion_formula(q0, u):
     assert outcome(from_normal_form, q0, u) == outcome(oracle_from_normal_form, q0, u)
     A = from_normal_form(q0, u)
     assert outcome(normal_form, A) == outcome(oracle_normal_form, A)
+
+
+def gram_gap_oracle(x, y, z, w, target):
+    # the entry gap with the quaternion _make built for its finiteness test and norm
+    p = _hamilton((x[0], -x[1], -x[2], -x[3]), y)
+    q = _hamilton((z[0], -z[1], -z[2], -z[3]), w)
+    return _make(p[0] - q[0] - target, p[1] - q[1], p[2] - q[2], p[3] - q[3]).norm()
+
+
+def gap_result(func, *args):
+    try:
+        return func(*args).hex()
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@example(QuaternionMatrix2(1e160, 1e160, 1, 1))  # the first gap overflows
+@example(QuaternionMatrix2(1, 1, 1e160, -1e160))  # its conj(z) w term does
+@given(matrices)
+def test_each_gram_gap_keeps_its_bits_and_its_overflow_message(A):
+    a, c, b, d = (tuple(q.to_json()) for q in (A.a, A.c, A.b, A.d))
+    for args in ((a, a, b, b, 1.0), (a, c, b, d, 0.0), (c, a, d, b, 0.0), (c, c, d, d, -1.0)):
+        assert gap_result(_gram_gap, *args) == gap_result(gram_gap_oracle, *args)
 
 
 def test_near_tolerance_matrices_meet_both_verdicts():

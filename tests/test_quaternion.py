@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from srq.errors import ParseError
 from srq.expression import parse_quaternion
-from srq.fractional import QuaternionMatrix2, normal_form
+from srq.fractional import QuaternionMatrix2, from_normal_form, normal_form
 from srq.geometry import geodesic
 from srq.quaternion import (I, J, K, ONE, ZERO, Quaternion, _Frozen, _make, _slice_point,
                             as_quaternion)
-from srq.rational import RegularQuotient, ZeroEntry
+from srq.rational import RegularQuotient, ZeroEntry, sphere_zero_set
 from srq.series import RegularPolynomial
 from srq.verify import _SUITES, run_suite
 
@@ -316,6 +316,43 @@ def test_record_repr_equality_and_arity():
         ZeroEntry(1.0, 0.0)
     with pytest.raises(TypeError):
         ZeroEntry(1.0, 0.0, 2, 3)
+
+
+def test_value_construction_paths_use_neither_the_generic_init_nor_quaternion_products(
+        monkeypatch):
+    # zero sets, expansions and normal forms fill their slots through member
+    # descriptors and multiply float 4-tuples; only their results are values
+    f = RegularPolynomial([Quaternion(0.5, 0.1), Quaternion(-0.3, 0.2, 0.4), ONE])
+    q0, q, u = Quaternion(0.2, 0.3, -0.1, 0.4), Quaternion(0.1, -0.5, 0.2), Quaternion(0.6, 0.0, 0.8)
+    calls = []
+
+    def counting(name, original):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(_Frozen, "__init__", counting("_Frozen.__init__", _Frozen.__init__))
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Quaternion, name, counting(name, getattr(Quaternion, name)))
+    zero_set = sphere_zero_set(f)
+    expansion = f.spherical_expansion(q0, 2)
+    value = expansion.evaluate(q)
+    form = normal_form(from_normal_form(q0, u))
+    assert calls == []
+    assert len(zero_set) == 2 and value.isclose(f.evaluate(q), rel_tol=1e-12)
+    assert form.q0.isclose(q0) and form.u.isclose(u)
+
+
+def test_the_public_constructor_coerces_and_refuses_as_before():
+    q = Quaternion(np.float64(0.5), 2, True, "1.5")
+    assert [type(c) for c in q.to_json()] == [float] * 4 and q.to_json() == [0.5, 2.0, 1.0, 1.5]
+    with pytest.raises(ValueError, match=r"^non-finite quaternion component in \(1.0, nan, 0.0, -inf\)$"):
+        Quaternion(1, float("nan"), 0, float("-inf"))
+    with pytest.raises(OverflowError):
+        Quaternion(10 ** 400)
+    with pytest.raises(TypeError):
+        Quaternion(1, 2, 3, 4, 5)
 
 
 scalar_component = st.floats(min_value=-1e6, max_value=1e6)

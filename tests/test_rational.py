@@ -6,10 +6,11 @@ import math
 import pickle
 import random
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from srq import rational
@@ -990,6 +991,141 @@ def test_symmetrization_roots_are_conjugate_closed_and_backward_stable(case):
     for z in roots:
         assert abs(np.polyval(monic[::-1], z)) <= bound
     for r in simple:
+        assert min(abs(z - r) for z in roots) <= 1e-6 * (1.0 + abs(r))
+
+
+# -- the quartic start ---------------------------------------------------------------------
+#
+# A real quartic, every sym of a quadratic among them, starts its pair sweep from the upper
+# roots of its closed-form factorization into two real quadratics; one with real roots keeps
+# the arc start.  The arc start is the solver as it was before the quartic start existed.
+
+
+def _spy_sweep_counts(monkeypatch):
+    """(paired, handed over, sweeps run) for each ``_sweeps`` call; each sweep takes one
+    residual pass of ``_horner`` on the monic polynomial itself."""
+    calls = []
+    sweeps, horner = rational._sweeps, rational._horner
+
+    def spy(monic, roots, paired):
+        passes = []
+
+        def counting(coeffs, points):
+            passes.extend([None] if coeffs is monic else [])
+            return horner(coeffs, points)
+
+        monkeypatch.setattr(rational, "_horner", counting)
+        try:
+            out = sweeps(monic, roots, paired)
+        finally:
+            monkeypatch.setattr(rational, "_horner", horner)
+        calls.append((paired, out is None, len(passes)))
+        return out
+
+    monkeypatch.setattr(rational, "_sweeps", spy)
+    return calls
+
+
+def _arc_start(monic):
+    return None
+
+
+def test_quartic_symmetrizations_take_one_short_pair_sweep(monkeypatch):
+    rng = random.Random(29)
+    syms = [(Q - I) * (Q - J * 2.0 + 0.5)] + [rand_poly(rng, 2) for _ in range(200)]
+    syms = [[c.w for c in f.symmetrization().coeffs] for f in syms]
+    calls = _spy_sweep_counts(monkeypatch)
+    for sym in syms:
+        calls.clear()
+        durand_kerner(sym)
+        assert len(calls) == 1 and calls[0][:2] == (True, False) and calls[0][2] <= 3
+    # from the arc the first of them takes more sweeps
+    monkeypatch.setattr(rational, "_quartic_start", _arc_start)
+    calls.clear()
+    durand_kerner(syms[0])
+    assert calls[0][:2] == (True, False) and calls[0][2] > 3
+
+
+def test_a_quartic_with_real_roots_keeps_the_arc_start():
+    # (z - 1)(z - 2)(z^2 + 1) and (z^2 - 1)(z^2 - 4): no pair of upper roots to start from
+    assert rational._quartic_start([2.0, -3.0, 3.0, -3.0, 1.0]) is None
+    assert rational._quartic_start([4.0, 0.0, -5.0, 0.0, 1.0]) is None
+    # (z - 1)^2 ((z - 1)^2 + 1): once depressed, a factor t^2 has its roots at t = 0
+    assert rational._quartic_start([2.0, -6.0, 7.0, -4.0, 1.0]) is None
+    assert len(durand_kerner([2.0, -6.0, 7.0, -4.0, 1.0])) == 4
+    # t^4 + p t^2 + r with p^2 just below 4r, two spheres a rounding apart: y rounds
+    # below 0 and p^2 - 4r is negative, so the start takes no q/s with s = 0
+    assert len(durand_kerner([3.662940699852555, 0.0, 3.8277621137435145, 0.0, 1.0])) == 4
+    # (z^2 + 1)(z^2 + 4): y = 0 comes out as rounding, and s = sqrt(y) as its square root
+    start = rational._quartic_start([4.0, 0.0, 5.0, 0.0, 1.0])
+    assert sorted(start, key=abs) == pytest.approx([1j, 2j], abs=1e-7)
+
+
+# a * k underflows to 0; p^2 - 4r < 0 with y rounded to 0 (the input of the test above)
+@example([1e-300, -0.0, -6.032641905012161e-150, 5e-324])
+@example([3.662940699852555, 0.0, 3.8277621137435145, 0.0])
+@given(st.lists(st.one_of(st.floats(), st.floats(-10.0, 10.0)), min_size=4, max_size=4))
+def test_the_quartic_start_never_raises(low):
+    # monic coefficients may be non-finite where normalizing by the leading one overflowed
+    start = rational._quartic_start(low + [1.0])
+    assert start is None or (len(start) == 2 and all(
+        0.0 < z.imag and abs(z) < math.inf for z in start))
+
+
+def _linear(x, y, axis):
+    norm = math.sqrt(sum(v * v for v in axis))
+    return Q - Quaternion(x, *(v * y / norm for v in axis))
+
+
+@st.composite
+def quartic_symmetrizations(draw):
+    """The coefficients of a real quartic, low order first: the sym of a random quaternion
+    quadratic, of one with near-real zeros (|Im| about 1e-3), of one whose two spheres lie
+    1e-4 apart, or of one with both spheres on one real part (a biquadratic once depressed);
+    any of these with its roots scaled by 1e-6 to 1e6; or a quartic with two real roots."""
+    unit = st.floats(-1.0, 1.0)
+    axis = st.tuples(unit, unit, unit).filter(lambda v: math.sqrt(sum(c * c for c in v)) > 0.1)
+    kind = draw(st.sampled_from(["random", "near-real", "close", "biquadratic", "real-roots"]))
+    if kind == "real-roots":
+        a, b = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+        assume(abs(a - b) >= 0.1)
+        x, y = draw(st.floats(-1.0, 1.0)), draw(st.floats(0.05, 1.0))
+        return list(np.polymul(np.poly([a, b]), [1.0, -2.0 * x, x * x + y * y])[::-1])
+    if kind == "random":
+        f = RegularPolynomial([Quaternion(*draw(st.tuples(unit, unit, unit, unit)))
+                               for _ in range(3)])
+        assume(f.coefficient(2).norm() >= 0.1)
+    else:
+        x1, y1 = draw(st.floats(-1.0, 1.0)), draw(st.floats(0.1, 1.0))
+        if kind == "near-real":
+            y1 = draw(st.floats(0.5e-3, 2e-3))
+            x2, y2 = draw(st.floats(-1.0, 1.0)), draw(st.floats(0.5e-3, 2e-3))
+        elif kind == "close":
+            x2, y2 = x1 + draw(st.floats(-1e-4, 1e-4)), y1 + draw(st.floats(-1e-4, 1e-4))
+        else:
+            x2, y2 = x1, y1 + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-4, 0.5))
+        assume(math.hypot(x1 - x2, y1 - y2) >= 0.5e-4)
+        f = _linear(x1, y1, draw(axis)) * _linear(x2, y2, draw(axis))
+    scale = 10.0 ** draw(st.sampled_from([-6, -3, 0, 3, 6]))
+    return [c.w / scale ** (4 - n) for n, c in enumerate(f.symmetrization().coeffs)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(quartic_symmetrizations())
+def test_quartic_roots_from_the_closed_form_start_match_the_companion_roots(sym):
+    try:
+        roots = durand_kerner(sym)
+    except NonConvergence:
+        with mock.patch.object(rational, "_quartic_start", _arc_start):
+            with pytest.raises(NonConvergence):
+                durand_kerner(sym)
+        return
+    assert len(roots) == 4
+    monic = [c / sym[-1] for c in sym]
+    for z in roots:  # backward stable at the scale of the terms, which may be far from 1
+        size = sum(abs(c) * abs(z) ** k for k, c in enumerate(monic))
+        assert abs(np.polyval(monic[::-1], z)) <= 1e-12 * (1.0 + size)
+    for r in np.roots(sym[::-1]):
         assert min(abs(z - r) for z in roots) <= 1e-6 * (1.0 + abs(r))
 
 

@@ -12,9 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from srq.errors import DegenerateCenter, RealPoint
-from srq.quaternion import I, J, K, ONE, ZERO, Quaternion
-from srq.series import (RegularPolynomial, SphericalExpansion, directional_derivative,
-                        spherical_derivative_at)
+from srq.quaternion import I, J, K, ONE, ZERO, Quaternion, _make
+from srq.series import (RegularPolynomial, SphericalExpansion, _horner_floats,
+                        directional_derivative, spherical_derivative_at)
 from srq.verify import slice_regularity_residual
 
 Q = RegularPolynomial.identity()
@@ -611,3 +611,105 @@ def test_an_overflow_reports_the_first_non_finite_coefficient(operation, message
     with pytest.raises(ValueError) as raised:
         operation()
     assert str(raised.value) == "non-finite quaternion component in " + message
+
+
+# -- the spherical expansion on floats against the quaternion chains it replaced ----------
+#
+# spherical_expansion chains evaluate and remainder on float 4-tuples, and the
+# expansion evaluates its brackets and S = (q - x0)^2 + y0^2 on them too.  These
+# oracles are the quaternion-level bodies they replace (whose last step, Horner's rule
+# in S, already ran on floats): every value keeps its bits, signed zeros included, and
+# an overflow raises the same error with the same message.
+
+
+def expansion_oracle(f, q0, n_max):
+    q0 = Quaternion(*q0.to_json())
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if q0.is_real():
+        if n_max > 0:
+            raise DegenerateCenter(f"center {q0} is real: the sphere through it degenerates")
+        return [f.evaluate(q0)], q0.w, 0.0
+    qc = q0.conjugate()
+    coeffs = []
+    g = f
+    for _ in range(n_max + 1):
+        coeffs.append(g.evaluate(q0))
+        h = g.remainder(q0)
+        coeffs.append(h.evaluate(qc))
+        g = h.remainder(qc)
+    sc = q0.slice_decompose()
+    return coeffs, sc.x0, sc.y0
+
+
+def expansion_value_oracle(e, q):
+    offset = q - e.center
+    evens, odds = e.coefficients[0::2], e.coefficients[1::2]
+    brackets = [a + offset * b for a, b in zip(evens, odds)] + list(evens[len(odds):])
+    shifted = q - e.x0
+    s = shifted * shifted + e.y0 * e.y0
+    brackets = [(c.w, c.x, c.y, c.z) for c in brackets]
+    return _make(*_horner_floats(brackets, [(s.w, s.x, s.y, s.z)])[0])
+
+
+def result(func, *args):
+    """The hex bits of a result (quaternions, lists of them and floats), or the type and
+    message of its error."""
+    try:
+        value = func(*args)
+    except (ValueError, DegenerateCenter) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, Quaternion):
+        return bits(value)
+    if isinstance(value, float):
+        return value.hex()
+    return [result(lambda: v) for v in value]
+
+
+def expansion_of(f, q0, n_max):
+    e = f.spherical_expansion(q0, n_max)
+    return e.coefficients, e.x0, e.y0
+
+
+# components from the unit range, both zeros, and values whose products overflow
+wide = st.one_of(st.floats(min_value=-2.0, max_value=2.0),
+                 st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e154, -1e154, 1e300, -1e300,
+                                  1.5e308, -1.5e308]))
+wide_quats = st.builds(Quaternion, wide, wide, wide, wide)
+wide_polys = st.lists(wide_quats, max_size=7).map(RegularPolynomial)
+
+
+@given(wide_polys, wide_quats, st.integers(0, 4), wide_quats)
+def test_spherical_expansion_keeps_the_bits_of_the_quaternion_chain(f, q0, n_max, q):
+    got = result(expansion_of, f, q0, n_max)
+    assert got == result(expansion_oracle, f, q0, n_max)
+    if isinstance(got, list):
+        e = f.spherical_expansion(q0, n_max)
+        assert result(e.evaluate, q) == result(expansion_value_oracle, e, q)
+
+
+@given(wide_quats, st.lists(wide_quats, max_size=7), wide_quats)
+def test_expansion_values_keep_the_bits_of_the_quaternion_chain(center, coefficients, q):
+    e = SphericalExpansion(center, coefficients)
+    sc = center.slice_decompose()
+    assert (e.x0.hex(), e.y0.hex()) == (sc.x0.hex(), sc.y0.hex())
+    assert result(e.evaluate, q) == result(expansion_value_oracle, e, q)
+
+
+@pytest.mark.parametrize("f, q0, n_max, q", [
+    (RegularPolynomial([ONE, Quaternion(1e300, 1.0)]), Quaternion(0.0, 1e10), 1, I),
+    (RegularPolynomial([ONE, ONE, Quaternion(1e300)]), Quaternion(0.5, 1e300), 1, I),
+    (RegularPolynomial([ONE]), Quaternion(1e308, 1.0), 0, Quaternion(-1e308, 1.0)),
+    (RegularPolynomial([ONE, I, J]), Quaternion(0.5, 0.5), 1, Quaternion(-1e300, 1e300)),
+    (RegularPolynomial([ONE, I, J]), Quaternion(0.5, 0.5), 1, Quaternion(1e160, 1.0)),
+    (RegularPolynomial([ONE, I, J, K, ONE, I]), Quaternion(0.5, 0.5), 2, Quaternion(1e100, 1e100)),
+], ids=["coefficient", "remainder", "offset", "offset-product", "sphere", "horner"])
+def test_an_overflowing_expansion_raises_what_the_chain_raised(f, q0, n_max, q):
+    # each input overflows at a different step; the one that fails names its components
+    got = result(expansion_of, f, q0, n_max)
+    assert got == result(expansion_oracle, f, q0, n_max)
+    if isinstance(got, list):
+        e = f.spherical_expansion(q0, n_max)
+        got = result(e.evaluate, q)
+        assert got == result(expansion_value_oracle, e, q)
+    assert got[0] == "ValueError" and "non-finite quaternion component" in got[1]
