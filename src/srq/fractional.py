@@ -10,7 +10,7 @@ and normal forms of the self-maps of the unit ball.
 
 from __future__ import annotations
 
-from itertools import repeat, starmap
+from itertools import repeat, starmap, zip_longest
 
 from .errors import (DegenerateComposite, DegenerateSwap, NotHermitian,
                      NotSp11, PoleError, SingularMatrix)
@@ -18,7 +18,7 @@ from .geometry import _in_ball, _require_unit, sample_ball
 from .quaternion import (ONE, ZERO, Quaternion, _finite, _Frozen, _hamilton, _inverse, _make,
                          _norm, _setters, _zero_bound, as_quaternion)
 from .rational import RegularQuotient, as_quotient
-from .series import _ZERO4, RegularPolynomial, _from_parts, _lift, _polynomial_of, _real_star
+from .series import _ZERO4, RegularPolynomial, _from_parts, _lift, _real_star
 
 #: Entrywise tolerance of the matrix identities (membership, Hermitian shape),
 #: relative to the entries' scale.
@@ -216,7 +216,8 @@ def _combination(P, p: tuple, R, r: tuple, left: bool = False) -> RegularPolynom
         while parts and parts[-1] == _ZERO4:
             parts.pop()
     try:
-        return _polynomial_of(terms[0]) + _polynomial_of(terms[1])
+        return _from_parts([(w1 + w2, x1 + x2, y1 + y2, z1 + z2) for (w1, x1, y1, z1), (w2, x2, y2, z2)
+                            in zip_longest(*terms, fillvalue=_ZERO4)])
     except ValueError:
         for parts in terms:
             _from_parts(parts)  # the first product that fails raises as it did

@@ -456,23 +456,25 @@ def durand_kerner(coeffs):
     Exact-zero low-order coefficients are stripped first, each a root at 0.
     A linear polynomial and a real quadratic are solved in closed form
     (``_real_quadratic``).  Otherwise each sweep moves every root by a
-    Jacobi-style Weierstrass step.  A real
-    polynomial of even degree, as every symmetrization is, is iterated one
-    root per conjugate pair (``_sweeps``).  A quartic starts from the upper
-    roots of its closed-form factorization into two real quadratics
-    (``_quartic_start``); other degrees, and a quartic with real roots, start
-    from the upper arc of the circle about the centroid -c_{n-1}/n of radius
-    |p(centroid)|^(1/n).  A pair that
-    crosses the real axis twice, as between two simple real roots, or whose
-    residual check fails, hands over to the full sweep, the only path for
-    complex coefficients and odd degree.  The iteration stops at the first
-    of three events:
+    Jacobi-style Weierstrass step.  A real polynomial of even degree, as every
+    symmetrization is, is iterated one root per conjugate pair (``_sweeps``)
+    from the upper roots of its factors into real quadratics: a quartic's in
+    closed form (``_quartic_start``), those of degree 6 and up deflated down to
+    a quartic (``_deflated_start``).  Without them, as with real roots, pairs
+    start from the upper arc of the circle about the centroid -c_{n-1}/n of
+    radius |p(centroid)|^(1/n).  A pair that crosses the real axis twice, as
+    between two simple real roots, or whose residual check fails, hands over
+    to the full sweep, the only path for complex coefficients and odd degree.
+    The iteration stops at the first of these events:
 
     - the sweep is stalled: for the monic p = sum c_k z^k, every root's
       computed residual |p(z)| is no larger than the rounding error of
       computing it, ``u * sum |c_k| |z|^k`` with ``u = 2**-53`` (a
       backward-error stop); the sweep's starting roots are returned, since
       further steps only move rounding noise around;
+    - in pair sweeps, the largest step has not shrunk and every residual is
+      within Horner's error bound ``2n u sum |c_k| |z|^k`` (Higham 2002,
+      section 5.1); the sweep's starting roots are returned, as on a stall;
     - every step is below ``1e-14`` relative to the largest root;
     - 500 sweeps have run.
 
@@ -513,6 +515,8 @@ def durand_kerner(coeffs):
                 # Aberth's angles (2 pi k + pi/2) / n on the upper arc
                 roots = [centre + scale * cmath.exp(1j * math.pi * (k + 0.25) / m)
                          for k in range(m)]
+                if n > 4:
+                    roots = _deflated_start(monic, roots) or roots
             roots = _sweeps(monic, roots, True)
             if roots is not None and _unconverged(monic, roots) is None:
                 return roots + [z.conjugate() for z in roots] + [0j] * zeros
@@ -536,6 +540,47 @@ def _unconverged(monic, roots):
     return None
 
 
+def _deflated_start(monic, arc):
+    """Upper starts for the monic real ``monic`` of even degree n >= 6: Bairstow's iteration
+    peels n/2 - 2 real quadratics z^2 + uz + v, the k-th from the k-th root of ``arc``, each
+    giving its upper root, and the quartic left gives two (``_quartic_start``).  None when a
+    step is not finite, a factor has not settled within 30 steps or has real roots, the
+    quartic has no start, or two starts nearly coincide."""
+    c = [v.real for v in monic]
+    roots = []
+    for z in arc[:len(c) // 2 - 2]:
+        u, v = -2.0 * z.real, z.real * z.real + z.imag * z.imag
+        for _ in range(30):
+            # divided by z^2 + uz + v, c leaves b_1 z + b_0 + u b_1 and b gives f_1, f_2, f_3,
+            # with d b_k / du = -f_{k+1} and d b_k / dv = -f_{k+2}
+            b0 = b1 = f0 = f1 = f2 = 0.0
+            for a in reversed(c):
+                b0, b1 = a - u * b0 - v * b1, b0
+                f0, f1, f2 = b1 - u * f0 - v * f1, f0, f1
+            g = f0 - b1  # Newton's step for the remainder, row-reduced; a zero det gives NaN
+            det = f1 * f1 - f2 * g or math.nan
+            du, dv = (b1 * f1 - b0 * f2) / det, (b0 * f1 - b1 * g) / det
+            u, v = u + du, v + dv
+            if not abs(u) + abs(v) < _INF:
+                return None
+            if abs(du) * math.sqrt(abs(v)) + abs(dv) <= 1e-10 * abs(v):
+                break
+        else:
+            return None
+        if not v - u * u / 4.0 > 0.0:
+            return None
+        roots.append(_real_quadratic(u / 2.0, v)[0])
+        c = _divide(c, [v, u, 1.0])[0]
+    last = _quartic_start(c)
+    if last is None:
+        return None
+    roots += last
+    for k, z in enumerate(roots):
+        if not z.imag > 0.0 or any(abs(z - w) <= 1e-8 * abs(z) for w in roots[:k]):
+            return None
+    return roots
+
+
 def _quartic_start(monic):
     """The upper roots of the two real quadratics whose product is the monic real
     quartic ``monic``, or None unless both lie strictly above the real axis.  With
@@ -551,7 +596,8 @@ def _quartic_start(monic):
     a = -(p * p / 3.0 + 4.0 * r)  # y = x - 2p/3 turns the resolvent into x^3 + a x + b
     b = 8.0 * p * r / 3.0 - 2.0 * p * p * p / 27.0 - q * q
     k = math.sqrt(max(-a / 3.0, 0.0))
-    if not (b * b / 4.0 + a * a * a / 27.0 <= 0.0 and a * k < 0.0):
+    # a discriminant within rounding is a near-double root, which the clamp takes as double
+    if not ((1.0 - 16.0 * _UNIT_ROUNDOFF) * b * b / 4.0 + a * a * a / 27.0 <= 0.0 and a * k < 0.0):
         return None  # not three real roots, so the quartic has real ones, or a * k underflows
     t = math.acos(max(-1.0, min(1.0, 1.5 * b / (a * k)))) / 3.0
     y = max(2.0 * k * math.cos(t) - 2.0 * p / 3.0, 0.0)  # the largest root is never negative
@@ -590,15 +636,18 @@ def _sweeps(monic, roots, paired):
     stalled has made one root cross twice.
     """
     moduli = [abs(v) for v in monic]
+    noise = 2.0 * (len(monic) - 1) * _UNIT_ROUNDOFF
     crossed = set()
+    shift = _INF
     for _ in range(500):
-        shift = 0.0
+        last, shift = shift, 0.0
         stalled = True
         recrossed = False
         new_roots = list(roots)
         others = ([(2.0 * w.real, w.real * w.real + w.imag * w.imag) for w in roots]
                   if paired else roots)
-        for k, residual in enumerate(_horner(monic, roots)):  # a Jacobi sweep on the old roots
+        residuals = _horner(monic, roots)
+        for k, residual in enumerate(residuals):  # a Jacobi sweep on the old roots
             z = roots[k]
             if paired:
                 denom = complex(0.0, 2.0 * z.imag)
@@ -623,6 +672,9 @@ def _sweeps(monic, roots, paired):
             break
         if recrossed:
             return None
+        if paired and shift >= last and all(abs(r) <= noise * s for r, s in zip(
+                residuals, _horner(moduli, [abs(z) for z in roots]))):
+            break
         roots = new_roots
         if shift < 1e-14 * (1.0 + max(abs(z) for z in roots)):
             break

@@ -31,8 +31,7 @@ class RegularPolynomial(_Frozen):
     __slots__ = ("_c",)
 
     def __init__(self, coeffs=()):
-        parts = [(c.w, c.x, c.y, c.z) for c in map(as_quaternion, coeffs)]
-        object.__setattr__(self, "_c", _from_parts(parts)._c)
+        _from_parts([(c.w, c.x, c.y, c.z) for c in map(as_quaternion, coeffs)], self)
 
     # -- constructors --------------------------------------------------------
 
@@ -247,16 +246,17 @@ class RegularPolynomial(_Frozen):
         return f"RegularPolynomial({[str(c) for c in self.coeffs]})"
 
 
-def _from_parts(parts: list) -> RegularPolynomial:
+def _from_parts(parts: list, poly=None) -> RegularPolynomial:
     """The polynomial with the coefficients ``parts``, float 4-tuples, trailing
-    zeros (either sign) stripped.  The first coefficient that holds a NaN or an
-    infinity raises ``_make``'s ``ValueError``."""
+    zeros (either sign) stripped, filled into ``poly`` if given.  The first
+    coefficient that holds a NaN or an infinity raises ``_make``'s ``ValueError``."""
     while parts and parts[-1] == _ZERO4:
         parts.pop()
     for w, x, y, z in parts:
         if not math.isfinite(0.0 * w + 0.0 * x + 0.0 * y + 0.0 * z):  # _make's test
             _make(w, x, y, z)
-    poly = _new(RegularPolynomial)
+    if poly is None:
+        poly = _new(RegularPolynomial)
     _set_c(poly, tuple(parts))
     return poly
 

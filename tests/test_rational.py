@@ -1129,6 +1129,164 @@ def test_quartic_roots_from_the_closed_form_start_match_the_companion_roots(sym)
         assert min(abs(z - r) for z in roots) <= 1e-6 * (1.0 + abs(r))
 
 
+def _spheres(pairs):
+    """The monic real polynomial, low order first, that vanishes at x +- iy for each (x, y)."""
+    p = np.array([1.0])
+    for x, y in pairs:
+        p = np.polymul(p, [1.0, -2.0 * x, x * x + y * y])
+    return [float(c) for c in p[::-1]]
+
+
+def test_quartics_on_nearly_coincident_spheres_start_from_the_closed_form(monkeypatch):
+    # two spheres within 1e-4: the resolvent's two largest roots nearly coincide and its
+    # discriminant rounds either way.  Refusing a positive one sent 100 of these 500 to the
+    # arc start, and their solves to as many as 29 pair sweeps
+    rng = random.Random(5)
+    calls = _spy_sweep_counts(monkeypatch)
+    for _ in range(500):
+        x, y = rng.uniform(-1.0, 1.0), rng.uniform(0.1, 1.0)
+        quartic = _spheres([(x, y), (x + rng.uniform(-1e-4, 1e-4), y + rng.uniform(-1e-4, 1e-4))])
+        assert rational._quartic_start(quartic) is not None
+        calls.clear()
+        roots = durand_kerner(quartic)
+        assert len(calls) == 1 and calls[0][:2] == (True, False) and calls[0][2] <= 10
+        for r in np.roots(quartic[::-1]):  # the worst error was 2.0e-10 with the arc, as now
+            assert min(abs(z - r) for z in roots) <= 1e-9 * (1.0 + abs(r))
+
+
+# -- the deflated start --------------------------------------------------------------------
+#
+# A real polynomial of even degree 6 and up starts its pair sweep from the upper roots of
+# real quadratic factors, peeled by Bairstow's iteration down to a quartic, and of that
+# quartic's closed form; one with real roots, or whose iteration does not settle, keeps the
+# arc start.
+
+
+def _no_deflation(monic, arc):
+    return None
+
+
+def test_sextic_symmetrizations_take_one_short_pair_sweep(monkeypatch):
+    rng = random.Random(30)
+    syms = [[c.w for c in rand_poly(rng, 3).symmetrization().coeffs] for _ in range(200)]
+    calls = _spy_sweep_counts(monkeypatch)
+    fallbacks = 0
+    for sym in syms:
+        calls.clear()
+        durand_kerner(sym)
+        assert len(calls) == 1 and calls[0][:2] == (True, False)
+        fallbacks += calls[0][2] > 2
+    assert fallbacks <= 2  # Bairstow's iteration settles on all but one of these
+    # from the arc alone the first of them takes more sweeps
+    monkeypatch.setattr(rational, "_deflated_start", _no_deflation)
+    calls.clear()
+    durand_kerner(syms[0])
+    assert calls[0][:2] == (True, False) and calls[0][2] > 2
+
+
+def test_real_roots_and_a_triple_factor_keep_the_arc_start():
+    # (z - 1)(z - 2)(z^2 + 1)(z^2 + 4): the quartic left has the real roots
+    monic = [complex(c) for c in np.polymul(np.poly([1.0, 2.0]), [1.0, 0.0, 5.0, 0.0, 4.0])[::-1]]
+    assert rational._deflated_start(monic, [0.5 + 0.5j, 1j, 2j]) is None
+    assert len(durand_kerner(monic)) == 6
+    # (z^2 + 1)^3: at a triple factor the iteration converges linearly and does not settle
+    assert rational._deflated_start([1.0, 0.0, 3.0, 0.0, 3.0, 0.0, 1.0], [0.5 + 1j, 2j, 3j]) is None
+
+
+# a zero Jacobian; a factor z^2, which settles at u = v = 0
+@example([0.0] * 6, [1j, 1j, 1j])
+@example([0.0, 0.0, 1.0, 2.0, 3.0, 4.0], [0.1 + 0.1j, 1j, 1j])
+@given(st.lists(st.one_of(st.floats(), st.floats(-10.0, 10.0)), min_size=6, max_size=12)
+       .filter(lambda low: len(low) % 2 == 0),
+       st.lists(st.complex_numbers(max_magnitude=10.0), min_size=6, max_size=6))
+def test_the_deflated_start_never_raises(low, arc):
+    # monic coefficients may be non-finite where normalizing by the leading one overflowed
+    start = rational._deflated_start(low + [1.0], arc[:len(low) // 2])
+    assert start is None or (len(start) == len(low) // 2 and all(
+        0.0 < z.imag and abs(z) < math.inf for z in start))
+
+
+@st.composite
+def even_degree_polynomials(draw):
+    """(kind, coefficients) of a real polynomial of degree 6 to 12, low order first: the sym
+    of a random quaternion polynomial, its roots scaled by 1e-4 or 1e4 or not; a product of
+    real quadratics whose roots lie near the real axis (|Im| about 1e-3), or have moduli
+    from 1e-3 to 1e3, or of which two lie on spheres 1e-4 to 1e-3 apart; or such a product
+    with two real roots in place of one quadratic."""
+    m = draw(st.integers(3, 6))
+    kind = draw(st.sampled_from(["random", "scaled", "near-real", "wide", "close", "real-roots"]))
+    if kind in ("random", "scaled"):
+        unit = st.floats(-1.0, 1.0)
+        f = RegularPolynomial([Quaternion(*draw(st.tuples(unit, unit, unit, unit)))
+                               for _ in range(m + 1)])
+        assume(f.coefficient(m).norm() >= 0.1)
+        scale = 10.0 ** (draw(st.sampled_from([-4, 4])) if kind == "scaled" else 0)
+        return kind, [c.w / scale ** (2 * m - n) for n, c in enumerate(f.symmetrization().coeffs)]
+    pairs = []
+    for _ in range(m):
+        if kind == "wide":
+            r, t = 10.0 ** draw(st.floats(-3.0, 3.0)), draw(st.floats(0.05, math.pi - 0.05))
+            pairs.append((r * math.cos(t), r * math.sin(t)))
+        else:
+            y = draw(st.floats(0.5e-3, 2e-3) if kind == "near-real" else st.floats(0.1, 1.0))
+            pairs.append((draw(st.floats(-1.0, 1.0)), y))
+    if kind == "close":
+        (x, y), gap = pairs[0], draw(st.floats(1e-4, 1e-3))
+        angle = draw(st.floats(0.0, 2.0 * math.pi))
+        pairs[1] = (x + gap * math.cos(angle), y + abs(gap * math.sin(angle)) + 1e-4)
+    for k, (x, y) in enumerate(pairs):
+        for a, b in pairs[:k]:
+            separation = abs(complex(x, y) - complex(a, b)) / max(abs(complex(x, y)), abs(complex(a, b)))
+            assume(separation >= 0.05 or (kind == "close" and k == 1))
+    coeffs = _spheres(pairs)
+    if kind == "real-roots":
+        a, b = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+        assume(abs(a - b) >= 0.1)
+        coeffs = [float(c) for c in np.polymul(np.poly([a, b]), _spheres(pairs[1:])[::-1])[::-1]]
+    return kind, coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(even_degree_polynomials())
+def test_roots_from_the_deflated_start_match_the_companion_roots(case):
+    kind, coeffs = case
+    try:
+        roots = durand_kerner(coeffs)
+    except NonConvergence:
+        with mock.patch.object(rational, "_deflated_start", _no_deflation):
+            with pytest.raises(NonConvergence):
+                durand_kerner(coeffs)
+        return
+    if kind == "real-roots":  # no start from factors: the solve is the arc start's, bit for bit
+        with mock.patch.object(rational, "_deflated_start", _no_deflation):
+            assert durand_kerner(coeffs) == roots
+    assert len(roots) == len(coeffs) - 1
+    monic = [c / coeffs[-1] for c in coeffs]
+    for z in roots:  # backward stable at the scale of the terms, which may be far from 1
+        size = sum(abs(c) * abs(z) ** k for k, c in enumerate(monic))
+        assert abs(np.polyval(monic[::-1], z)) <= 1e-12 * (1.0 + size)
+    for r in np.roots(coeffs[::-1]):
+        assert min(abs(z - r) for z in roots) <= 1e-6 * (1.0 + abs(r))
+
+
+def test_a_pair_sweep_stops_once_its_steps_are_rounding_noise(monkeypatch):
+    # six real quadratics, x in [-2, 2] and y in [0.2, 2].  From the arc its roots pass
+    # _unconverged from sweep 25, but the largest step stays at 3.8e-14 to 6.1e-13, above
+    # the stop at 1e-14 (1 + max |z|) = 3.4e-14, and the residuals above u sum |c_k| |z|^k:
+    # from either start all 500 sweeps ran
+    coeffs = [2188.246188956741, 6701.137339790401, 9410.912050035104, 7384.996642635989,
+              3088.3526878833673, 162.1258208752522, -484.5550068198492, -134.87774769303553,
+              120.98755994416194, 116.92761172269054, 47.02259434595139, 10.07010296044119, 1.0]
+    calls = _spy_sweep_counts(monkeypatch)
+    for start in (rational._deflated_start, _no_deflation):
+        monkeypatch.setattr(rational, "_deflated_start", start)
+        calls.clear()
+        roots = durand_kerner(coeffs)
+        assert len(calls) == 1 and calls[0][:2] == (True, False) and calls[0][2] <= 40
+        for r in np.roots(coeffs[::-1]):
+            assert min(abs(z - r) for z in roots) <= 1e-11 * (1.0 + abs(r))
+
+
 # -- the float substrate of sym against the polynomial-level formulas --------------------
 #
 # A quotient stores its symmetrization as a tuple of real floats, and every ring

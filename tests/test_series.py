@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from srq import series
 from srq.errors import DegenerateCenter, RealPoint
+from srq.fractional import _combination
 from srq.quaternion import I, J, K, ONE, ZERO, Quaternion, _make
 from srq.series import (RegularPolynomial, SphericalExpansion, _horner_floats,
                         directional_derivative, spherical_derivative_at)
@@ -611,6 +613,40 @@ def test_an_overflow_reports_the_first_non_finite_coefficient(operation, message
     with pytest.raises(ValueError) as raised:
         operation()
     assert str(raised.value) == "non-finite quaternion component in " + message
+
+
+def _count_polynomials(monkeypatch):
+    """The classes of the objects made by a call of RegularPolynomial, which runs its
+    ``__init__``, or by the bare ``object.__new__`` of ``srq.series``, each listed once."""
+    made = []
+    init, new = RegularPolynomial.__init__, series._new
+
+    def counting_init(self, *args):
+        made.append(type(self))
+        init(self, *args)
+
+    def counting_new(cls):
+        made.append(cls)
+        return new(cls)
+
+    monkeypatch.setattr(RegularPolynomial, "__init__", counting_init)
+    monkeypatch.setattr(series, "_new", counting_new)
+    return made
+
+
+@pytest.mark.parametrize("left", [False, True], ids=["right-products", "left-products"])
+def test_each_constructor_makes_one_polynomial(monkeypatch, left):
+    P, R = [(1.0, 2.0, 0.0, 0.0), (0.5, 0.0, 1.0, 0.0)], [(1.0, 0.0, 0.0, -3.0)]
+    p, r = (0.0, 1.0, 0.0, 0.0), (2.0, 0.0, -1.0, 0.0)
+    f, g = (RegularPolynomial([_make(*c) for c in parts]) for parts in (P, R))
+    # the polynomial expression that _combination stands for, bit for bit
+    want = _make(*p) * f + _make(*r) * g if left else f * _make(*p) + g * _make(*r)
+    made = _count_polynomials(monkeypatch)
+    assert RegularPolynomial([ONE, I, ZERO])._c == ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0))
+    assert made == [RegularPolynomial]
+    made.clear()
+    assert _combination(P, p, R, r, left)._c == want._c
+    assert made == [RegularPolynomial]
 
 
 # -- the spherical expansion on floats against the quaternion chains it replaced ----------
