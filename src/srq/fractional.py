@@ -10,6 +10,7 @@ and normal forms of the self-maps of the unit ball.
 
 from __future__ import annotations
 
+import math
 from itertools import repeat, starmap, zip_longest
 
 from .errors import (DegenerateComposite, DegenerateSwap, NotHermitian,
@@ -92,7 +93,8 @@ class QuaternionMatrix2(_Frozen):
         a, c, b, d = e = _floats(self)
         gap = max(_gram_gap(a, a, b, b, 1.0), _gram_gap(a, c, b, d, 0.0),
                   _gram_gap(c, a, d, b, 0.0), _gram_gap(c, c, d, d, -1.0))
-        return gap <= tol * (1.0 + max(starmap(_norm, e))) ** 2
+        s = 1.0 + max(starmap(_norm, e))
+        return gap <= tol * (s * s)
 
     def __repr__(self):
         return (f"QuaternionMatrix2(a={self.a!s}, c={self.c!s}, "
@@ -332,7 +334,7 @@ def from_normal_form(q0, u) -> QuaternionMatrix2:
     q0 = _in_ball(q0, "q0")
     u = as_quaternion(u)
     _require_unit(u, "phase")
-    lam = 1.0 / (1.0 - q0.norm_sq()) ** 0.5
+    lam = 1.0 / math.sqrt(1.0 - q0.norm_sq())
     w, x, y, z = p = q0.w, q0.x, q0.y, q0.z
     pw, px, py, pz = _hamilton(p, (u.w, u.x, u.y, u.z))
     return QuaternionMatrix2(_make(u.w * lam, u.x * lam, u.y * lam, u.z * lam),

@@ -40,20 +40,18 @@ def stream(seed, label: str) -> random.Random:
 
 
 def sample_unit(rng: random.Random) -> Quaternion:
-    """Uniform unit quaternion: four Gaussian draws in w, x, y, z order, normalized."""
-    gauss = rng.gauss
+    """Uniform unit quaternion: the direction of a uniform point of the unit ball."""
     while True:
-        w, x, y, z = gauss(0, 1), gauss(0, 1), gauss(0, 1), gauss(0, 1)
+        (w, x, y, z), = _ball_floats(rng, 1.0, 1)
         n = _norm(w, x, y, z)
         if n > 1e-3:
             return _make(w / n, x / n, y / n, z / n)
 
 
 def sample_unit_imaginary(rng: random.Random) -> Quaternion:
-    """Uniform unit imaginary quaternion: three Gaussian draws, normalized."""
-    gauss = rng.gauss
+    """Uniform unit imaginary quaternion: the direction of a unit-ball point's imaginary part."""
     while True:
-        x, y, z = gauss(0, 1), gauss(0, 1), gauss(0, 1)
+        (_, x, y, z), = _ball_floats(rng, 1.0, 1)
         n = _norm(0.0, x, y, z)
         if n > 1e-3:
             return _make(0.0, x / n, y / n, z / n)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from docdiff import assert_same_document
 from srq.cli import main
 
 
@@ -272,6 +273,14 @@ def test_normal_form_matrix_with_q0_or_u_is_a_usage_error(capsys):
         assert "--matrix" in err and "--q0" in err
 
 
+def test_normal_form_without_matrix_needs_both_q0_and_u(capsys):
+    for extra in ((), ("--q0", "0.1j"), ("--u", "k")):
+        code, out, err = run_cli(capsys, "normal-form", *extra)
+        assert code == 2
+        assert out == ""
+        assert "needs either --matrix or both --q0 and --u" in err
+
+
 @pytest.mark.parametrize("text", ["-1", "x", "1.5"])
 def test_malformed_nmax_exits_2(capsys, text):
     code, out, err = run_cli(capsys, "expand", "--f", "q^2", "--center", "0.5i", "--nmax", text)
@@ -308,7 +317,7 @@ def test_verify_all_matches_golden_document(capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "--seed", "42", "--samples", "200",
                            "--json")
     assert code == 0
-    assert out == golden.read_text()
+    assert_same_document(out, golden)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "Infinity"])

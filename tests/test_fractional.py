@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from srq.errors import (DegenerateComposite, NotHermitian, NotSp11, PoleError,
+from srq.errors import (DegenerateComposite, DegenerateSwap, NotHermitian, NotSp11, PoleError,
                         SingularMatrix)
 from srq.fractional import (QuaternionMatrix2, _gram_gap, _require_invertible,
                             classical_fractional, from_normal_form, generator,
@@ -312,6 +312,13 @@ def test_conjugation_swaps_the_actions():
         pointwise_close(lhs, rhs, rng, count=20, tol=1e-10)
 
 
+def test_left_right_convert_refuses_a_singular_swap():
+    # with c = 1 the swap solves (b - d a) p~ = ..., and b - d a = 5e-12 passes the
+    # determinant test, whose bound grows with the entries, but not the swap's
+    with pytest.raises(DegenerateSwap, match="singular linear solve"):
+        left_right_convert(QuaternionMatrix2(ONE, ONE, Quaternion(1.0 + 5e-12), ONE))
+
+
 def test_left_right_convert():
     rng = random.Random(12)
     # diagonal case: F_A(q) = (d^{-1}a)*q + d^{-1}b
@@ -435,6 +442,11 @@ def test_classical_fractional_and_generators():
         classical_fractional(generator("inversion"), ZERO)
     with pytest.raises(ValueError):
         generator("rotation", Quaternion(2))
+    for factor in (0.0, -2.0):
+        with pytest.raises(ValueError, match="dilation factor must be a positive real"):
+            generator("dilation", factor)
+    with pytest.raises(ValueError, match="unknown generator kind 'shear'"):
+        generator("shear", 1.0)
 
 
 def test_classical_matches_regular_at_real_points():
@@ -651,7 +663,8 @@ def oracle_is_sp11(A, tol=1e-9):
     conj_transpose = QuaternionMatrix2(A.a.conjugate(), A.b.conjugate(),
                                        A.c.conjugate(), A.d.conjugate())
     m = oracle_product(conj_transpose, oracle_product(h, A))
-    bound = tol * (1.0 + oracle_entry_scale(A)) ** 2
+    s = 1.0 + oracle_entry_scale(A)
+    bound = tol * (s * s)
     return all((p - q).norm() <= bound for p, q in zip(_entries(m), _entries(h)))
 
 
@@ -661,7 +674,7 @@ def oracle_invertible(A):
 
 
 def oracle_from_normal_form(q0, u):
-    lam = 1.0 / (1.0 - q0.norm_sq()) ** 0.5
+    lam = 1.0 / math.sqrt(1.0 - q0.norm_sq())
     return QuaternionMatrix2(u * lam, -q0.conjugate() * lam, -(q0 * u) * lam, Quaternion(lam))
 
 
@@ -890,3 +903,15 @@ def test_actions_keep_the_bits_of_their_polynomial_expressions(g, F, A):
                 == action_bits(right_action_oracle, F, g, A))
         assert (action_bits(left_action, A, RegularQuotient(F, g, "right"))
                 == action_bits(left_action_oracle, A, F, g))
+
+
+def test_an_action_whose_sum_overflows_from_finite_products_raises_the_sums_error():
+    # an expanded quotient reads as the pair (sym, conum), whose products by the
+    # unit entries stay finite while their sum overflows
+    S, P = RegularPolynomial([Quaternion(1e308)]), RegularPolynomial([Quaternion(1.5e308)])
+    f = RegularQuotient.from_expanded(S, P)
+    overflow = ("ValueError", "non-finite quaternion component in (inf, 0.0, 0.0, 0.0)")
+    A = QuaternionMatrix2(ONE, ONE, ZERO, ONE)
+    assert action_bits(right_action, f, A) == action_bits(right_action_oracle, S, P, A) == overflow
+    B = QuaternionMatrix2(ONE, ZERO, ONE, ONE)
+    assert action_bits(left_action, B, f) == action_bits(left_action_oracle, B, S, P) == overflow

@@ -316,6 +316,8 @@ def test_moebius_expansion_closed_forms():
 
     with pytest.raises(DegenerateCenter):
         moebius_expansion_coefficients(Quaternion(0.5), 2)
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        moebius_expansion_coefficients(I * 0.5, -1)
 
 
 def test_closed_forms_match_remainder_route():
@@ -400,6 +402,9 @@ def test_geodesic_examples():
 
     with pytest.raises(CoincidentPoints):
         geodesic(Quaternion(0.1), Quaternion(0.1))
+    for t in (-0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match="parameter must lie in"):
+            seg.point(t)
 
 
 def test_geodesic_stays_in_the_ball_at_its_edge():

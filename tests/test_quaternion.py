@@ -317,6 +317,13 @@ def test_record_repr_equality_and_arity():
     with pytest.raises(TypeError):
         ZeroEntry(1.0, 0.0, 2, 3)
 
+    class Pair(_Frozen):  # the generic constructor: one positional value per slot
+        __slots__ = ("first", "second")
+
+    assert Pair(1, 2) == Pair(1, 2) != Pair(1, 3)
+    with pytest.raises(TypeError, match=r"Pair\(first, second\) takes 2 values, got 3"):
+        Pair(1, 2, 3)
+
 
 def test_value_construction_paths_use_neither_the_generic_init_nor_quaternion_products(
         monkeypatch):

@@ -843,6 +843,21 @@ def test_from_expanded_refuses_a_zero_or_non_real_denominator():
         RegularQuotient.from_expanded(RegularPolynomial([Quaternion(1e6, 1e-5)]), Q)
 
 
+def test_pair_quotient_refuses_a_bad_side_or_a_zero_denominator():
+    with pytest.raises(ValueError, match="side must be 'left' or 'right', got 'up'"):
+        RegularQuotient(Q - I, Q, "up")
+    with pytest.raises(ValueError, match="denominator is identically zero"):
+        RegularQuotient(RegularPolynomial(), Q)
+
+
+def test_an_expanded_quotient_has_no_json_form_and_no_transform_route():
+    expanded = RegularQuotient.from_expanded(RegularPolynomial([Quaternion(2.0)]), Q)
+    with pytest.raises(ValueError, match=r"only \(den, num\) pair quotients"):
+        expanded.to_json()
+    with pytest.raises(ValueError, match=r"transform-route evaluation needs a \(den, num\) pair"):
+        expanded.evaluate_via_transform(I * 0.5)
+
+
 def test_expanded_quotient_conjugate_and_repr():
     pair = RegularQuotient(Q - I, Q + J * 0.5, "left")
     expanded = RegularQuotient.from_expanded(pair.sym, pair.conum)
@@ -1191,6 +1206,32 @@ def test_real_roots_and_a_triple_factor_keep_the_arc_start():
     assert len(durand_kerner(monic)) == 6
     # (z^2 + 1)^3: at a triple factor the iteration converges linearly and does not settle
     assert rational._deflated_start([1.0, 0.0, 3.0, 0.0, 3.0, 0.0, 1.0], [0.5 + 1j, 2j, 3j]) is None
+
+
+def test_a_double_sphere_keeps_the_arc_start(monkeypatch):
+    # (z^2 - 2z + 2)(z^2 + 2z + 5/4)^2: the first factor peels, and the quartic left
+    # starts its double sphere twice, two starts that would chase one root
+    monic = [3.125, 6.875, 4.5625, 0.0, 0.5, 2.0, 1.0]
+    quartic_starts, quartic_start = [], rational._quartic_start
+
+    def spy(c):
+        quartic_starts.append(quartic_start(c))
+        return quartic_starts[-1]
+
+    monkeypatch.setattr(rational, "_quartic_start", spy)
+    assert rational._deflated_start(monic, [0.5 + 1j, 2j, 3j]) is None
+    (first, second), = quartic_starts
+    assert abs(first - second) <= 1e-8 * abs(first)
+    roots = sorted(durand_kerner(monic), key=lambda z: (round(z.real, 6), z.imag))
+    expected = [-1 - 0.5j, -1 - 0.5j, -1 + 0.5j, -1 + 0.5j, 1 - 1j, 1 + 1j]
+    assert all(abs(z - w) < 1e-7 for z, w in zip(roots, expected))
+
+
+def test_coincident_starts_at_a_root_do_not_divide_by_zero():
+    # two starts on one double root make a Weierstrass denominator exactly zero; the
+    # residual there is zero too, so the sweep stalls where it started
+    assert rational._sweeps([1.0, -2.0, 1.0], [1 + 0j, 1 + 0j], False) == [1 + 0j, 1 + 0j]
+    assert rational._sweeps([1.0, 0.0, 2.0, 0.0, 1.0], [1j, 1j], True) == [1j, 1j]
 
 
 # a zero Jacobian; a factor z^2, which settles at u = v = 0

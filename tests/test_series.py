@@ -156,6 +156,8 @@ def test_spherical_expansion_identity_map():
     assert e.coefficients[1].isclose(ONE)
     assert e.coefficients[2] == ZERO
     assert e.coefficients[3] == ZERO
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        Q.spherical_expansion(I * 0.5, -1)
 
 
 def test_spherical_expansion_square():

@@ -30,6 +30,10 @@
 - One literal grammar: quaternion and polynomial texts are both read in
   ``expression.py``, the one module that imports ``re``, and no module
   defines ``_TERM``, the pattern of a second, term-by-term literal grammar.
+- No libm on the seeded path by the two routes it once took: no module names
+  ``gauss`` (``random.gauss`` calls libm's ``log``, ``cos`` and ``sin``; unit
+  draws take the direction of a ``_ball_floats`` point), and nothing is raised
+  to the power ``0.5``, which is C ``pow``; ``math.sqrt`` is correctly rounded.
 """
 
 import ast
@@ -224,6 +228,23 @@ def term_definitions(text: str) -> list:
                   if isinstance(n, ast.Name) and n.id == "_TERM" and isinstance(n.ctx, ast.Store))
 
 
+def _is_half(token) -> bool:
+    try:
+        return token.type == tokenize.NUMBER and float(token.string) == 0.5
+    except ValueError:  # an imaginary literal
+        return False
+
+
+def libm_routes(text: str) -> list:
+    """Lines that name ``gauss`` or raise a value to the power ``0.5``; strings
+    and comments are single tokens, so they never match."""
+    tokens = [t for t in tokenize.generate_tokens(io.StringIO(text).readline)
+              if t.type not in _SKIP]
+    return [a.start[0] for a, b in zip(tokens, tokens[1:])
+            if a.type == tokenize.NAME and a.string == "gauss"
+            or a.string == "**" and _is_half(b)]
+
+
 def test_the_scan_sees_every_module():
     assert {"quaternion.py", "rational.py", "verify.py"} <= {p.name for p in MODULES}
 
@@ -346,3 +367,15 @@ def test_the_literal_grammar_rule_catches_what_it_forbids():
     assert re_imports("import json\nfrom .re import x\ns = 'import re'\n") == []
     assert term_definitions("_TERM = re.compile(r'x')\nA, _TERM = 1, 2\n") == [1, 2]
     assert term_definitions("m = _TERM.match(s)\n_TERMS = 1\n") == []
+
+
+def test_no_gauss_draw_and_no_half_power():
+    assert {p.name: libm_routes(p.read_text()) for p in MODULES if libm_routes(p.read_text())} == {}
+
+
+def test_the_libm_rule_catches_what_it_forbids():
+    assert libm_routes("g = rng.gauss\nx = gauss(0, 1)\nn = s ** 0.5\n"
+                       "m = (s **\n     .5)\n") == [1, 2, 3, 4]
+    # a comment, a string, another power, a longer name or sqrt is not the route
+    assert libm_routes("n = math.sqrt(s)  # s ** 0.5\nt = 'gauss'\nv = s ** 2\n"
+                       "w = s ** 0.25\nz = s ** 0.5j\ngaussian = 1\n") == []

@@ -1,12 +1,14 @@
 """The randomized verification engine: generators, checks, and determinism."""
 
-import hashlib
+import cmath
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+from docdiff import ABSENT, assert_same_document, moved
 from srq.geometry import regular_moebius_map
 from srq.quaternion import I, J, ONE, ZERO, Quaternion
 from srq.series import RegularPolynomial
@@ -17,6 +19,7 @@ from srq.verify import (SUITE_NAMES, check_modulus_product, check_reg_preservati
                         stream)
 
 Q = RegularPolynomial.identity()
+DATA = Path(__file__).parent / "data"
 
 
 def test_random_self_map_contract():
@@ -37,6 +40,8 @@ def test_random_self_map_contract():
     const = random_self_map(5, 0)
     assert const.degree <= 0
     assert const.evaluate(ZERO).norm() < 1.0
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        random_self_map(5, -1)
 
 
 def test_schwarz_pick_square_at_origin():
@@ -303,35 +308,100 @@ def test_modulus_product_with_huge_coefficients_has_finite_margins():
     assert summary["max_abs_margin"] > 1e199
 
 
-@pytest.mark.parametrize("seed, samples, digest", [
-    (7, 1000, "e66dd066ba8058da2abb0be8c953f59a8e02f5210ff30960d0a8bb4f77081bde"),
-    (99, 50, "1a0b3350ebe6143026d497129c005b2089debe43627a5c49f43f58a78dbb7d71"),
-    (11, 50, "844eef5cc097f23f5d8f8fec273affcb1e4076d3b8d6ad5a79b901d95be15372"),
-], ids=["7-1000", "99-50", "11-50"])  # a re-pinned digest keeps the test's name
-def test_run_all_documents_are_the_same_on_every_python(seed, samples, digest):
+def pinned(seed, samples):
+    return DATA / f"verify_all_seed{seed}_samples{samples}.json"
+
+
+# a regenerated document keeps the test's name
+@pytest.mark.parametrize("seed, samples", [(7, 1000), (99, 50), (11, 50)],
+                         ids=["7-1000", "99-50", "11-50"])
+def test_run_all_documents_are_the_same_on_every_python(seed, samples):
     # the builtin sum() of floats is compensated from Python 3.12 on, and these
-    # documents moved with it; a left-to-right fold keeps them byte-identical
-    doc = json.dumps(run_all(seed, samples), sort_keys=True)
-    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+    # documents moved with it; a left-to-right fold keeps them byte-identical.
+    # Each is pinned in the CLI's --json form, as `srq verify all --json` prints it
+    doc = json.dumps(run_all(seed, samples), sort_keys=True) + "\n"
+    assert_same_document(doc, pinned(seed, samples))
 
 
-def gauss_unit_oracle(rng, imaginary):
+def test_a_moved_field_is_named_with_its_old_and_new_value():
+    golden = pinned(42, 200)
+    doc = json.loads(golden.read_text())
+    doc["suites"][2]["properties"]["modulus_product"]["checked"] = 199
+    with pytest.raises(AssertionError) as failure:
+        assert_same_document(json.dumps(doc, sort_keys=True) + "\n", golden)
+    assert str(failure.value).splitlines()[1:] == [
+        "suites[2].properties.modulus_product.checked: 200 -> 199 (relative change -0.005)"]
+    # signed zeros differ, NaN equals NaN, and a layout change moves no field
+    assert moved({"a": 0.0, "b": [math.nan]}, {"a": -0.0, "b": [math.nan]}) == [("a", 0.0, -0.0)]
+    assert moved([1, True], [1.0, True, 2]) == [("[0]", 1, 1.0), ("[2]", ABSENT, 2)]
+    with pytest.raises(AssertionError, match="no field moved"):
+        assert_same_document(json.dumps(json.loads(golden.read_text()), indent=1), golden)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a libm function was called on the seeded path")
+
+
+def test_the_seeded_stream_calls_no_libm_function(monkeypatch):
+    # the seeded path uses only random(), getrandbits, + - * / and sqrt, all
+    # correctly rounded, so its bits do not depend on the platform's libm
+    monkeypatch.setattr(random.Random, "gauss", _refuse)
+    for name in ("log", "log1p", "exp", "sin", "cos", "acos", "pow"):
+        monkeypatch.setattr(math, name, _refuse)
+    monkeypatch.setattr(cmath, "exp", _refuse)
+    doc = json.dumps(run_all(42, 200), sort_keys=True) + "\n"
+    assert_same_document(doc, pinned(42, 200))
+
+
+def unit_oracle(rng, imaginary):
+    # the direction of a uniform point of the unit ball (of its imaginary part
+    # for an imaginary unit), written from rng.random() alone
     while True:
-        w = 0.0 if imaginary else rng.gauss(0, 1)
-        q = Quaternion(w, rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
-        n = math.sqrt(q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z)
+        while True:
+            w, x, y, z = (2.0 * rng.random() - 1.0 for _ in range(4))
+            if math.sqrt(w * w + x * x + y * y + z * z) < 1.0:
+                break
+        if imaginary:
+            w = 0.0
+        n = math.sqrt(w * w + x * x + y * y + z * z)
         if n > 1e-3:
-            return q / n
+            return Quaternion(w / n, x / n, y / n, z / n)
 
 
 @pytest.mark.parametrize("sampler, imaginary", [(sample_unit, False),
                                                 (sample_unit_imaginary, True)])
-def test_unit_samplers_match_the_gauss_oracle_and_its_stream(sampler, imaginary):
+def test_unit_samplers_match_the_ball_oracle_and_its_stream(sampler, imaginary):
     rng, oracle = random.Random(17), random.Random(17)
     for _ in range(2000):
-        got, expected = sampler(rng), gauss_unit_oracle(oracle, imaginary)
+        got, expected = sampler(rng), unit_oracle(oracle, imaginary)
         assert [c.hex() for c in got.to_json()] == [c.hex() for c in expected.to_json()]
     assert rng.getstate() == oracle.getstate()
+
+
+def sphere_moment(d, k):
+    """E[x^(2k)] of one coordinate of a uniform point of the unit sphere of R^d."""
+    value = 1.0
+    for i in range(k):
+        value *= (2 * i + 1) / (d + 2 * i)
+    return value
+
+
+@pytest.mark.parametrize("sampler, d", [(sample_unit, 4), (sample_unit_imaginary, 3)])
+def test_unit_samplers_are_uniform_on_their_spheres(sampler, d):
+    # E[w^2] = 1/4 and E[w^4] = 1/8 on S^3, E[x^2] = 1/3 and E[x^4] = 1/5 on S^2:
+    # each coordinate's sample mean lies within 5 standard errors.  The direction
+    # of the imaginary part of a ball point is uniform on S^2 because rotations
+    # about the real axis preserve the ball
+    n = 20000
+    rng = random.Random(2024)
+    draws = [sampler(rng).to_json() for _ in range(n)]
+    assert d == 4 or all(q[0] == 0.0 for q in draws)
+    for k in (1, 2):
+        mean, second = sphere_moment(d, k), sphere_moment(d, 2 * k)
+        sigma = math.sqrt((second - mean * mean) / n)
+        for axis in range(4 - d, 4):
+            got = math.fsum(q[axis] ** (2 * k) for q in draws) / n
+            assert abs(got - mean) < 5.0 * sigma, (axis, k, got, mean)
 
 
 def _summary(worst, witness, max_abs=1.0, violations=0, checked=2):
