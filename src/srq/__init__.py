@@ -6,6 +6,9 @@ evaluation routes, fractional transformations driven by 2x2 quaternionic
 matrices, the hyperbolic geometry of the unit ball, and a deterministic
 randomized verification engine exercising the analytic inequalities that tie
 all of it together.
+
+The zero-set solver, ``srq.zeros``, loads on the first solve, and
+``ZeroEntry``, ``SphereZeroSet`` and ``zeros_on_sphere`` load it on first use.
 """
 
 from .errors import (CoincidentPoints, DegenerateCenter, DegenerateComposite,
@@ -22,9 +25,8 @@ from .geometry import (GeodesicSegment, classical_moebius, conformality_defect,
                        pseudo_distance_sq, regular_moebius, regular_moebius_map,
                        twist_map, twist_map_inverse)
 from .quaternion import I, J, K, ONE, ZERO, Quaternion, SliceCoordinates, as_quaternion
-from .rational import (RegularQuotient, SphereZeroSet, ZeroEntry, as_quotient,
-                       durand_kerner, sphere_zero_set, star_transform,
-                       star_transform_inverse, zeros_on_sphere)
+from .rational import (RegularQuotient, as_quotient, durand_kerner, sphere_zero_set,
+                       star_transform, star_transform_inverse)
 from .series import (RegularPolynomial, SphericalExpansion, directional_derivative,
                      evaluate_any, spherical_derivative_at)
 from .verify import (VerificationReport, check_modulus_product, check_reg_preservation,
@@ -54,3 +56,11 @@ __all__ = [
     "star_transform", "star_transform_inverse", "twist_map", "twist_map_inverse",
     "zeros_on_sphere",
 ]
+
+
+def __getattr__(name):
+    """``ZeroEntry``, ``SphereZeroSet`` and ``zeros_on_sphere``, from ``srq.zeros``."""
+    if name in ("SphereZeroSet", "ZeroEntry", "zeros_on_sphere"):
+        from . import zeros
+        return getattr(zeros, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

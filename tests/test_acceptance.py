@@ -13,9 +13,10 @@ from srq.fractional import (QuaternionMatrix2, from_normal_form, hermitian_coinc
 from srq.geometry import (classical_moebius, moebius_expansion_coefficients,
                           poincare_distance, pseudo_distance_sq, twist_map)
 from srq.quaternion import I, J, Quaternion
-from srq.rational import RegularQuotient, sphere_zero_set, zeros_on_sphere
+from srq.rational import RegularQuotient, sphere_zero_set
 from srq.series import RegularPolynomial
 from srq.verify import run_suite, sample_ball, sample_unit, stream
+from srq.zeros import zeros_on_sphere
 
 Q = RegularPolynomial.identity()
 

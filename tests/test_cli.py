@@ -299,6 +299,17 @@ def test_cli_import_loads_neither_dataclasses_nor_typing():
     assert done.stdout.strip() == "[]"
 
 
+def test_verify_and_the_cli_do_not_load_the_zero_set_solver():
+    # srq.zeros loads on the first solve, and neither verify nor any command solves
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, srq, srq.cli; srq.run_all(1, 5); "
+            "srq.cli.main(['distance', '0', '0.5']); print('srq.zeros' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.split()[1:] == ["False"]
+
+
 def test_normal_form_bad_json_exits_2(capsys):
     code, _, _ = run_cli(capsys, "normal-form", "--matrix", "{not json")
     assert code == 2
@@ -309,6 +320,40 @@ def test_star_wildcard_import():
 
     missing = [name for name in srq.__all__ if not hasattr(srq, name)]
     assert missing == []
+
+
+def test_the_zero_set_names_stay_in_the_package_api():
+    # three of them load srq.zeros on first use; the list itself is as it was
+    import srq
+    from srq import zeros
+
+    assert srq.__all__ == [
+        "CoincidentPoints", "DegenerateCenter", "DegenerateComposite", "DegenerateSwap",
+        "DomainError", "GeodesicSegment", "I", "J", "K", "MoebiusNormalForm",
+        "NonConvergence", "NotHermitian", "NotSp11", "ONE", "OutsideBall", "ParseError",
+        "PoleError", "Quaternion", "QuaternionMatrix2", "RealPoint", "RegularPolynomial",
+        "RegularQuotient", "SingularMatrix", "SliceCoordinates", "SphereZeroSet",
+        "SphericalExpansion", "VerificationReport", "ZERO", "ZeroEntry", "as_quaternion",
+        "as_quotient", "check_modulus_product", "check_reg_preservation",
+        "check_schwarz_pick", "check_slice_regularity", "check_zero_case",
+        "classical_fractional", "classical_moebius", "conformality_defect",
+        "directional_derivative", "durand_kerner", "evaluate_any", "format_polynomial",
+        "from_normal_form", "generator", "geodesic", "hermitian_coincidence_check",
+        "left_action", "left_right_convert", "make_zero_case_map",
+        "moebius_expansion_coefficients", "normal_form", "parse_polynomial",
+        "parse_quaternion", "poincare_distance", "pseudo_distance_sq", "random_self_map",
+        "random_sp11", "regular_fractional", "regular_moebius", "regular_moebius_map",
+        "right_action", "run_all", "run_suite", "sphere_zero_set", "spherical_derivative_at",
+        "star_transform", "star_transform_inverse", "twist_map", "twist_map_inverse",
+        "zeros_on_sphere",
+    ]
+    assert (srq.ZeroEntry, srq.SphereZeroSet, srq.zeros_on_sphere) == (
+        zeros.ZeroEntry, zeros.SphereZeroSet, zeros.zeros_on_sphere)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        srq.no_such_name
+    names = {}
+    exec("from srq import *", names)
+    assert set(srq.__all__) <= set(names)
 
 
 def test_verify_all_matches_golden_document(capsys):

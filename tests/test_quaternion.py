@@ -17,9 +17,10 @@ from srq.fractional import QuaternionMatrix2, from_normal_form, normal_form
 from srq.geometry import geodesic
 from srq.quaternion import (I, J, K, ONE, ZERO, Quaternion, _Frozen, _make, _slice_point,
                             as_quaternion)
-from srq.rational import RegularQuotient, ZeroEntry, sphere_zero_set
+from srq.rational import RegularQuotient, sphere_zero_set
 from srq.series import RegularPolynomial
 from srq.verify import _SUITES, run_suite
+from srq.zeros import ZeroEntry
 
 
 def rand_quat(rng, scale=1.0):

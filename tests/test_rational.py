@@ -3,8 +3,11 @@
 import copy
 import json
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -13,12 +16,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from srq import rational
+from srq import rational, zeros
 from srq.errors import NonConvergence, PoleError
 from srq.quaternion import I, J, K, ONE, ZERO, Quaternion, _zero_bound, as_quaternion
 from srq.rational import (RegularQuotient, durand_kerner, sphere_zero_set,
-                          star_transform, star_transform_inverse, zeros_on_sphere)
+                          star_transform, star_transform_inverse)
 from srq.series import RegularPolynomial
+from srq.zeros import zeros_on_sphere
 
 import exact
 
@@ -933,14 +937,14 @@ def test_full_sweep_inputs_keep_their_roots_bit_for_bit(case):
 
 def _spy_sweeps(monkeypatch):
     calls = []
-    sweeps = rational._sweeps
+    sweeps = zeros._sweeps
 
     def spy(monic, roots, paired):
         out = sweeps(monic, roots, paired)
         calls.append((paired, out is None))
         return out
 
-    monkeypatch.setattr(rational, "_sweeps", spy)
+    monkeypatch.setattr(zeros, "_sweeps", spy)
     return calls
 
 
@@ -1020,7 +1024,7 @@ def _spy_sweep_counts(monkeypatch):
     """(paired, handed over, sweeps run) for each ``_sweeps`` call; each sweep takes one
     residual pass of ``_horner`` on the monic polynomial itself."""
     calls = []
-    sweeps, horner = rational._sweeps, rational._horner
+    sweeps, horner = zeros._sweeps, zeros._horner
 
     def spy(monic, roots, paired):
         passes = []
@@ -1029,15 +1033,15 @@ def _spy_sweep_counts(monkeypatch):
             passes.extend([None] if coeffs is monic else [])
             return horner(coeffs, points)
 
-        monkeypatch.setattr(rational, "_horner", counting)
+        monkeypatch.setattr(zeros, "_horner", counting)
         try:
             out = sweeps(monic, roots, paired)
         finally:
-            monkeypatch.setattr(rational, "_horner", horner)
+            monkeypatch.setattr(zeros, "_horner", horner)
         calls.append((paired, out is None, len(passes)))
         return out
 
-    monkeypatch.setattr(rational, "_sweeps", spy)
+    monkeypatch.setattr(zeros, "_sweeps", spy)
     return calls
 
 
@@ -1055,7 +1059,7 @@ def test_quartic_symmetrizations_take_one_short_pair_sweep(monkeypatch):
         durand_kerner(sym)
         assert len(calls) == 1 and calls[0][:2] == (True, False) and calls[0][2] <= 3
     # from the arc the first of them takes more sweeps
-    monkeypatch.setattr(rational, "_quartic_start", _arc_start)
+    monkeypatch.setattr(zeros, "_quartic_start", _arc_start)
     calls.clear()
     durand_kerner(syms[0])
     assert calls[0][:2] == (True, False) and calls[0][2] > 3
@@ -1063,16 +1067,16 @@ def test_quartic_symmetrizations_take_one_short_pair_sweep(monkeypatch):
 
 def test_a_quartic_with_real_roots_keeps_the_arc_start():
     # (z - 1)(z - 2)(z^2 + 1) and (z^2 - 1)(z^2 - 4): no pair of upper roots to start from
-    assert rational._quartic_start([2.0, -3.0, 3.0, -3.0, 1.0]) is None
-    assert rational._quartic_start([4.0, 0.0, -5.0, 0.0, 1.0]) is None
+    assert zeros._quartic_start([2.0, -3.0, 3.0, -3.0, 1.0]) is None
+    assert zeros._quartic_start([4.0, 0.0, -5.0, 0.0, 1.0]) is None
     # (z - 1)^2 ((z - 1)^2 + 1): once depressed, a factor t^2 has its roots at t = 0
-    assert rational._quartic_start([2.0, -6.0, 7.0, -4.0, 1.0]) is None
+    assert zeros._quartic_start([2.0, -6.0, 7.0, -4.0, 1.0]) is None
     assert len(durand_kerner([2.0, -6.0, 7.0, -4.0, 1.0])) == 4
     # t^4 + p t^2 + r with p^2 just below 4r, two spheres a rounding apart: y rounds
     # below 0 and p^2 - 4r is negative, so the start takes no q/s with s = 0
     assert len(durand_kerner([3.662940699852555, 0.0, 3.8277621137435145, 0.0, 1.0])) == 4
     # (z^2 + 1)(z^2 + 4): y = 0 comes out as rounding, and s = sqrt(y) as its square root
-    start = rational._quartic_start([4.0, 0.0, 5.0, 0.0, 1.0])
+    start = zeros._quartic_start([4.0, 0.0, 5.0, 0.0, 1.0])
     assert sorted(start, key=abs) == pytest.approx([1j, 2j], abs=1e-7)
 
 
@@ -1082,7 +1086,7 @@ def test_a_quartic_with_real_roots_keeps_the_arc_start():
 @given(st.lists(st.one_of(st.floats(), st.floats(-10.0, 10.0)), min_size=4, max_size=4))
 def test_the_quartic_start_never_raises(low):
     # monic coefficients may be non-finite where normalizing by the leading one overflowed
-    start = rational._quartic_start(low + [1.0])
+    start = zeros._quartic_start(low + [1.0])
     assert start is None or (len(start) == 2 and all(
         0.0 < z.imag and abs(z) < math.inf for z in start))
 
@@ -1131,7 +1135,7 @@ def test_quartic_roots_from_the_closed_form_start_match_the_companion_roots(sym)
     try:
         roots = durand_kerner(sym)
     except NonConvergence:
-        with mock.patch.object(rational, "_quartic_start", _arc_start):
+        with mock.patch.object(zeros, "_quartic_start", _arc_start):
             with pytest.raises(NonConvergence):
                 durand_kerner(sym)
         return
@@ -1161,7 +1165,7 @@ def test_quartics_on_nearly_coincident_spheres_start_from_the_closed_form(monkey
     for _ in range(500):
         x, y = rng.uniform(-1.0, 1.0), rng.uniform(0.1, 1.0)
         quartic = _spheres([(x, y), (x + rng.uniform(-1e-4, 1e-4), y + rng.uniform(-1e-4, 1e-4))])
-        assert rational._quartic_start(quartic) is not None
+        assert zeros._quartic_start(quartic) is not None
         calls.clear()
         roots = durand_kerner(quartic)
         assert len(calls) == 1 and calls[0][:2] == (True, False) and calls[0][2] <= 10
@@ -1193,33 +1197,55 @@ def test_sextic_symmetrizations_take_one_short_pair_sweep(monkeypatch):
         fallbacks += calls[0][2] > 2
     assert fallbacks <= 2  # Bairstow's iteration settles on all but one of these
     # from the arc alone the first of them takes more sweeps
-    monkeypatch.setattr(rational, "_deflated_start", _no_deflation)
+    monkeypatch.setattr(zeros, "_deflated_start", _no_deflation)
     calls.clear()
     durand_kerner(syms[0])
     assert calls[0][:2] == (True, False) and calls[0][2] > 2
 
 
+@pytest.mark.parametrize("coeffs, roots", [
+    # (z - 1)(z + 2)(z^2 + 1)(z^2 + 2z + 5): p(0) = -10
+    ([-10.0, 1.0, -5.0, 4.0, 6.0, 3.0, 1.0],
+     [("-0x1.fffffffffffffp-1", "0x1.0000000000000p+1"), ("0x1.50a7248000004p-56", "0x1.0000000000000p+0"),
+      ("-0x1.0000000000000p+1", "0x0.0p+0"), ("-0x1.0000000000000p+0", "-0x1.0000000000000p+1"),
+      ("0x1.a59107dae1476p-56", "-0x1.0000000000000p+0"), ("0x1.0000000000000p+0", "0x0.0p+0")]),
+    # (z - 1)(z - 3)(z^2 - 4z + 5)(z^2 - 4z + 8): p(0) = 120, p(2) = -4 at the centroid
+    ([120.0, -316.0, 335.0, -192.0, 64.0, -12.0, 1.0],
+     [("0x1.0000000000000p+1", "0x1.0000000000000p+1"), ("0x1.ffffffffffff7p+0", "0x1.fffffffffffc6p-1"),
+      ("0x1.0000000000003p+0", "0x1.0044000000000p-72"), ("0x1.ffffffffffff1p+0", "-0x1.ffffffffffff8p+0"),
+      ("0x1.fffffffffffebp+0", "-0x1.0000000000019p+0"), ("0x1.7ffffffffffd7p+1", "-0x1.fa11800000000p-73")]),
+], ids=["negative-at-0", "negative-at-the-centroid"])
+def test_a_sextic_negative_at_0_or_its_centroid_skips_the_deflation(monkeypatch, coeffs, roots):
+    # a real root lies on each side of a point where p < 0, and Bairstow's iteration,
+    # which peels only factors with complex roots, would be refused; the roots are
+    # those of the solver that still tried it, bit for bit
+    calls = []
+    monkeypatch.setattr(zeros, "_deflated_start", lambda monic, arc: calls.append(monic))
+    assert [(z.real.hex(), z.imag.hex()) for z in durand_kerner(coeffs)] == roots
+    assert calls == []
+
+
 def test_real_roots_and_a_triple_factor_keep_the_arc_start():
     # (z - 1)(z - 2)(z^2 + 1)(z^2 + 4): the quartic left has the real roots
     monic = [complex(c) for c in np.polymul(np.poly([1.0, 2.0]), [1.0, 0.0, 5.0, 0.0, 4.0])[::-1]]
-    assert rational._deflated_start(monic, [0.5 + 0.5j, 1j, 2j]) is None
+    assert zeros._deflated_start(monic, [0.5 + 0.5j, 1j, 2j]) is None
     assert len(durand_kerner(monic)) == 6
     # (z^2 + 1)^3: at a triple factor the iteration converges linearly and does not settle
-    assert rational._deflated_start([1.0, 0.0, 3.0, 0.0, 3.0, 0.0, 1.0], [0.5 + 1j, 2j, 3j]) is None
+    assert zeros._deflated_start([1.0, 0.0, 3.0, 0.0, 3.0, 0.0, 1.0], [0.5 + 1j, 2j, 3j]) is None
 
 
 def test_a_double_sphere_keeps_the_arc_start(monkeypatch):
     # (z^2 - 2z + 2)(z^2 + 2z + 5/4)^2: the first factor peels, and the quartic left
     # starts its double sphere twice, two starts that would chase one root
     monic = [3.125, 6.875, 4.5625, 0.0, 0.5, 2.0, 1.0]
-    quartic_starts, quartic_start = [], rational._quartic_start
+    quartic_starts, quartic_start = [], zeros._quartic_start
 
     def spy(c):
         quartic_starts.append(quartic_start(c))
         return quartic_starts[-1]
 
-    monkeypatch.setattr(rational, "_quartic_start", spy)
-    assert rational._deflated_start(monic, [0.5 + 1j, 2j, 3j]) is None
+    monkeypatch.setattr(zeros, "_quartic_start", spy)
+    assert zeros._deflated_start(monic, [0.5 + 1j, 2j, 3j]) is None
     (first, second), = quartic_starts
     assert abs(first - second) <= 1e-8 * abs(first)
     roots = sorted(durand_kerner(monic), key=lambda z: (round(z.real, 6), z.imag))
@@ -1230,8 +1256,8 @@ def test_a_double_sphere_keeps_the_arc_start(monkeypatch):
 def test_coincident_starts_at_a_root_do_not_divide_by_zero():
     # two starts on one double root make a Weierstrass denominator exactly zero; the
     # residual there is zero too, so the sweep stalls where it started
-    assert rational._sweeps([1.0, -2.0, 1.0], [1 + 0j, 1 + 0j], False) == [1 + 0j, 1 + 0j]
-    assert rational._sweeps([1.0, 0.0, 2.0, 0.0, 1.0], [1j, 1j], True) == [1j, 1j]
+    assert zeros._sweeps([1.0, -2.0, 1.0], [1 + 0j, 1 + 0j], False) == [1 + 0j, 1 + 0j]
+    assert zeros._sweeps([1.0, 0.0, 2.0, 0.0, 1.0], [1j, 1j], True) == [1j, 1j]
 
 
 # a zero Jacobian; a factor z^2, which settles at u = v = 0
@@ -1242,7 +1268,7 @@ def test_coincident_starts_at_a_root_do_not_divide_by_zero():
        st.lists(st.complex_numbers(max_magnitude=10.0), min_size=6, max_size=6))
 def test_the_deflated_start_never_raises(low, arc):
     # monic coefficients may be non-finite where normalizing by the leading one overflowed
-    start = rational._deflated_start(low + [1.0], arc[:len(low) // 2])
+    start = zeros._deflated_start(low + [1.0], arc[:len(low) // 2])
     assert start is None or (len(start) == len(low) // 2 and all(
         0.0 < z.imag and abs(z) < math.inf for z in start))
 
@@ -1294,12 +1320,12 @@ def test_roots_from_the_deflated_start_match_the_companion_roots(case):
     try:
         roots = durand_kerner(coeffs)
     except NonConvergence:
-        with mock.patch.object(rational, "_deflated_start", _no_deflation):
+        with mock.patch.object(zeros, "_deflated_start", _no_deflation):
             with pytest.raises(NonConvergence):
                 durand_kerner(coeffs)
         return
     if kind == "real-roots":  # no start from factors: the solve is the arc start's, bit for bit
-        with mock.patch.object(rational, "_deflated_start", _no_deflation):
+        with mock.patch.object(zeros, "_deflated_start", _no_deflation):
             assert durand_kerner(coeffs) == roots
     assert len(roots) == len(coeffs) - 1
     monic = [c / coeffs[-1] for c in coeffs]
@@ -1319,8 +1345,8 @@ def test_a_pair_sweep_stops_once_its_steps_are_rounding_noise(monkeypatch):
               3088.3526878833673, 162.1258208752522, -484.5550068198492, -134.87774769303553,
               120.98755994416194, 116.92761172269054, 47.02259434595139, 10.07010296044119, 1.0]
     calls = _spy_sweep_counts(monkeypatch)
-    for start in (rational._deflated_start, _no_deflation):
-        monkeypatch.setattr(rational, "_deflated_start", start)
+    for start in (zeros._deflated_start, _no_deflation):
+        monkeypatch.setattr(zeros, "_deflated_start", start)
         calls.clear()
         roots = durand_kerner(coeffs)
         assert len(calls) == 1 and calls[0][:2] == (True, False) and calls[0][2] <= 40
@@ -1634,7 +1660,7 @@ def test_the_float_split_matches_yun_over_the_rationals():
         sym = RegularQuotient(f, ONE)._sym
         assert all(v == int(v) for v in sym)
         want = sorted((len(a) - 1, m) for a, m in exact.yun(sym))
-        split = rational._square_free_split([v / sym[-1] for v in sym])
+        split = zeros._square_free_split([v / sym[-1] for v in sym])
         assert sorted((len(a) - 1, m) for a, m in split or [(sym, 1)]) == want
         shapes.add(tuple(want))
     assert len(shapes) > 20
@@ -1669,24 +1695,65 @@ def test_a_split_solves_each_factor_once(monkeypatch):
     assert sorted(degrees) == [2, 2]
 
 
+def test_the_spy_sees_the_solves_of_a_quotients_zero_set(monkeypatch):
+    # RegularQuotient.sphere_zero_set reaches the solver through srq.zeros, which solves
+    # through the name durand_kerner on srq.rational
+    degrees = _spy_solves(monkeypatch)
+    zero_set = RegularQuotient(_DOUBLE, Q).sphere_zero_set()
+    assert sorted((e.multiplicity, round(e.y, 9)) for e in zero_set) == [(1, 0.5), (2, 1.0)]
+    assert sorted(degrees) == [2, 2]
+
+
+def test_the_entry_points_are_on_rational_before_the_solver_loads():
+    # a tracer resolves vars(srq.rational)["durand_kerner"] and ["sphere_zero_set"] before
+    # anything has solved, and its wrapper must see the solves of a solver loaded under it
+    # and none once it is removed again
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = """if True:
+        import sys
+        import srq
+        from srq import rational
+        loaded = ["srq.zeros" in sys.modules]
+        names = vars(rational)
+        solve, zero_set = names["durand_kerner"], names["sphere_zero_set"]
+        degrees = []
+
+        def spy(coeffs):
+            degrees.append(len(coeffs) - 1)
+            return solve(coeffs)
+
+        rational.durand_kerner = spy
+        f = srq.parse_polynomial("q^2 + 1")
+        zero_set(f * f)
+        loaded.append("srq.zeros" in sys.modules)
+        rational.durand_kerner = solve
+        zero_set(f * f)
+        print(loaded, degrees)
+    """
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[False, True] [2]"
+
+
 def test_a_split_that_does_not_close_falls_back_to_the_whole_solve(monkeypatch):
     # the first GCD, of sym and sym', is right; a second that claims all of b divides
     # d uses up b while roots of higher multiplicity are still counted, so the split
     # never closes
-    gcd, calls = rational._gcd, []
+    gcd, calls = zeros._gcd, []
 
     def wrong(a, b):
         calls.append(len(a[0]) - 1)
         return gcd(a, b) if len(calls) == 1 else a
 
-    monkeypatch.setattr(rational, "_gcd", wrong)
+    monkeypatch.setattr(zeros, "_gcd", wrong)
     degrees = _spy_solves(monkeypatch)
     assert _is_whole_solve(sphere_zero_set(_DOUBLE))
     assert calls == [6, 4] and degrees == [6]
 
 
 def test_a_split_whose_roots_fail_on_sym_falls_back_to_the_whole_solve(monkeypatch):
-    monkeypatch.setattr(rational, "_newton", lambda coeffs, roots, m: [z + 1e-3 for z in roots])
+    monkeypatch.setattr(zeros, "_newton", lambda coeffs, roots, m: [z + 1e-3 for z in roots])
     degrees = _spy_solves(monkeypatch)
     assert _is_whole_solve(sphere_zero_set(_DOUBLE))
     assert degrees == [2, 2, 6]
@@ -1772,17 +1839,17 @@ def test_a_generic_zero_set_whose_roots_pass_the_rule_on_sym_is_returned():
     assert sum(e.multiplicity * (1 if e.is_real_point else 2) for e in zero_set) == 16
     sym = RegularQuotient(f, ONE)._sym
     roots = [complex(e.x, sign * e.y) for e in zero_set for sign in (1.0, -1.0)]
-    assert rational._unconverged([v / sym[-1] for v in sym], roots) is None
+    assert zeros._unconverged([v / sym[-1] for v in sym], roots) is None
 
 
 def test_an_infinite_residual_is_refused_where_its_size_overflows():
     # durand_kerner([1, 1e200, 1]) returns -1e200 and -1e-200: at -1e200 the size
     # 1 + 1e200 |z| + |z|^2 overflows, and the residual is 1
     monic = [1.0, 1e200, 1.0]
-    assert rational._unconverged(monic, [complex(-1e200), complex(-1e-200)]) is None
+    assert zeros._unconverged(monic, [complex(-1e200), complex(-1e-200)]) is None
     # at -1e300 the residual overflows as well
-    assert rational._unconverged(monic, [complex(-1e-200), complex(-1e300)]) == -1e300
-    assert rational._unconverged(monic, [complex(math.nan)]) is not None
+    assert zeros._unconverged(monic, [complex(-1e-200), complex(-1e300)]) == -1e300
+    assert zeros._unconverged(monic, [complex(math.nan)]) is not None
 
 
 def test_a_spurious_split_of_two_near_real_double_spheres_is_still_refused():

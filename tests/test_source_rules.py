@@ -34,6 +34,10 @@
   ``gauss`` (``random.gauss`` calls libm's ``log``, ``cos`` and ``sin``; unit
   draws take the direction of a ``_ball_floats`` point), and nothing is raised
   to the power ``0.5``, which is C ``pow``; ``math.sqrt`` is correctly rounded.
+- The zero-set solver off the import path: no module imports ``zeros`` at module
+  level.  Only the entry points in ``rational.py`` import it, in their bodies,
+  and ``srq/__init__``'s ``__getattr__`` for the three names it exports, so
+  ``verify`` and the CLI, which never solve, do not load it.
 """
 
 import ast
@@ -199,7 +203,7 @@ def sym_unpacks(text: str) -> list:
 #: the CLI's output table, ``isclose`` and ``__repr__``, ``from_expanded`` (whose
 #: caller passes a polynomial) and the power-form loop of ``zeros_on_sphere``.
 _COEFFS_READERS = {("cli.py", "_cmd_star"), ("series.py", "isclose"), ("series.py", "__repr__"),
-                   ("rational.py", "from_expanded"), ("rational.py", "zeros_on_sphere")}
+                   ("rational.py", "from_expanded"), ("zeros.py", "zeros_on_sphere")}
 
 
 def coeffs_reads(text: str) -> list:
@@ -243,6 +247,24 @@ def libm_routes(text: str) -> list:
     return [a.start[0] for a, b in zip(tokens, tokens[1:])
             if a.type == tokenize.NAME and a.string == "gauss"
             or a.string == "**" and _is_half(b)]
+
+
+def zeros_imports(text: str) -> list:
+    """The innermost function around each import of a module named ``zeros``, as
+    ``import srq.zeros``, ``from . import zeros`` or ``from .zeros import ...``,
+    None at module level."""
+    tree = ast.parse(text)
+    lines = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            named = [a.name for a in n.names]
+        elif isinstance(n, ast.ImportFrom):
+            named = [n.module or ""] + [f"{n.module}.{a.name}" for a in n.names]
+        else:
+            continue
+        if any(name.split(".")[-1] == "zeros" for name in named):
+            lines.append(n.lineno)
+    return _innermost_functions(tree, sorted(lines))
 
 
 def test_the_scan_sees_every_module():
@@ -371,6 +393,24 @@ def test_the_literal_grammar_rule_catches_what_it_forbids():
 
 def test_no_gauss_draw_and_no_half_power():
     assert {p.name: libm_routes(p.read_text()) for p in MODULES if libm_routes(p.read_text())} == {}
+
+
+def test_the_solver_loads_only_when_it_solves():
+    found = {p.name: zeros_imports(p.read_text()) for p in MODULES}
+    assert {name: f for name, f in found.items() if f} == {
+        "__init__.py": ["__getattr__"],
+        "rational.py": ["sphere_zero_set", "durand_kerner", "sphere_zero_set"]}
+
+
+def test_the_solver_rule_catches_what_it_forbids():
+    assert zeros_imports("from . import zeros\nimport srq.zeros\nfrom .zeros import ZeroEntry\n"
+                         "from srq.zeros import _durand_kerner as solve\n"
+                         "from srq import rational, zeros as z\n") == [None] * 5
+    assert zeros_imports("def f():\n    from .zeros import _durand_kerner\n    return 1\n"
+                         "class A:\n    def g(self):\n        import srq.zeros\n") == ["f", "g"]
+    # another module, a name that starts with zeros, an attribute, a string or a comment
+    assert zeros_imports("import zeroes\nfrom .rational import zeros_on_sphere\n"
+                         "y = srq.zeros\nx = 'from . import zeros'  # import zeros\n") == []
 
 
 def test_the_libm_rule_catches_what_it_forbids():
