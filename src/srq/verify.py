@@ -19,7 +19,8 @@ import random
 
 from .errors import PoleError
 from .fractional import QuaternionMatrix2, from_normal_form, left_action, right_action
-from .geometry import _ball_floats, _cube_point, _moebius_den, regular_moebius_map, sample_ball
+from .geometry import (_ball_floats, _cube_point, _moebius_den, _one_minus_norm_sq,
+                       regular_moebius_map, sample_ball)
 from .quaternion import (_INF, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _hamilton, _make,
                          _norm, _slice_floats, _zero_bound, as_quaternion)
 from .rational import RegularQuotient, _moduli_at, _values_at, as_quotient
@@ -198,7 +199,7 @@ def check_schwarz_pick(f, q0, sample_count: int = 100, *, rng=None,
     return _report("schwarz-pick", seed, sample_count, {
         "difference_bound": _margins("difference_bound", tol, r13, l13, witness),
         "remainder_bound": _margins("remainder_bound", tol, r14, l14, witness),
-        "derivative_bound": _margins("derivative_bound", tol, (1.0 / (1.0 - q0.norm_sq()),),
+        "derivative_bound": _margins("derivative_bound", tol, (1.0 / _one_minus_norm_sq(q0),),
                                      (d15,), lambda _: {"q0": q0.to_json()})})
 
 
@@ -244,7 +245,7 @@ def check_zero_case(f, q0, sample_count: int = 100, *, rng=None,
         "factor_bound": _margins("factor_bound", tol, [1.0] * sample_count, moduli,
                                  lambda i: {"q": list(points[i]), "q0": q0.to_json()}),
         "slice_derivative_bound": _margins(
-            "slice_derivative_bound", tol, (1.0 / (1.0 - q0.norm_sq()),),
+            "slice_derivative_bound", tol, (1.0 / _one_minus_norm_sq(q0),),
             (fq.cullen_derivative().evaluate(q0).norm(),), lambda _: {"q0": q0.to_json()})}
     if q0.imag_norm() > 1e-9:
         qc = q0.conjugate()

@@ -4,11 +4,9 @@ import cmath
 import json
 import math
 import random
-from pathlib import Path
-
 import pytest
 
-from docdiff import ABSENT, assert_same_document, moved
+from docdiff import ABSENT, PINNED, assert_same_document, moved, pinned, summary
 from srq.geometry import regular_moebius_map
 from srq.quaternion import I, J, ONE, ZERO, Quaternion
 from srq.series import RegularPolynomial
@@ -19,7 +17,6 @@ from srq.verify import (SUITE_NAMES, check_modulus_product, check_reg_preservati
                         stream)
 
 Q = RegularPolynomial.identity()
-DATA = Path(__file__).parent / "data"
 
 
 def test_random_self_map_contract():
@@ -308,10 +305,6 @@ def test_modulus_product_with_huge_coefficients_has_finite_margins():
     assert summary["max_abs_margin"] > 1e199
 
 
-def pinned(seed, samples):
-    return DATA / f"verify_all_seed{seed}_samples{samples}.json"
-
-
 # a regenerated document keeps the test's name
 @pytest.mark.parametrize("seed, samples", [(7, 1000), (99, 50), (11, 50)],
                          ids=["7-1000", "99-50", "11-50"])
@@ -336,6 +329,60 @@ def test_a_moved_field_is_named_with_its_old_and_new_value():
     assert moved([1, True], [1.0, True, 2]) == [("[0]", 1, 1.0), ("[2]", ABSENT, 2)]
     with pytest.raises(AssertionError, match="no field moved"):
         assert_same_document(json.dumps(json.loads(golden.read_text()), indent=1), golden)
+
+
+def _right_sides(monkeypatch) -> dict:
+    """The right sides each check passes to ``_margins``, by property name."""
+    import srq.verify as verify
+
+    seen, margins = {}, verify._margins
+
+    def recording(name, tol, rhs, lhs, witness):
+        seen[name] = list(rhs)
+        return margins(name, tol, rhs, lhs, witness)
+
+    monkeypatch.setattr(verify, "_margins", recording)
+    return seen
+
+
+@pytest.mark.parametrize("gap", [0.2, 1e-9])
+def test_derivative_bounds_take_the_compensated_one_minus_norm_sq(monkeypatch, gap):
+    from fractions import Fraction
+
+    from exact import exact, norm_sq
+    from srq.geometry import _one_minus_norm_sq
+
+    d = (0.3, 0.5, -0.1, 0.2)
+    scale = (1.0 - gap) / math.sqrt(math.fsum(v * v for v in d))
+    q0 = Quaternion(*(v * scale for v in d))
+    seen = _right_sides(monkeypatch)
+    check_schwarz_pick(Q * 0.5, q0, 10)
+    check_zero_case(RegularPolynomial([-(q0 * 0.25), Quaternion(0.25)]), q0, 10)
+    bound = 1.0 / _one_minus_norm_sq(q0)
+    assert [seen[name][0].hex() for name in ("derivative_bound", "slice_derivative_bound")] == \
+        [bound.hex()] * 2
+    if gap < 1e-6:
+        # 1 - |q0|^2 from a rounded |q0|^2 keeps about 7 of its digits here
+        truth = 1 / (1 - norm_sq(exact(q0.to_json())))
+        assert abs(Fraction(bound) - truth) < abs(Fraction(1.0 / (1.0 - q0.norm_sq())) - truth)
+
+
+def test_the_summary_counts_moved_paths_per_suite_and_property():
+    golden = pinned(42, 200)
+    doc = json.loads(golden.read_text())
+    doc["suites"][0]["properties"]["derivative_bound"]["worst_margin"] = 0.5
+    doc["suites"][2]["witness"]["q"][1] = -0.0
+    planted = json.dumps(doc, sort_keys=True) + "\n"
+    assert summary(golden.name, golden.read_text(), planted).splitlines() == [
+        "verify_all_seed42_samples200.json: 2 moved paths",
+        "  schwarz-pick: 1 (derivative_bound 1)",
+        "  modulus-product: 1 (report 1)"]
+    assert summary("d.json", planted, planted) == "d.json: 0 moved paths"
+    assert summary("d.json", '{"pass": true}', '{"pass": false}').splitlines()[1:] == [
+        "  document: 1 (report 1)"]
+    # the regeneration covers every pinned document
+    assert sorted(p.name for p in pinned(42, 200).parent.glob("verify_all_*.json")) == \
+        sorted(pinned(*run).name for run in PINNED)
 
 
 def _refuse(*args, **kwargs):
