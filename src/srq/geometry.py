@@ -39,23 +39,49 @@ def _cube_point(rng) -> Quaternion:
                  -1.0 + 2.0 * draw(), -1.0 + 2.0 * draw())
 
 
-def _ball_floats(rng, radius: float, count: int) -> list:
-    """``count`` uniform points of the ball of the given radius as float 4-tuples,
-    by rejection from the cube: the draws of ``count`` calls of ``sample_ball``,
-    each cube point drawn as ``_cube_point`` draws it."""
+def _disk_floats(rng) -> tuple:
+    """A uniform point (a, b) of the unit disk with its s = a^2 + b^2, by
+    rejection from the square, each coordinate ``-1.0 + 2.0 * rng.random()``;
+    s = 0 is rejected too, so a caller may divide by it."""
     draw = rng.random
+    while True:
+        a = -1.0 + 2.0 * draw()
+        b = -1.0 + 2.0 * draw()
+        s = a * a + b * b
+        if 0.0 < s < 1.0:
+            return a, b, s
+
+
+def _unit_floats(rng) -> tuple:
+    """A uniform unit quaternion as a float 4-tuple (Marsaglia 1972): (a, b) and
+    then (c, d) uniform in the unit disk, with squared moduli s1 and s2, give
+    (a, b, c t, d t) for t = sqrt((1 - s1) / s2)."""
+    a, b, s1 = _disk_floats(rng)
+    c, d, s2 = _disk_floats(rng)
+    t = math.sqrt((1.0 - s1) / s2)
+    return a, b, c * t, d * t
+
+
+def _ball_floats(rng, radius: float, count: int) -> list:
+    """``count`` uniform points of the ball of the given radius as float 4-tuples:
+    a unit from ``_unit_floats`` scaled by ``radius * sqrt(sqrt(u))`` for one more
+    draw u, since P(|q| <= t radius) = t^4 in four dimensions.  A point whose
+    modulus rounds to ``radius`` or above is drawn again whole."""
+    draw = rng.random
+    sqrt = math.sqrt
     out = []
     while len(out) < count:
-        w, x, y, z = (-1.0 + 2.0 * draw(), -1.0 + 2.0 * draw(),
-                      -1.0 + 2.0 * draw(), -1.0 + 2.0 * draw())
-        if _norm(w, x, y, z) < radius:
-            out.append((w, x, y, z))
+        a, b, c, d = _unit_floats(rng)
+        r = radius * sqrt(sqrt(draw()))
+        p = (a * r, b * r, c * r, d * r)
+        if _norm(*p) < radius:
+            out.append(p)
     return out
 
 
 def sample_ball(rng, radius: float = 0.99) -> Quaternion:
-    """Uniform point of the ball of the given radius, by rejection from the cube;
-    only the accepted point is built as a quaternion."""
+    """Uniform point of the ball of the given radius; only the accepted point is
+    built as a quaternion."""
     return _make(*_ball_floats(rng, radius, 1)[0])
 
 

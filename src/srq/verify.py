@@ -20,7 +20,7 @@ import random
 from .errors import PoleError
 from .fractional import QuaternionMatrix2, from_normal_form, left_action, right_action
 from .geometry import (_ball_floats, _cube_point, _moebius_den, _one_minus_norm_sq,
-                       regular_moebius_map, sample_ball)
+                       _unit_floats, regular_moebius_map, sample_ball)
 from .quaternion import (_INF, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _hamilton, _make,
                          _norm, _slice_floats, _zero_bound, as_quaternion)
 from .rational import RegularQuotient, _moduli_at, _values_at, as_quotient
@@ -41,18 +41,14 @@ def stream(seed, label: str) -> random.Random:
 
 
 def sample_unit(rng: random.Random) -> Quaternion:
-    """Uniform unit quaternion: the direction of a uniform point of the unit ball."""
-    while True:
-        (w, x, y, z), = _ball_floats(rng, 1.0, 1)
-        n = _norm(w, x, y, z)
-        if n > 1e-3:
-            return _make(w / n, x / n, y / n, z / n)
+    """Uniform unit quaternion, from Marsaglia's two disk points (``_unit_floats``)."""
+    return _make(*_unit_floats(rng))
 
 
 def sample_unit_imaginary(rng: random.Random) -> Quaternion:
-    """Uniform unit imaginary quaternion: the direction of a unit-ball point's imaginary part."""
+    """Uniform unit imaginary quaternion: the direction of a unit's imaginary part."""
     while True:
-        (_, x, y, z), = _ball_floats(rng, 1.0, 1)
+        _, x, y, z = _unit_floats(rng)
         n = _norm(0.0, x, y, z)
         if n > 1e-3:
             return _make(0.0, x / n, y / n, z / n)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import srq.rational as rational
 from exact import modulus_sq, quotient_modulus_sq, relative_error
+from sampling import ball_oracle
 from srq.errors import PoleError
 from srq.geometry import _ball_floats, regular_moebius_map, sample_ball
 from srq.quaternion import I, ONE, Quaternion, _make, _norm
@@ -119,14 +120,6 @@ def quotient_per_point(f, q):
     except ValueError:
         _make(w2, x2, y2, z2)
         raise
-
-
-def ball_per_point(rng, radius):
-    while True:
-        w, x, y, z = (rng.uniform(-1, 1), rng.uniform(-1, 1),
-                      rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if _norm(w, x, y, z) < radius:
-            return _make(w, x, y, z)
 
 
 def residual_per_sample(f, x, y, I):
@@ -378,7 +371,7 @@ def test_ball_floats_make_the_draws_of_sample_ball(seed, radius, count):
     got = _ball_floats(rng, radius, count)
     assert [[c.hex() for c in p] for p in got] == \
            [[c.hex() for c in sample_ball(one_by_one, radius).to_json()] for _ in range(count)] == \
-           [[c.hex() for c in ball_per_point(oracle, radius).to_json()] for _ in range(count)]
+           [[c.hex() for c in ball_oracle(oracle, radius)] for _ in range(count)]
     assert rng.getstate() == one_by_one.getstate() == oracle.getstate()
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from sampling import ball_oracle
 from srq.errors import (DegenerateComposite, DegenerateSwap, NotHermitian, NotSp11, PoleError,
                         SingularMatrix)
 from srq.fractional import (QuaternionMatrix2, _gram_gap, _require_invertible,
@@ -502,12 +503,9 @@ def test_default_hermitian_grid_is_fifty_seeded_ball_samples(monkeypatch):
     assert hermitian_coincidence_check(Q * Q, ID2)
     rng = random.Random("hermitian-grid")
     assert drawn == [(ball_sampler(rng, 0.85), 0.85) for _ in range(50)]
-    # the same points as a rejection loop over four uniform draws in w, x, y, z order
-    oracle, rng = [], random.Random("hermitian-grid")
-    while len(oracle) < 50:
-        q = rand_quat(rng)
-        if q.norm() < 0.85:
-            oracle.append(q)
+    # the same points as the oracle draws them from rng.random() alone
+    rng = random.Random("hermitian-grid")
+    oracle = [Quaternion(*ball_oracle(rng, 0.85)) for _ in range(50)]
     assert [q for q, _ in drawn] == oracle
 
 

@@ -7,6 +7,7 @@ from decimal import Decimal
 
 import pytest
 
+from sampling import ball_oracle
 from srq import geometry
 from srq.errors import (CoincidentPoints, DegenerateCenter, OutsideBall, RealPoint)
 from srq.fractional import from_normal_form
@@ -14,7 +15,7 @@ from srq.geometry import (GeodesicSegment, classical_moebius, conformality_defec
                           geodesic, moebius_expansion_coefficients, poincare_distance,
                           pseudo_distance_sq, regular_moebius, regular_moebius_map,
                           twist_map, twist_map_inverse)
-from srq.quaternion import I, J, K, ONE, ZERO, Quaternion
+from srq.quaternion import I, J, K, ONE, ZERO, Quaternion, _norm
 from srq.rational import star_transform, star_transform_inverse
 from srq.series import RegularPolynomial
 
@@ -466,19 +467,13 @@ def test_geodesic_endpoints_random():
 
 # -- the float-level samplers against their quaternion-level oracles ---------------------
 #
-# sample_ball and _cube_point draw -1.0 + 2.0 * rng.random(), which is exactly
-# rng.uniform(-1, 1); _modulus_batch and the Hermitian grid rely on that draw order.
+# _cube_point draws -1.0 + 2.0 * rng.random(), which is exactly rng.uniform(-1, 1);
+# _modulus_batch relies on that draw order.  sample_ball draws as tests/sampling.py
+# writes it, from rng.random() alone.
 
 
 def uniform_cube_oracle(rng):
     return Quaternion(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
-
-
-def uniform_ball_oracle(rng, radius):
-    while True:
-        q = uniform_cube_oracle(rng)
-        if math.sqrt(q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z) < radius:
-            return q
 
 
 def bits(q):
@@ -489,9 +484,69 @@ def bits(q):
 def test_samplers_match_the_uniform_oracle_and_its_stream(radius):
     rng, oracle = random.Random(f"ball:{radius}"), random.Random(f"ball:{radius}")
     for _ in range(500):
-        assert bits(geometry.sample_ball(rng, radius)) == bits(uniform_ball_oracle(oracle, radius))
+        assert bits(geometry.sample_ball(rng, radius)) == bits(Quaternion(*ball_oracle(oracle, radius)))
         assert bits(geometry._cube_point(rng)) == bits(uniform_cube_oracle(oracle))
     assert rng.getstate() == oracle.getstate()
+
+
+@pytest.mark.parametrize("radius", [0.95, 1.0])
+def test_ball_moduli_follow_the_radius_law(radius):
+    # a uniform point of a 4-ball has P(|q| <= t radius) = t^4; each sample
+    # frequency lies within 5 standard errors of it
+    n = 20000
+    moduli = [_norm(*p) for p in geometry._ball_floats(random.Random(f"law:{radius}"), radius, n)]
+    for t in (0.5, 0.8, 0.95):
+        law = t ** 4
+        got = len([m for m in moduli if m <= t * radius]) / n
+        assert abs(got - law) < 5.0 * math.sqrt(law * (1.0 - law) / n), (t, got, law)
+
+
+@pytest.mark.parametrize("radius", [0.3, 0.95, 0.99, 1.0])
+def test_ball_points_lie_strictly_inside_their_ball(radius):
+    points = geometry._ball_floats(random.Random(f"strict:{radius}"), radius, 5000)
+    assert all(_norm(*p) < radius for p in points)
+
+
+class Scripted:
+    """A stream that returns ``values`` first and then the draws of ``rest``,
+    and keeps what it returned."""
+
+    def __init__(self, values, rest):
+        self.values, self.rest, self.returned = list(values), rest, []
+
+    def random(self):
+        value = self.values.pop(0) if self.values else self.rest.random()
+        self.returned.append(value)
+        return value
+
+
+def test_a_point_that_rounds_onto_the_bound_is_drawn_again_whole():
+    # top, the largest value random() returns, scales a unit whose modulus
+    # rounds above 1 onto or past the bound
+    radius, top = 0.95, 1.0 - 2.0 ** -53
+    r = radius * math.sqrt(math.sqrt(top))
+    for seed in range(100):
+        first = Scripted([], random.Random(seed))
+        if not _norm(*(v * r for v in geometry._unit_floats(first))) < radius:
+            break
+    else:
+        raise AssertionError("no unit of the first 100 seeds rounds past the bound")
+    # that unit's draws and top are refused; the point is the next whole draw
+    rng, oracle = Scripted(first.returned + [top], random.Random("next")), random.Random("next")
+    got, = geometry._ball_floats(rng, radius, 1)
+    assert not rng.values
+    assert [c.hex() for c in got] == [c.hex() for c in ball_oracle(oracle, radius)]
+    assert rng.rest.getstate() == oracle.getstate()
+
+
+def test_a_disk_point_at_the_centre_is_drawn_again():
+    # random() may return 0.5, which puts (c, d) at the centre, where
+    # t = sqrt((1 - s1) / s2) would divide by zero; the next disk point is drawn
+    rng, rest = Scripted([0.25, 0.25, 0.5, 0.5], random.Random(3)), random.Random(3)
+    c, d = 2.0 * rest.random() - 1.0, 2.0 * rest.random() - 1.0
+    assert 0.0 < c * c + d * d < 1.0  # the stream's first pair lies in the disk
+    t = math.sqrt((1.0 - 0.5) / (c * c + d * d))
+    assert geometry._unit_floats(rng) == (-0.5, -0.5, c * t, d * t)
 
 
 def test_geodesic_length_is_the_distance_and_adds_up_along_the_segment():

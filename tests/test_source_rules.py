@@ -5,11 +5,12 @@
   Float sums go through ``quaternion._fold_sum``.
 - ``EPS`` is scaled only in ``quaternion.py``: every relative zero test goes
   through ``quaternion._zero_bound``, so the policy is written in one module.
-- One Horner loop of each kind and one ball sampler: the Hamilton Horner step
-  appears once, in ``series._horner_floats``; the scalar step
+- One Horner loop of each kind and one rejection sampler: the Hamilton Horner
+  step appears once, in ``series._horner_floats``; the scalar step
   ``acc = acc * t + a`` once, in ``rational._horner``; and one loop rejects
-  cube draws outside a ball, in ``geometry._ball_floats``.  Callers with one
-  point pass a one-point list, so a second hand-rolled copy has nothing to win.
+  draws by their modulus, the disk loop ``geometry._disk_floats`` under every
+  unit and ball point.  Callers with one point pass a one-point list, so a
+  second hand-rolled copy has nothing to win.
 - One Hamilton product on floats: the formula's i component
   ``w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2`` is written in ``Quaternion.__mul__``
   and in ``quaternion._hamilton``, the product of float 4-tuples every other
@@ -32,7 +33,7 @@
   defines ``_TERM``, the pattern of a second, term-by-term literal grammar.
 - No libm on the seeded path by the two routes it once took: no module names
   ``gauss`` (``random.gauss`` calls libm's ``log``, ``cos`` and ``sin``; unit
-  draws take the direction of a ``_ball_floats`` point), and nothing is raised
+  draws come from ``_unit_floats``), and nothing is raised
   to the power ``0.5``, which is C ``pow``; ``math.sqrt`` is correctly rounded.
 - The zero-set solver off the import path: no module imports ``zeros`` at module
   level.  Only the entry points in ``rational.py`` import it, in their bodies,
@@ -102,10 +103,37 @@ def _called(node) -> str:
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
 
 
+def _is_square_sum(node, drawn) -> bool:
+    """``a * a + b * b + ...`` over drawn names, one square or more."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _is_square_sum(node.left, drawn) and _is_square_sum(node.right, drawn)
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and isinstance(node.left, ast.Name) and isinstance(node.right, ast.Name)
+            and node.left.id == node.right.id and node.left.id in drawn)
+
+
+def _is_modulus(node, drawn, square_sums) -> bool:
+    """A modulus of drawn values: their sum of squares, a name bound to one, or
+    ``_norm``/``.norm()`` of an expression that names a drawn value."""
+    if isinstance(node, ast.Name):
+        return node.id in square_sums
+    if isinstance(node, ast.Call) and _called(node) in _MODULI:
+        return any(isinstance(n, ast.Name) and n.id in drawn
+                   for part in node.args + [node.func] for n in ast.walk(part))
+    return _is_square_sum(node, drawn)
+
+
 def ball_rejection_loops(text: str) -> list:
-    """Lines of loops whose body draws a cube point, or its components inline,
-    and tests a modulus with ``<``.  A local alias of a draw, such as
-    ``draw = rng.random``, counts as the draw."""
+    """Lines of loops that draw values and test their modulus with ``<``.
+
+    A value is drawn when the statement that binds it in the loop calls a draw
+    (a cube point, or ``random``/``uniform`` directly or through a local alias
+    such as ``draw = rng.random``).  Its modulus is ``_norm`` or ``.norm()`` of
+    it, or a sum of its squares ``a * a + b * b``, written out or bound to a
+    name.  A value computed from other values, such as a unit scaled by a drawn
+    radius, is not drawn, so the bound check of ``_ball_floats`` is no second
+    sampler.
+    """
     tree = ast.parse(text)
     aliases = {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign)
                and isinstance(n.value, ast.Attribute) and n.value.attr in _CUBE_DRAWS
@@ -114,12 +142,19 @@ def ball_rejection_loops(text: str) -> list:
     for loop in ast.walk(tree):
         if isinstance(loop, (ast.While, ast.For)):
             body = [n for stmt in loop.body for n in ast.walk(stmt)]
-            draws = any(isinstance(n, ast.Call) and _called(n) in _CUBE_DRAWS | aliases
-                        for n in body)
-            tests = any(isinstance(n, ast.Compare) and isinstance(n.ops[0], ast.Lt)
-                        and isinstance(n.left, ast.Call) and _called(n.left) in _MODULI
-                        for n in body)
-            if draws and tests:
+            drawn, square_sums = set(), set()
+            for n in body:
+                if isinstance(n, ast.Assign) and any(
+                        isinstance(c, ast.Call) and _called(c) in _CUBE_DRAWS | aliases
+                        for c in ast.walk(n.value)):
+                    drawn |= {t.id for target in n.targets for t in ast.walk(target)
+                              if isinstance(t, ast.Name)}
+            for n in body:
+                if isinstance(n, ast.Assign) and _is_square_sum(n.value, drawn):
+                    square_sums |= {t.id for t in n.targets if isinstance(t, ast.Name)}
+            compares = [n for n in body if isinstance(n, ast.Compare)]
+            if any(isinstance(op, ast.Lt) and _is_modulus(left, drawn, square_sums)
+                   for n in compares for left, op in zip([n.left] + n.comparators, n.ops)):
                 out.append(loop.lineno)
     return out
 
@@ -310,8 +345,9 @@ def test_one_scalar_horner_loop():
 
 
 def test_one_ball_rejection_loop():
-    counts = {p.name: len(ball_rejection_loops(p.read_text())) for p in MODULES}
-    assert {name: n for name, n in counts.items() if n} == {"geometry.py": 1}
+    found = {p.name: _innermost_functions(ast.parse(p.read_text()),
+                                          ball_rejection_loops(p.read_text())) for p in MODULES}
+    assert {name: f for name, f in found.items() if f} == {"geometry.py": ["_disk_floats"]}
 
 
 def test_one_violation_test():
@@ -342,8 +378,22 @@ def test_the_rules_catch_what_they_forbid():
                                 "    if _norm(w, x, 0.0, 0.0) < r:\n        out.append(w)\n") == [2]
     assert ball_rejection_loops("for _ in range(9):\n    v = [rng.uniform(-1, 1) for _ in a]\n"
                                 "    if _norm(*v) < r:\n        break\n") == [1]
-    # redrawing while a modulus is small is not a ball sampler
+    # a second disk loop, with its sum of squares written out or bound to a name
+    assert ball_rejection_loops("draw = rng.random\nfor _ in range(9):\n"
+                                "    a, b = 2.0 * draw() - 1.0, 2.0 * draw() - 1.0\n"
+                                "    if a * a + b * b < 1.0:\n        break\n") == [2]
+    assert ball_rejection_loops("while True:\n    c = rng.uniform(-1, 1)\n"
+                                "    d = rng.uniform(-1, 1)\n    s2 = c * c + d * d\n"
+                                "    if 0.0 < s2 < 1.0:\n        break\n") == [1]
+    # redrawing while a modulus is small is not a ball sampler, nor is a bound
+    # check on a unit scaled by a drawn radius, nor a lower bound on a square sum
     assert ball_rejection_loops("while c.norm() < 1e-2:\n    c = _cube_point(rng)\n") == []
+    assert ball_rejection_loops("draw = rng.random\nwhile len(out) < n:\n"
+                                "    a, b = _unit_floats(rng)\n    r = sqrt(draw())\n"
+                                "    p = (a * r, b * r)\n"
+                                "    if _norm(*p) < 1.0:\n        out.append(p)\n") == []
+    assert ball_rejection_loops("while True:\n    a, b = draw(), draw()\n"
+                                "    if 1e-3 < a * a + b * b:\n        break\n") == []
     assert scalar_horner_steps("for a in reversed(c):\n    acc = acc * t + a\n") == [2]
     assert scalar_horner_steps("s = s * z + b\nv = (v * z) + c\n") == [1, 2]
     # a running sum, a product of other names, or a subscripted store is not the step

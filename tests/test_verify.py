@@ -7,6 +7,7 @@ import random
 import pytest
 
 from docdiff import ABSENT, PINNED, assert_same_document, moved, pinned, summary
+from sampling import unit_oracle
 from srq.geometry import regular_moebius_map
 from srq.quaternion import I, J, ONE, ZERO, Quaternion
 from srq.series import RegularPolynomial
@@ -400,19 +401,16 @@ def test_the_seeded_stream_calls_no_libm_function(monkeypatch):
     assert_same_document(doc, pinned(42, 200))
 
 
-def unit_oracle(rng, imaginary):
-    # the direction of a uniform point of the unit ball (of its imaginary part
-    # for an imaginary unit), written from rng.random() alone
+def unit_oracle_of(rng, imaginary):
+    # Marsaglia's unit, or the direction of its imaginary part, written from
+    # rng.random() alone
     while True:
-        while True:
-            w, x, y, z = (2.0 * rng.random() - 1.0 for _ in range(4))
-            if math.sqrt(w * w + x * x + y * y + z * z) < 1.0:
-                break
-        if imaginary:
-            w = 0.0
-        n = math.sqrt(w * w + x * x + y * y + z * z)
+        w, x, y, z = unit_oracle(rng)
+        if not imaginary:
+            return Quaternion(w, x, y, z)
+        n = math.sqrt(x * x + y * y + z * z)
         if n > 1e-3:
-            return Quaternion(w / n, x / n, y / n, z / n)
+            return Quaternion(0.0, x / n, y / n, z / n)
 
 
 @pytest.mark.parametrize("sampler, imaginary", [(sample_unit, False),
@@ -420,7 +418,7 @@ def unit_oracle(rng, imaginary):
 def test_unit_samplers_match_the_ball_oracle_and_its_stream(sampler, imaginary):
     rng, oracle = random.Random(17), random.Random(17)
     for _ in range(2000):
-        got, expected = sampler(rng), unit_oracle(oracle, imaginary)
+        got, expected = sampler(rng), unit_oracle_of(oracle, imaginary)
         assert [c.hex() for c in got.to_json()] == [c.hex() for c in expected.to_json()]
     assert rng.getstate() == oracle.getstate()
 
