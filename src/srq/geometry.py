@@ -200,7 +200,7 @@ def moebius_expansion_coefficients(q0, n_max: int) -> SphericalExpansion:
     if sc.y0 == 0.0 and n_max > 1:
         raise DegenerateCenter(f"center {q0} is real: the sphere through it degenerates")
     zbar = complex(sc.x0, -sc.y0)
-    one_minus_sq = 1.0 - (sc.x0 * sc.x0 + sc.y0 * sc.y0)
+    one_minus_sq = _one_minus_norm_sq(q0)
     one_minus_zbar2 = 1.0 - zbar * zbar
 
     coeffs = [Quaternion()]
@@ -224,7 +224,7 @@ def conformality_defect(q0) -> tuple:
     if q0.is_real(_zero_bound(q0.norm())):
         raise RealPoint(f"conformality defect is undefined at the real point {q0}")
     qc = q0.conjugate()
-    return (1.0 / (1.0 - q0.norm_sq()), 1.0 / (ONE - qc * qc).norm())
+    return (1.0 / _one_minus_norm_sq(q0), 1.0 / (ONE - qc * qc).norm())
 
 
 class GeodesicSegment(_Frozen):

@@ -92,7 +92,13 @@ class RegularQuotient(_Frozen):
 
     @classmethod
     def from_polynomial(cls, p) -> "RegularQuotient":
-        return cls(RegularPolynomial([ONE]), p, "left")
+        """1^{-*}*p, slot for slot what ``__init__`` builds for the denominator 1:
+        its sym is (1.0,), and its conumerator 1^c*p takes ``_real_star``'s unit
+        branch, ``0.0 + c`` for each component c of p."""
+        p = _as_poly(p)
+        obj = cls.__new__(cls)
+        obj._install(_ONE_POLY, p, "left", _UNIT_SYM, _real_star(_UNIT_SYM, p._c))
+        return obj
 
     @classmethod
     def from_json(cls, obj) -> "RegularQuotient":
@@ -285,6 +291,8 @@ class RegularQuotient(_Frozen):
 
 
 _set_den, _set_num, _set_side, _set_sym, _set_conum, _set_pole_scale = _setters(RegularQuotient)
+_ONE_POLY = RegularPolynomial([ONE])  # the denominator of every lifted polynomial
+_UNIT_SYM = (1.0,)  # its sym, ``_symmetrized(_ONE_POLY._c)``
 
 
 def _scale_of(sym) -> float:

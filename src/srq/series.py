@@ -280,8 +280,10 @@ def _horner_floats(coeffs, points) -> list:
 
     Each Horner step ``acc = q * acc + a_n`` runs on unpacked floats in the
     exact operation order of the Hamilton product and sum, so every result is
-    bit-identical to the quaternion-level loop.  An empty list gives 0 at
-    every point.
+    bit-identical to the quaternion-level loop.  The step keeps the
+    accumulator in four locals, with no tuple built and unpacked: the new w,
+    x and y go to ``nw``, ``nx`` and ``ny`` first, since z's formula reads the
+    old ones.  An empty list gives 0 at every point.
     """
     if not coeffs:
         return [_ZERO4] * len(points)
@@ -291,10 +293,13 @@ def _horner_floats(coeffs, points) -> list:
     for qw, qx, qy, qz in points:
         w, x, y, z = tw, tx, ty, tz
         for cw, cx, cy, cz in rest:
-            w, x, y, z = (qw * w - qx * x - qy * y - qz * z + cw,
-                          qw * x + qx * w + qy * z - qz * y + cx,
-                          qw * y - qx * z + qy * w + qz * x + cy,
-                          qw * z + qx * y - qy * x + qz * w + cz)
+            nw = qw * w - qx * x - qy * y - qz * z + cw
+            nx = qw * x + qx * w + qy * z - qz * y + cx
+            ny = qw * y - qx * z + qy * w + qz * x + cy
+            z = qw * z + qx * y - qy * x + qz * w + cz
+            w = nw
+            x = nx
+            y = ny
         out.append((w, x, y, z))
     return out
 

@@ -376,6 +376,40 @@ def test_conformality_defect_matches_finite_differences():
         assert math.isclose(d_orth.norm() / v_orth.norm(), orth_mult, rel_tol=1e-5)
 
 
+def _near_boundary_centers(gap, count=200):
+    """``count`` seeded non-real centers q0 with 1 - |q0| = ``gap``."""
+    rng = random.Random(34)
+    out = []
+    while len(out) < count:
+        d = [rng.uniform(-1.0, 1.0) for _ in range(4)]
+        if math.hypot(*d[1:]) < 0.1:
+            continue
+        scale = (1.0 - gap) / math.sqrt(math.fsum(v * v for v in d))
+        out.append(Quaternion(*(v * scale for v in d)))
+    return out
+
+
+def test_slice_multipliers_take_the_compensated_one_minus_norm_sq():
+    # 1 - |q0|^2 from a rounded |q0|^2 keeps about 7 of its digits at 1 - |q0| = 1e-9;
+    # both closed forms divide by it, so each reads it off geometry._one_minus_norm_sq
+    from fractions import Fraction
+
+    from exact import exact, norm_sq
+
+    worst_defect = worst_ratio = 0.0
+    for q0 in _near_boundary_centers(1e-9):
+        one_minus_sq = 1 - norm_sq(exact(q0.to_json()))
+        # the slice multiplier is 1 / (1 - |q0|^2)
+        slice_mult = conformality_defect(q0)[0]
+        worst_defect = max(worst_defect, abs(float(Fraction(slice_mult) * one_minus_sq - 1)))
+        # A_2 / A_1 = conj(q0) / (1 - |q0|^2) inside the slice of q0
+        a = moebius_expansion_coefficients(q0, 1).coefficients
+        ratio = a[2].norm() / a[1].norm()
+        worst_ratio = max(worst_ratio, abs(float(Fraction(ratio) * one_minus_sq) / q0.norm() - 1))
+    assert worst_defect < 1e-15
+    assert worst_ratio < 1e-14
+
+
 def test_slice_multiplier_strictly_dominates():
     rng = random.Random(11)
     for _ in range(50):

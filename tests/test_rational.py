@@ -61,6 +61,52 @@ def test_left_quotient_examples():
     assert m0.evaluate(Quaternion(0.1, 0.2, 0.3)).isclose(Quaternion(0.1, 0.2, 0.3))
 
 
+def _slots(quotient) -> tuple:
+    """Every slot of a pair quotient, floats as ``float.hex`` (which tells -0.0 from 0.0)."""
+    def parts(coeffs):
+        return [tuple(v.hex() for v in c) for c in coeffs]
+    return ([v.hex() for v in quotient._sym], parts(quotient.conum._c),
+            quotient._pole_scale.hex(), parts(quotient.den._c), parts(quotient.num._c),
+            quotient.side)
+
+
+def _lift_oracle(value):
+    return RegularQuotient(RegularPolynomial([ONE]), value, "left")
+
+
+_signed = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-1e6, 1e6))
+_signed_quats = st.builds(Quaternion, _signed, _signed, _signed, _signed)
+
+
+@given(st.one_of(st.integers(-10**6, 10**6), _signed, _signed_quats,
+                 st.lists(_signed_quats, max_size=5).map(RegularPolynomial)))
+@example(RegularPolynomial())
+@example(RegularPolynomial([Quaternion(-0.0, 1.0, -0.0, 0.0), Quaternion(0.0, -0.0, -0.0, -2.0)]))
+@example(-0.0)
+def test_a_lifted_polynomial_matches_the_quotient_over_one_slot_for_slot(value):
+    # 1^{-*}*p is built without __init__; its conumerator 0.0 + c turns -0.0 to +0.0
+    expected = _slots(_lift_oracle(value))
+    assert _slots(RegularQuotient.from_polynomial(value)) == expected
+    assert _slots(rational.as_quotient(value)) == expected
+
+
+def _refusal(build, value):
+    with pytest.raises((TypeError, ValueError)) as info:
+        build(value)
+    return info.type, str(info.value)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "q", None, [ONE], 1j])
+def test_a_lifted_polynomial_refuses_what_the_quotient_over_one_refuses(value):
+    expected = _refusal(_lift_oracle, value)
+    assert _refusal(RegularQuotient.from_polynomial, value) == expected
+    if expected[0] is ValueError:
+        assert _refusal(rational.as_quotient, value) == expected
+    else:
+        assert _refusal(rational.as_quotient, value) == \
+            (TypeError, f"cannot interpret {value!r} as a regular quotient")
+
+
 def test_right_quotient_definition():
     # g*h^{-*}(q) = h^s(q)^{-1} (g*h^c)(q)
     rng = random.Random(1)

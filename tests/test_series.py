@@ -383,6 +383,21 @@ def test_evaluate_matches_quaternion_horner_bit_for_bit(f, q):
     assert bits(value) == bits(expected)
 
 
+signed_component = st.one_of(st.sampled_from([-0.0, 0.0]), component)
+signed_quats = st.builds(Quaternion, signed_component, signed_component, signed_component,
+                         signed_component)
+
+
+@given(st.lists(signed_quats, max_size=10).map(RegularPolynomial),
+       st.lists(signed_quats, max_size=4))
+def test_horner_floats_matches_quaternion_horner_at_every_point_bit_for_bit(f, points):
+    # the step carries its components in locals across the inner loop, so a value
+    # left over from one point must not reach the next
+    values = _horner_floats(f._c, [(q.w, q.x, q.y, q.z) for q in points])
+    assert [tuple(v.hex() for v in value) for value in values] == \
+        [bits(horner_oracle(f, q)) for q in points]
+
+
 @given(polys, polys)
 def test_star_product_matches_quaternion_convolution_bit_for_bit(f, g):
     product = f * g
