@@ -17,14 +17,13 @@ from __future__ import annotations
 import math
 import random
 
-from .errors import PoleError
 from .fractional import QuaternionMatrix2, from_normal_form, left_action, right_action
 from .geometry import (_ball_floats, _cube_point, _moebius_den, _one_minus_norm_sq,
                        _unit_floats, regular_moebius_map, sample_ball)
 from .quaternion import (_INF, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _hamilton, _make,
                          _norm, _slice_floats, _zero_bound, as_quaternion)
 from .rational import RegularQuotient, _moduli_at, _values_at, as_quotient
-from .series import RegularPolynomial, spherical_derivative_at
+from .series import RegularPolynomial
 
 DEFAULT_TOL = 1e-9
 EQUALITY_TOL = 1e-8
@@ -169,6 +168,8 @@ def check_schwarz_pick(f, q0, sample_count: int = 100, *, rng=None,
       (derivative)   |(d_c f * G^{-*})(q0)|  <=  1 / (1 - |q0|^2)
 
     The derivative bound is a single number per call; the others are sampled.
+    Its left side is the remainder bound's at q0: with R = R_{q0} f,
+    d_c f = R + (q - q0) * R', and (q - q0) * X vanishes at q0.
     For a regular self-map in normal form the remainder and derivative bounds
     hold with equality, which callers can read off ``max_abs_margin``.
     """
@@ -191,7 +192,7 @@ def check_schwarz_pick(f, q0, sample_count: int = 100, *, rng=None,
     def witness(i):
         return {"q": list(points[i]), "q0": q0.to_json()}
 
-    d15 = (fq.cullen_derivative() * schur_inv).evaluate(q0).norm()
+    d15 = lhs14.evaluate(q0).norm()
     return _report("schwarz-pick", seed, sample_count, {
         "difference_bound": _margins("difference_bound", tol, r13, l13, witness),
         "remainder_bound": _margins("remainder_bound", tol, r14, l14, witness),
@@ -216,7 +217,11 @@ def check_zero_case(f, q0, sample_count: int = 100, *, rng=None,
     """Bounds for a self-map vanishing at q0.
 
     |M^{-*} * f| <= 1 on samples, |d_c f(q0)| <= 1/(1-|q0|^2), and for
-    non-real q0 also |d_s f(q0)| <= 1/|1 - conj(q0)^2|.
+    non-real q0 also |d_s f(q0)| <= 1/|1 - conj(q0)^2|.  Once the f(q0)
+    precondition passes, the check bounds M^{-*} * (f - f(q0)), so f is
+    treated as vanishing at q0.  All three are read off R = R_{q0} f: that
+    factor is (1 - q conj(q0)) * R, as q - q0 and 1 - q conj(q0) commute
+    under *; d_c f(q0) = R(q0) and d_s f(q0) = R(conj(q0)).
     """
     _require(sample_count, tol)
     rng = rng or stream(seed, "zero-case-points")
@@ -225,29 +230,20 @@ def check_zero_case(f, q0, sample_count: int = 100, *, rng=None,
     value = fq.evaluate(q0)
     if value.norm() > 1e-8:
         raise ValueError(f"f(q0) = {value} is not zero; precondition violated")
-    ratio = regular_moebius_map(q0).reciprocal() * fq
-    # the ratio carries a removable singularity on the sphere of q0; a batch
-    # that hits it (a measure-zero event) is redrawn, not reported as a pole
-    for _ in range(10):
-        points = _ball_floats(rng, 0.95, sample_count)
-        try:
-            moduli, = _moduli_at((ratio,), points)
-            break
-        except PoleError:
-            continue
-    else:
-        raise PoleError("could not sample away from the sphere of q0")
+    R = fq.remainder(q0)
+    points = _ball_floats(rng, 0.95, sample_count)
+    moduli, = _moduli_at((_moebius_den(q0) * R,), points)
     properties = {
         "factor_bound": _margins("factor_bound", tol, [1.0] * sample_count, moduli,
                                  lambda i: {"q": list(points[i]), "q0": q0.to_json()}),
         "slice_derivative_bound": _margins(
             "slice_derivative_bound", tol, (1.0 / _one_minus_norm_sq(q0),),
-            (fq.cullen_derivative().evaluate(q0).norm(),), lambda _: {"q0": q0.to_json()})}
+            (R.evaluate(q0).norm(),), lambda _: {"q0": q0.to_json()})}
     if q0.imag_norm() > 1e-9:
         qc = q0.conjugate()
         properties["spherical_derivative_bound"] = _margins(
             "spherical_derivative_bound", tol, (1.0 / (ONE - qc * qc).norm(),),
-            (spherical_derivative_at(fq, q0).norm(),), lambda _: {"q0": q0.to_json()})
+            (R.evaluate(qc).norm(),), lambda _: {"q0": q0.to_json()})
     return _report("zero-case", seed, sample_count, properties)
 
 
