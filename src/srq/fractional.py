@@ -15,7 +15,7 @@ from itertools import repeat, starmap, zip_longest
 
 from .errors import (DegenerateComposite, DegenerateSwap, NotHermitian,
                      NotSp11, PoleError, SingularMatrix)
-from .geometry import _in_ball, _require_unit, sample_ball
+from .geometry import _in_ball, _one_minus_norm_sq, _require_unit, sample_ball
 from .quaternion import (ONE, ZERO, Quaternion, _finite, _Frozen, _hamilton, _inverse, _make,
                          _norm, _setters, _zero_bound, as_quaternion)
 from .rational import RegularQuotient, as_quotient
@@ -329,12 +329,13 @@ def from_normal_form(q0, u) -> QuaternionMatrix2:
     """The normalized matrix of (1 - q conj(q0))^{-*} * (q - q0) u.
 
     The raw matrix is scaled by (1 - |q0|^2)^{-1/2}, which lands it exactly on
-    the defining identity of the indefinite unitary group.
+    the defining identity of the indefinite unitary group; 1 - |q0|^2 is
+    ``_one_minus_norm_sq``'s, which keeps its digits near the boundary.
     """
     q0 = _in_ball(q0, "q0")
     u = as_quaternion(u)
     _require_unit(u, "phase")
-    lam = 1.0 / math.sqrt(1.0 - q0.norm_sq())
+    lam = 1.0 / math.sqrt(_one_minus_norm_sq(q0))
     w, x, y, z = p = q0.w, q0.x, q0.y, q0.z
     pw, px, py, pz = _hamilton(p, (u.w, u.x, u.y, u.z))
     return QuaternionMatrix2(_make(u.w * lam, u.x * lam, u.y * lam, u.z * lam),

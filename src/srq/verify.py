@@ -22,7 +22,7 @@ from .geometry import (_ball_floats, _cube_point, _moebius_den, _one_minus_norm_
                        _unit_floats, regular_moebius_map, sample_ball)
 from .quaternion import (_INF, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _hamilton, _make,
                          _norm, _slice_floats, _zero_bound, as_quaternion)
-from .rational import RegularQuotient, _moduli_at, _values_at, as_quotient
+from .rational import RegularQuotient, _horner, _moduli_at, _values_at, as_quotient
 from .series import RegularPolynomial
 
 DEFAULT_TOL = 1e-9
@@ -167,6 +167,11 @@ def check_schwarz_pick(f, q0, sample_count: int = 100, *, rng=None,
       (remainder)    |R_{q0} f * G^{-*}|(q)  <=  |(1 - q conj(q0))^{-*}|(q)
       (derivative)   |(d_c f * G^{-*})(q0)|  <=  1 / (1 - |q0|^2)
 
+    Both left sides are built as right pairs, D * G_S^{-*} and
+    R_{q0} D * G_S^{-*}, from f = S^{-1} P: S is real and central, so
+    D = P - S c is S (f - c), G_S = S - conj(c) P is S G, and f's S cancels.
+    As D vanishes at q0, its remainder R_{q0} D there is S R_{q0} f.
+
     The derivative bound is a single number per call; the others are sampled.
     Its left side is the remainder bound's at q0: with R = R_{q0} f,
     d_c f = R + (q - q0) * R', and (q - q0) * X vanishes at q0.
@@ -180,11 +185,12 @@ def check_schwarz_pick(f, q0, sample_count: int = 100, *, rng=None,
     c = fq.evaluate(q0)
     if c.norm() >= 1.0:
         raise ValueError(f"f(q0) = {c} escapes the ball; f is not a self-map")
-    shifted = fq - c
-    schur_inv = ((-c.conjugate()) * fq + ONE).reciprocal()
-    lhs13 = shifted * schur_inv
+    S, P = fq.sym, fq.conum
+    D = P - S * c
+    G = S - c.conjugate() * P
+    lhs13 = RegularQuotient(G, D, "right")
     rhs13 = regular_moebius_map(q0)
-    lhs14 = fq.remainder(q0) * schur_inv
+    lhs14 = RegularQuotient(G, D.remainder(q0), "right")
     rhs14 = RegularQuotient(_moebius_den(q0), RegularPolynomial([ONE]), "left")
     points = _ball_floats(rng, 0.95, sample_count)
     r13, l13, r14, l14 = _moduli_at((rhs13, lhs13, rhs14, lhs14), points)
@@ -217,8 +223,11 @@ def check_zero_case(f, q0, sample_count: int = 100, *, rng=None,
     """Bounds for a self-map vanishing at q0.
 
     |M^{-*} * f| <= 1 on samples, |d_c f(q0)| <= 1/(1-|q0|^2), and for
-    non-real q0 also |d_s f(q0)| <= 1/|1 - conj(q0)^2|.  Once the f(q0)
-    precondition passes, the check bounds M^{-*} * (f - f(q0)), so f is
+    non-real q0 also |d_s f(q0)| <= 1/|1 - conj(q0)^2|.  The precondition
+    |f(q0)| <= ``_zero_bound(size)`` is relative to the scale that rounds
+    f(q0) = S(q0)^{-1} P(q0) for f = S^{-1} P, size = sum |p_k| |q0|^k / |S(q0)|,
+    which grows near the boundary where a map vanishing at q0 has a small
+    |S(q0)|.  Once it passes, the check bounds M^{-*} * (f - f(q0)), so f is
     treated as vanishing at q0.  All three are read off R = R_{q0} f: that
     factor is (1 - q conj(q0)) * R, as q - q0 and 1 - q conj(q0) commute
     under *; d_c f(q0) = R(q0) and d_s f(q0) = R(conj(q0)).
@@ -228,7 +237,9 @@ def check_zero_case(f, q0, sample_count: int = 100, *, rng=None,
     q0 = as_quaternion(q0)
     fq = as_quotient(f)
     value = fq.evaluate(q0)
-    if value.norm() > 1e-8:
+    s, = _horner(fq._sym, [complex(q0.w, q0.imag_norm())])  # S(q0) on the complex slice
+    p, = _horner([_norm(*a) for a in fq.conum._c], [q0.norm()])  # sum |p_k| |q0|^k
+    if value.norm() > _zero_bound(p / _norm(s.real, s.imag, 0.0, 0.0)):
         raise ValueError(f"f(q0) = {value} is not zero; precondition violated")
     R = fq.remainder(q0)
     points = _ball_floats(rng, 0.95, sample_count)

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from docdiff import ABSENT, PINNED, assert_same_document, moved, pinned, summary
 from sampling import unit_oracle
-from srq.geometry import _moebius_den, regular_moebius_map
+from srq.errors import PoleError
+from srq.geometry import _ball_floats, _moebius_den, regular_moebius_map
 from srq.quaternion import I, J, ONE, ZERO, Quaternion
-from srq.rational import RegularQuotient, as_quotient
+from srq.rational import RegularQuotient, _moduli_at, as_quotient
 from srq.series import RegularPolynomial, spherical_derivative_at
 from srq.verify import (SUITE_NAMES, check_modulus_product, check_reg_preservation,
                         check_schwarz_pick, check_slice_regularity, check_zero_case,
@@ -603,18 +604,26 @@ def test_zero_case_raises_no_pole_error_near_the_boundary():
         reports = []
         for _ in range(30):
             q0 = sample_unit(rng) * (1.0 - gap)
-            try:
-                reports.append(check_zero_case(regular_moebius_map(q0, side="right"), q0, 20,
-                                               rng=rng))
-            except ValueError as exc:
-                # f(q0) is tested against an absolute 1e-8, and its rounding error
-                # grows like u / gap: 1 of 30 maps is refused at 1e-10
-                assert gap < 1e-8 and "precondition violated" in str(exc)
+            # f(q0)'s rounding error grows like u / gap, and so does the scale the
+            # precondition is relative to: |f(q0)| stays below 4.5e-5 of its bound
+            # here, so no map is refused
+            reports.append(check_zero_case(regular_moebius_map(q0, side="right"), q0, 20,
+                                           rng=rng))
         assert all(rep.properties["factor_bound"]["violations"] == 0 for rep in reports)
         if gap >= 1e-6:
             # the derivative bounds' error grows like u / gap too, and 14 and 22
             # maps fail one at 1e-8 and 1e-10; only the two widest gaps pass
             assert len(reports) == 30 and all(rep.passed for rep in reports)
+
+
+def test_zero_case_still_refuses_a_map_that_misses_zero_by_1e_8():
+    # the relative precondition is about 1e-12 * (1 + size), with size below 30
+    # at |q0| <= 0.8, so an offset of 1e-8 stays far above it
+    rng = random.Random(9)
+    for _ in range(50):
+        q0 = sample_ball(rng, 0.8)
+        with pytest.raises(ValueError, match="precondition violated"):
+            check_zero_case(regular_moebius_map(q0, side="right") + 1e-8, q0, 5)
 
 
 # -- the remainder against the derivative routes it replaced ---------------------------
@@ -663,3 +672,118 @@ def test_the_zero_case_factor_is_the_moebius_quotient_off_the_sphere_of_q0(g, q0
     f = (Q - q0) * g
     old = regular_moebius_map(q0).reciprocal() * f
     assert_close((_moebius_den(q0) * f.remainder(q0)).evaluate(q), old.evaluate(q))
+
+
+# -- schwarz-pick's quotients against the ring chain they replaced ---------------------
+#
+# check_schwarz_pick builds (f - c) * G^{-*} and R_{q0} f * G^{-*}, G = 1 - conj(c) * f,
+# as right pairs over G_S = S - conj(c) P for f = S^{-1} P.  The chain of quotient
+# ring operations it built them with before stays here as the oracle.
+
+
+class _Built(Exception):
+    pass
+
+
+def pick_quotients(f, q0):
+    """The left sides (difference, remainder) that ``check_schwarz_pick`` builds
+    for f at q0, caught on their way to ``_moduli_at``, before any is evaluated."""
+    import srq.verify as verify
+
+    seen = []
+
+    def capture(maps, points):
+        seen.extend(maps)
+        raise _Built
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_moduli_at", capture)
+        with pytest.raises(_Built):
+            check_schwarz_pick(f, q0, 1)
+    return seen[1], seen[3]
+
+
+def chain_quotients(f, q0):
+    fq = as_quotient(f)
+    c = fq.evaluate(q0)
+    schur_inv = ((-c.conjugate()) * fq + ONE).reciprocal()
+    return (fq - c) * schur_inv, fq.remainder(q0) * schur_inv
+
+
+def moduli_outcome(maps, points, q0):
+    """The bits of the maps' moduli at ``points`` and of their values at q0, or the
+    type of the error raised."""
+    try:
+        moduli = _moduli_at(maps, points)
+        return ([[m.hex() for m in row] for row in moduli],
+                [[v.hex() for v in f.evaluate(q0).to_json()] for f in maps])
+    except (PoleError, ValueError) as exc:
+        return type(exc).__name__
+
+
+_points = _ball_floats(random.Random(12), 0.95, 25)
+
+
+@given(_polys.map(lambda p: p * 0.2), centers)
+def test_schwarz_pick_keeps_the_chains_bits_for_a_polynomial(f, q0):
+    assume(f.evaluate(q0).norm() < 1.0)
+    assert moduli_outcome(pick_quotients(f, q0), _points, q0) == \
+        moduli_outcome(chain_quotients(f, q0), _points, q0)
+
+
+def test_schwarz_pick_keeps_the_chains_bits_for_seeded_self_maps():
+    rng = random.Random(13)
+    for _ in range(100):
+        f = random_self_map(rng, rng.randint(1, 4))
+        q0 = sample_ball(rng, 0.8)
+        points = _ball_floats(rng, 0.95, 25)
+        assert moduli_outcome(pick_quotients(f, q0), points, q0) == \
+            moduli_outcome(chain_quotients(f, q0), points, q0)
+
+
+def assert_same_values(new, old, points):
+    for p in points:
+        q = Quaternion(*p)
+        assert_close(new.evaluate(q), old.evaluate(q))
+
+
+# |f| <= 34 on |q| <= 0.8 for these maps (numerator at most 6.7, denominator at
+# least 0.2), so f / 68 keeps |conj(c) f| <= 1/4 there and G has no zero on the
+# spheres of these points
+@given(maps.map(lambda f: f * (1.0 / 68.0)), centers)
+def test_schwarz_pick_quotients_agree_with_the_chain_for_a_quotient(f, q0):
+    points = [q0.to_json()] + _ball_floats(random.Random(14), 0.8, 10)
+    for new, old in zip(pick_quotients(f, q0), chain_quotients(f, q0)):
+        assert_same_values(new, old, points)
+
+
+def moebius_draws(rng, count):
+    for _ in range(count):
+        yield regular_moebius_map(sample_ball(rng, 0.7), sample_unit(rng)), sample_ball(rng, 0.8)
+
+
+def test_schwarz_pick_quotients_agree_with_the_chain_for_moebius_maps():
+    rng = random.Random(15)
+    for f, q0 in moebius_draws(rng, 50):
+        points = [q0.to_json()] + _ball_floats(rng, 0.95, 25)
+        for new, old in zip(pick_quotients(f, q0), chain_quotients(f, q0)):
+            assert_same_values(new, old, points)
+
+
+def test_schwarz_pick_cancels_the_sym_of_a_moebius_map():
+    # G_S = S - conj(c) P has degree 2, so each quotient's sym G_S^s has degree 4;
+    # the chain's carried f's own S (degree 2) on top, 6
+    for f, q0 in moebius_draws(random.Random(16), 10):
+        assert [new.sym.degree for new in pick_quotients(f, q0)] == [4, 4]
+        assert [old.sym.degree for old in chain_quotients(f, q0)] == [6, 6]
+
+
+def test_schwarz_pick_catches_moebius_maps_scaled_past_the_ball():
+    # a map in normal form attains the remainder and derivative bounds; scaled by
+    # 1 + 1e-8 it exceeds them by about 1e-8, ten times the tolerance
+    rng = random.Random(9)
+    caught = 0
+    for _ in range(20):
+        f = regular_moebius_map(sample_ball(rng, 0.7), sample_unit(rng)) * (1.0 + 1e-8)
+        caught += not check_schwarz_pick(f, sample_ball(rng, 0.8), 25, rng=rng).passed
+    assert caught == 20
