@@ -18,10 +18,10 @@ import math
 import random
 
 from .fractional import QuaternionMatrix2, from_normal_form, left_action, right_action
-from .geometry import (_ball_floats, _cube_point, _moebius_den, _one_minus_norm_sq,
-                       _unit_floats, regular_moebius_map, sample_ball)
+from .geometry import (_ball_floats, _cube_point, _disk_floats, _in_ball, _moebius_den,
+                       _one_minus_norm_sq, _unit_floats, regular_moebius_map, sample_ball)
 from .quaternion import (_INF, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _hamilton, _make,
-                         _norm, _slice_floats, _zero_bound, as_quaternion)
+                         _norm, _slice_floats, _zero_bound)
 from .rational import RegularQuotient, _horner, _moduli_at, _values_at, as_quotient
 from .series import RegularPolynomial
 
@@ -45,12 +45,11 @@ def sample_unit(rng: random.Random) -> Quaternion:
 
 
 def sample_unit_imaginary(rng: random.Random) -> Quaternion:
-    """Uniform unit imaginary quaternion: the direction of a unit's imaginary part."""
-    while True:
-        _, x, y, z = _unit_floats(rng)
-        n = _norm(0.0, x, y, z)
-        if n > 1e-3:
-            return _make(0.0, x / n, y / n, z / n)
+    """Uniform unit imaginary quaternion, Marsaglia's (1972) sphere point: a point
+    (a, b) of the unit disk with s = a^2 + b^2 gives (a t, b t, 1 - 2s), t = 2 sqrt(1 - s)."""
+    a, b, s = _disk_floats(rng)
+    t = 2.0 * math.sqrt(1.0 - s)
+    return _make(0.0, a * t, b * t, 1.0 - 2.0 * s)
 
 
 def random_self_map(seed, degree: int) -> RegularPolynomial:
@@ -118,28 +117,34 @@ def _margins(name: str, tol: float, rhs, lhs, witness) -> dict:
 
 def _fold(summaries) -> dict:
     """One summary of several: counts add up, the largest ``max_abs_margin``
-    stays, and the smallest worst margin keeps its witness (the earliest on a tie)."""
+    stays, and the smallest worst margin keeps its witness (the earliest on a tie).
+    An equality summary holds only ``max_abs_margin`` and ``checked``."""
     first, *rest = summaries
     acc = dict(first)
     for s in rest:
         acc["checked"] += s["checked"]
-        acc["violations"] += s["violations"]
         acc["max_abs_margin"] = max(acc["max_abs_margin"], s["max_abs_margin"])
-        worst = s["worst_margin"]
-        if worst is not None and (acc["worst_margin"] is None or worst < acc["worst_margin"]):
-            acc["worst_margin"] = worst
-            acc["witness"] = s["witness"]
+        if "violations" in s:
+            acc["violations"] += s["violations"]
+            worst = s["worst_margin"]
+            if worst is not None and (acc["worst_margin"] is None or worst < acc["worst_margin"]):
+                acc["worst_margin"] = worst
+                acc["witness"] = s["witness"]
     return acc
 
 
-def _report(suite: str, seed: int, total_samples: int, properties: dict,
-            extra=None) -> VerificationReport:
-    """The report over ``properties`` (name -> summary), folded, plus the suite's
-    ``extra`` properties: it fails on a violation or on a failing extra property."""
-    folded = _fold(properties.values())
-    extra = extra or {}
-    passed = folded["violations"] == 0 and not any(v.get("pass") is False for v in extra.values())
-    properties.update(extra)
+def _report(suite: str, seed: int, total_samples: int, properties: dict) -> VerificationReport:
+    """The report over ``properties`` (name -> summary).  The bound summaries
+    fold into its worst margin and witness, and it fails on a violation.  An
+    equality summary passes while its ``max_abs_margin`` < ``EQUALITY_TOL``, and
+    one that checked nothing reads skipped: it neither passes nor fails."""
+    folded = _fold(s for s in properties.values() if "violations" in s)
+    passed = folded["violations"] == 0
+    for name, s in properties.items():
+        if "violations" not in s:
+            properties[name] = s = ({**s, "pass": s["max_abs_margin"] < EQUALITY_TOL}
+                                    if s["checked"] else {"checked": 0, "skipped": True})
+            passed = passed and s.get("pass", True)
     worst = folded["worst_margin"]
     return VerificationReport(suite, seed, total_samples, passed,
                               0.0 if worst is None else worst, folded["witness"], properties)
@@ -160,8 +165,9 @@ def check_schwarz_pick(f, q0, sample_count: int = 100, *, rng=None,
                        tol: float = DEFAULT_TOL, seed: int = 0) -> VerificationReport:
     """Check the three self-map inequalities for one map at one base point.
 
-    With c = f(q0) and G = 1 - conj(c)*f, the three statements bound, at
-    sampled q:
+    A q0 outside the open ball is refused with ``OutsideBall`` before f is
+    evaluated.  With c = f(q0) and G = 1 - conj(c)*f, the three statements
+    bound, at sampled q:
 
       (difference)   |(f - c) * G^{-*}|(q)   <=  |canonical self-map centered q0|(q)
       (remainder)    |R_{q0} f * G^{-*}|(q)  <=  |(1 - q conj(q0))^{-*}|(q)
@@ -179,8 +185,8 @@ def check_schwarz_pick(f, q0, sample_count: int = 100, *, rng=None,
     hold with equality, which callers can read off ``max_abs_margin``.
     """
     _require(sample_count, tol)
+    q0 = _in_ball(q0, "q0")
     rng = rng or stream(seed, "schwarz-points")
-    q0 = as_quaternion(q0)
     fq = as_quotient(f)
     c = fq.evaluate(q0)
     if c.norm() >= 1.0:
@@ -220,7 +226,7 @@ def make_zero_case_map(seed, q0, degree: int = 2) -> RegularQuotient:
 
 def check_zero_case(f, q0, sample_count: int = 100, *, rng=None,
                     tol: float = DEFAULT_TOL, seed: int = 0) -> VerificationReport:
-    """Bounds for a self-map vanishing at q0.
+    """Bounds for a self-map vanishing at q0 of the open ball (else ``OutsideBall``).
 
     |M^{-*} * f| <= 1 on samples, |d_c f(q0)| <= 1/(1-|q0|^2), and for
     non-real q0 also |d_s f(q0)| <= 1/|1 - conj(q0)^2|.  The precondition
@@ -233,8 +239,8 @@ def check_zero_case(f, q0, sample_count: int = 100, *, rng=None,
     under *; d_c f(q0) = R(q0) and d_s f(q0) = R(conj(q0)).
     """
     _require(sample_count, tol)
+    q0 = _in_ball(q0, "q0")
     rng = rng or stream(seed, "zero-case-points")
-    q0 = as_quaternion(q0)
     fq = as_quotient(f)
     value = fq.evaluate(q0)
     s, = _horner(fq._sym, [complex(q0.w, q0.imag_norm())])  # S(q0) on the complex slice
@@ -361,33 +367,27 @@ def check_slice_regularity(f, sample_count: int = 100, *, rng=None,
 # independent and the merged report does not depend on their order.  The
 # table holds builders, not the checks: a builder looks its check up by
 # module-level name at call time, so a wrapper installed on the module sees
-# every call.
-
-
-def _is_moebius_batch(b: int) -> bool:
-    return b % 4 == 3
+# every call, and returns its checks' property summaries for run_suite to fold.
 
 
 def _schwarz_batch(rng, b, n, tol):
-    # two base points per map, each checked at n/2 points
-    if _is_moebius_batch(b):
+    # two base points per map, each checked at n/2 points; a map in normal form
+    # (every fourth batch) attains the remainder and derivative bounds exactly
+    moebius = b % 4 == 3
+    if moebius:
         f = regular_moebius_map(sample_ball(rng, 0.7), sample_unit(rng))
     else:
         f = random_self_map(rng, rng.randint(1, 4))
-    return [check_schwarz_pick(f, sample_ball(rng, 0.8), n // 2, rng=rng, tol=tol)
-            for _ in range(2)]
-
-
-def _moebius_equality(batches) -> dict:
-    """Maps in normal form attain the remainder and derivative bounds exactly."""
-    reports = [rep for b, reps in enumerate(batches) if _is_moebius_batch(b) for rep in reps]
-    if not reports:  # no Moebius batch ran: nothing was checked, so nothing passed
-        return {"moebius_equality": {"checked": 0, "skipped": True}}
-    worst = max(rep.properties[name]["max_abs_margin"] for rep in reports
-                for name in ("remainder_bound", "derivative_bound"))
-    return {"moebius_equality": {"max_abs_margin": worst,
-                                 "checked": len(reports),
-                                 "pass": worst < EQUALITY_TOL}}
+    out = []
+    for _ in range(2):
+        p = check_schwarz_pick(f, sample_ball(rng, 0.8), n // 2, rng=rng, tol=tol).properties
+        equality = {"max_abs_margin": 0.0, "checked": 0}  # the fold's identity
+        if moebius:
+            equality = {"max_abs_margin": max(p["remainder_bound"]["max_abs_margin"],
+                                              p["derivative_bound"]["max_abs_margin"]),
+                        "checked": 1}
+        out.append(dict(p, moebius_equality=equality))
+    return out
 
 
 def _zero_batch(rng, b, n, tol):
@@ -399,7 +399,7 @@ def _zero_batch(rng, b, n, tol):
         f = regular_moebius_map(q0, side="right")
     else:
         f = make_zero_case_map(rng, q0, rng.randint(1, 3))
-    return [check_zero_case(f, q0, n, rng=rng, tol=tol)]
+    return [check_zero_case(f, q0, n, rng=rng, tol=tol).properties]
 
 
 def _modulus_batch(rng, b, n, tol):
@@ -408,12 +408,12 @@ def _modulus_batch(rng, b, n, tol):
         h = RegularPolynomial([ONE])
     g = random_self_map(rng, rng.randint(1, 3))
     f = g * (sample_unit(rng) * rng.uniform(0.0, 1.0))
-    return [check_modulus_product(h, f, g, n, rng=rng, tol=tol)]
+    return [check_modulus_product(h, f, g, n, rng=rng, tol=tol).properties]
 
 
 def _preserve_batch(rng, b, n, tol):
     f = random_self_map(rng, rng.randint(0, 4))
-    return [check_reg_preservation(f, random_sp11(rng), n, rng=rng, tol=tol)]
+    return [check_reg_preservation(f, random_sp11(rng), n, rng=rng, tol=tol).properties]
 
 
 def _slice_batch(rng, b, n, tol):
@@ -424,23 +424,23 @@ def _slice_batch(rng, b, n, tol):
         f = RegularPolynomial.identity()
     else:
         f = RegularPolynomial.constant(sample_ball(rng, 0.9))
-    return [check_slice_regularity(f, n, rng=rng)]
+    return [check_slice_regularity(f, n, rng=rng).properties]
 
 
 class _Suite(_Frozen):
-    # build: (rng, batch index, samples per batch, tol) -> the batch's reports;
-    # extra: reports grouped by batch -> extra properties of the merged report, or None
-    __slots__ = ("label", "per_batch", "build", "extra")
+    # build: (rng, batch index, samples per batch, tol) -> the property
+    # summaries (name -> summary) of each check the batch makes
+    __slots__ = ("label", "per_batch", "build")
 
 
 _SUITES = {
-    "schwarz-pick": _Suite("schwarz", 50, _schwarz_batch, _moebius_equality),
-    "zero-case": _Suite("zero", 50, _zero_batch, None),
-    "modulus-product": _Suite("modulus", 50, _modulus_batch, None),
-    "reg-preservation": _Suite("preserve", 50, _preserve_batch, None),
+    "schwarz-pick": _Suite("schwarz", 50, _schwarz_batch),
+    "zero-case": _Suite("zero", 50, _zero_batch),
+    "modulus-product": _Suite("modulus", 50, _modulus_batch),
+    "reg-preservation": _Suite("preserve", 50, _preserve_batch),
     # tol does not reach this suite: the finite-difference residual keeps
     # its own bound, _SLICE_TOL
-    "slice-regularity": _Suite("slice", 25, _slice_batch, None),
+    "slice-regularity": _Suite("slice", 25, _slice_batch),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -453,16 +453,13 @@ def run_suite(name: str, seed: int, samples: int, tol: float = DEFAULT_TOL) -> V
         raise ValueError(f"samples must be >= 0, got {samples}")
     suite = _SUITES[name]
     count = max(1, (samples + suite.per_batch - 1) // suite.per_batch)
-    batches = [suite.build(stream(seed, f"{suite.label}:{b}"), b, suite.per_batch, tol)
-               for b in range(count)]
-    extra = suite.extra(batches) if suite.extra else None
     summaries = {}
-    for reps in batches:
-        for rep in reps:
-            for prop, summary in rep.properties.items():
+    for b in range(count):
+        for properties in suite.build(stream(seed, f"{suite.label}:{b}"), b, suite.per_batch, tol):
+            for prop, summary in properties.items():
                 summaries.setdefault(prop, []).append(summary)
     return _report(name, seed, count * suite.per_batch,
-                   {prop: _fold(batch) for prop, batch in summaries.items()}, extra)
+                   {prop: _fold(batch) for prop, batch in summaries.items()})
 
 
 def run_all(seed: int, samples: int, tol: float = DEFAULT_TOL) -> dict:

@@ -277,7 +277,7 @@ _FROZEN = [(Quaternion(1, 2, 3, 4), "w"),
            (RegularQuotient(RegularPolynomial([ONE, ZERO, ONE]), ONE).sphere_zero_set(), "entries"),
            (normal_form(QuaternionMatrix2.identity()), "u"),
            (run_suite("zero-case", 1, 10), "passed"),
-           (_SUITES["zero-case"], "extra")]
+           (_SUITES["zero-case"], "build")]
 
 
 @pytest.mark.parametrize("value, attr", _FROZEN, ids=[type(v).__name__ for v, _ in _FROZEN])

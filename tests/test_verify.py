@@ -9,8 +9,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from docdiff import ABSENT, PINNED, assert_same_document, moved, pinned, summary
-from sampling import unit_oracle
-from srq.errors import PoleError
+from sampling import disk_oracle, unit_oracle
+from srq.errors import OutsideBall, PoleError
 from srq.geometry import _ball_floats, _moebius_den, regular_moebius_map
 from srq.quaternion import I, J, ONE, ZERO, Quaternion
 from srq.rational import RegularQuotient, _moduli_at, as_quotient
@@ -102,6 +102,18 @@ def test_zero_case_derivative_at_origin():
 def test_zero_case_requires_vanishing():
     with pytest.raises(ValueError):
         check_zero_case(Q * 0.5 + 0.1, ZERO, 10, seed=8)
+
+
+@pytest.mark.parametrize("modulus", [2.0, 1.0, 0.9999999999999999])
+def test_zero_case_and_schwarz_pick_refuse_a_q0_on_or_outside_the_ball(modulus):
+    # the bounds hold for q0 in the open ball only; unrefused, zero-case would
+    # report violations of f = q - q0 at |q0| = 2 and divide by zero at
+    # |q0| = 1.  Both checks refuse q0 before they touch f, here also no map
+    q0 = I * modulus
+    for check in (check_zero_case, check_schwarz_pick):
+        for f in (Q - q0, None):
+            with pytest.raises(OutsideBall, match="q0 = .* is not inside the open unit ball"):
+                check(f, q0, 10, seed=1)
 
 
 def test_make_zero_case_map_vanishes():
@@ -406,15 +418,13 @@ def test_the_seeded_stream_calls_no_libm_function(monkeypatch):
 
 
 def unit_oracle_of(rng, imaginary):
-    # Marsaglia's unit, or the direction of its imaginary part, written from
-    # rng.random() alone
-    while True:
-        w, x, y, z = unit_oracle(rng)
-        if not imaginary:
-            return Quaternion(w, x, y, z)
-        n = math.sqrt(x * x + y * y + z * z)
-        if n > 1e-3:
-            return Quaternion(0.0, x / n, y / n, z / n)
+    # Marsaglia's unit, or his point of the 2-sphere from one disk point,
+    # written from rng.random() alone
+    if not imaginary:
+        return Quaternion(*unit_oracle(rng))
+    a, b, s = disk_oracle(rng)
+    t = 2.0 * math.sqrt(1.0 - s)
+    return Quaternion(0.0, a * t, b * t, 1.0 - 2.0 * s)
 
 
 @pytest.mark.parametrize("sampler, imaginary", [(sample_unit, False),
@@ -438,9 +448,9 @@ def sphere_moment(d, k):
 @pytest.mark.parametrize("sampler, d", [(sample_unit, 4), (sample_unit_imaginary, 3)])
 def test_unit_samplers_are_uniform_on_their_spheres(sampler, d):
     # E[w^2] = 1/4 and E[w^4] = 1/8 on S^3, E[x^2] = 1/3 and E[x^4] = 1/5 on S^2:
-    # each coordinate's sample mean lies within 5 standard errors.  The direction
-    # of the imaginary part of a ball point is uniform on S^2 because rotations
-    # about the real axis preserve the ball
+    # each coordinate's sample mean lies within 5 standard errors.  Marsaglia's
+    # sphere point is uniform on S^2: its height 1 - 2s is uniform on [-1, 1]
+    # (Archimedes), and its direction about that axis is the disk point's
     n = 20000
     rng = random.Random(2024)
     draws = [sampler(rng).to_json() for _ in range(n)]
@@ -478,6 +488,33 @@ def test_report_maps_only_a_missing_worst_margin_to_zero():
     assert report.worst_margin == 0.0 and report.witness == {}
     report = _report("x", 0, 2, {"a": _summary(0.5, {"at": 1}, violations=1)})
     assert not report.passed
+
+
+def test_fold_merges_equality_summaries_by_count_and_maximum():
+    from srq.verify import _fold
+
+    # the first is the identity a batch without a map in normal form adds
+    folded = _fold([{"max_abs_margin": 0.0, "checked": 0}, {"max_abs_margin": 3e-9, "checked": 1},
+                    {"max_abs_margin": 1e-9, "checked": 1}])
+    assert folded == {"max_abs_margin": 3e-9, "checked": 2}
+
+
+def test_report_judges_an_equality_by_a_strict_bound_and_skips_one_that_checked_nothing():
+    from srq.verify import EQUALITY_TOL, _report
+
+    def report(equality):
+        return _report("x", 0, 2, {"a": _summary(0.25, {"at": 1}), "e": equality})
+
+    skipped = report({"max_abs_margin": 0.0, "checked": 0})
+    assert skipped.passed and skipped.properties["e"] == {"checked": 0, "skipped": True}
+    below = report({"max_abs_margin": 0.5 * EQUALITY_TOL, "checked": 2})
+    assert below.passed and below.properties["e"]["pass"] is True
+    at = report({"max_abs_margin": EQUALITY_TOL, "checked": 2})
+    assert at.properties["e"] == {"max_abs_margin": EQUALITY_TOL, "checked": 2, "pass": False}
+    assert at.passed is False
+    # an equality's |margin| is no margin of a bound: the suite's fields come from "a"
+    for rep in (skipped, below, at, report({"max_abs_margin": 7.0, "checked": 1})):
+        assert (rep.worst_margin, rep.witness) == (0.25, {"at": 1})
 
 
 def test_schwarz_pick_fails_when_moebius_equality_fails(monkeypatch):
@@ -573,9 +610,9 @@ def test_modulus_batch_replaces_a_zero_h_with_one(monkeypatch):
 
     monkeypatch.setattr(verify, "_cube_point", zero_for_h)
     monkeypatch.setattr(verify, "check_modulus_product", recording)
-    reports = verify._modulus_batch(rng, 0, 20, verify.DEFAULT_TOL)
+    summaries = verify._modulus_batch(rng, 0, 20, verify.DEFAULT_TOL)
     assert checked == [RegularPolynomial([ONE])]
-    assert len(reports) == 1 and reports[0].passed
+    assert len(summaries) == 1 and summaries[0]["modulus_product"]["violations"] == 0
 
 
 def test_zero_case_evaluates_every_sample_on_the_sphere_of_q0(monkeypatch):
