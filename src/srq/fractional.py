@@ -18,7 +18,7 @@ from .errors import (DegenerateComposite, DegenerateSwap, NotHermitian,
 from .geometry import _in_ball, _one_minus_norm_sq, _require_unit, sample_ball
 from .quaternion import (ONE, ZERO, Quaternion, _finite, _Frozen, _hamilton, _inverse, _make,
                          _norm, _setters, _zero_bound, as_quaternion)
-from .rational import RegularQuotient, as_quotient
+from .rational import _ONE_POLY, _UNIT_SYM, RegularQuotient, as_quotient
 from .series import _ZERO4, RegularPolynomial, _from_parts, _lift, _real_star
 
 #: Entrywise tolerance of the matrix identities (membership, Hermitian shape),
@@ -201,7 +201,7 @@ def _as_pair(f, side: str):
     g = _lift(f)
     if g is NotImplemented:
         return as_quotient(f)._pair(side)
-    return RegularPolynomial([ONE]), (g if side == "left" else _real_star((1.0,), g._c))
+    return _ONE_POLY, (g if side == "left" else _real_star(_UNIT_SYM, g._c))
 
 
 def _combination(P, p: tuple, R, r: tuple, left: bool = False) -> RegularPolynomial:

@@ -31,33 +31,35 @@ def _require_unit(u: Quaternion, name: str) -> None:
         raise ValueError(f"{name} must be unit, got modulus {u.norm():g}")
 
 
-def _cube_point(rng) -> Quaternion:
-    """Uniform point of the cube [-1, 1]^4, drawn in w, x, y, z order from
-    ``rng``; each component is exactly ``rng.uniform(-1, 1)``."""
+def _cube_floats(rng) -> tuple:
+    """Uniform point of the cube [-1, 1]^4 as a float 4-tuple, drawn in w, x, y, z
+    order from ``rng``; each component is exactly ``rng.uniform(-1, 1)``."""
     draw = rng.random
-    return _make(-1.0 + 2.0 * draw(), -1.0 + 2.0 * draw(),
-                 -1.0 + 2.0 * draw(), -1.0 + 2.0 * draw())
+    return (-1.0 + 2.0 * draw(), -1.0 + 2.0 * draw(),
+            -1.0 + 2.0 * draw(), -1.0 + 2.0 * draw())
 
 
-def _disk_floats(rng) -> tuple:
-    """A uniform point (a, b) of the unit disk with its s = a^2 + b^2, by
-    rejection from the square, each coordinate ``-1.0 + 2.0 * rng.random()``;
-    s = 0 is rejected too, so a caller may divide by it."""
+def _disk_floats(rng):
+    """The stream of uniform points (a, b) of the unit disk with their
+    s = a^2 + b^2, by rejection from the square, each coordinate
+    ``-1.0 + 2.0 * rng.random()``; s = 0 is rejected too, so a caller may divide
+    by it.  A point is drawn only when it is asked for: between two points the
+    stream holds no draw of ``rng``, so other draws may come in between."""
     draw = rng.random
     while True:
         a = -1.0 + 2.0 * draw()
         b = -1.0 + 2.0 * draw()
         s = a * a + b * b
         if 0.0 < s < 1.0:
-            return a, b, s
+            yield a, b, s
 
 
-def _unit_floats(rng) -> tuple:
-    """A uniform unit quaternion as a float 4-tuple (Marsaglia 1972): (a, b) and
-    then (c, d) uniform in the unit disk, with squared moduli s1 and s2, give
-    (a, b, c t, d t) for t = sqrt((1 - s1) / s2)."""
-    a, b, s1 = _disk_floats(rng)
-    c, d, s2 = _disk_floats(rng)
+def _unit_floats(disk) -> tuple:
+    """A uniform unit quaternion as a float 4-tuple (Marsaglia 1972), from the
+    next two points of the disk stream ``disk``: (a, b) and then (c, d), with
+    squared moduli s1 and s2, give (a, b, c t, d t) for t = sqrt((1 - s1) / s2)."""
+    a, b, s1 = next(disk)
+    c, d, s2 = next(disk)
     t = math.sqrt((1.0 - s1) / s2)
     return a, b, c * t, d * t
 
@@ -66,12 +68,14 @@ def _ball_floats(rng, radius: float, count: int) -> list:
     """``count`` uniform points of the ball of the given radius as float 4-tuples:
     a unit from ``_unit_floats`` scaled by ``radius * sqrt(sqrt(u))`` for one more
     draw u, since P(|q| <= t radius) = t^4 in four dimensions.  A point whose
-    modulus rounds to ``radius`` or above is drawn again whole."""
+    modulus rounds to ``radius`` or above is drawn again whole.  Every unit of
+    the batch comes from one disk stream of ``rng``."""
     draw = rng.random
     sqrt = math.sqrt
+    disk = _disk_floats(rng)
     out = []
     while len(out) < count:
-        a, b, c, d = _unit_floats(rng)
+        a, b, c, d = _unit_floats(disk)
         r = radius * sqrt(sqrt(draw()))
         p = (a * r, b * r, c * r, d * r)
         if _norm(*p) < radius:

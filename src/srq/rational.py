@@ -51,11 +51,26 @@ class RegularQuotient(_Frozen):
         num = _as_poly(num)
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        if den.is_zero:
-            raise ValueError("denominator is identically zero")
-        sym = _symmetrized(den._c)
-        conum = den.conjugate() * num if side == "left" else num * den.conjugate()
-        self._install(den, num, side, sym, conum)
+        self._install_pair(den, num, side, *_den_parts(den))
+
+    @classmethod
+    def _pairs(cls, den: RegularPolynomial, side: str, nums, sym=None) -> list:
+        """``RegularQuotient(den, num, side)`` for each polynomial of ``nums``, slot
+        for slot, with den's sym and conjugate formed once for all of them.  ``sym``,
+        when given, is den's symmetrization already formed (a pair over den holds it)."""
+        sym, denc = _den_parts(den, sym)
+        out = []
+        for num in nums:
+            obj = cls.__new__(cls)
+            obj._install_pair(den, num, side, sym, denc)
+            out.append(obj)
+        return out
+
+    def _install_pair(self, den, num, side, sym, denc):
+        """The one pair builder under ``__init__`` and ``_pairs``: the conumerator
+        den^c*num of a left pair or num*den^c of a right one, for den's sym and
+        its conjugate ``denc``."""
+        self._install(den, num, side, sym, denc * num if side == "left" else num * denc)
 
     def _install(self, den, num, side, sym, conum):
         _set_den(self, den)
@@ -293,6 +308,14 @@ class RegularQuotient(_Frozen):
 _set_den, _set_num, _set_side, _set_sym, _set_conum, _set_pole_scale = _setters(RegularQuotient)
 _ONE_POLY = RegularPolynomial([ONE])  # the denominator of every lifted polynomial
 _UNIT_SYM = (1.0,)  # its sym, ``_symmetrized(_ONE_POLY._c)``
+
+
+def _den_parts(den: RegularPolynomial, sym=None) -> tuple:
+    """(sym, conjugate) of a pair's denominator, refusing one that is identically zero;
+    ``sym`` is taken as given when it is not None."""
+    if den.is_zero:
+        raise ValueError("denominator is identically zero")
+    return (_symmetrized(den._c) if sym is None else sym), den.conjugate()
 
 
 def _scale_of(sym) -> float:

@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import starmap
 
 from .fractional import QuaternionMatrix2, from_normal_form, left_action, right_action
-from .geometry import (_ball_floats, _cube_point, _disk_floats, _in_ball, _moebius_den,
+from .geometry import (_ball_floats, _cube_floats, _disk_floats, _in_ball, _moebius_den,
                        _one_minus_norm_sq, _unit_floats, regular_moebius_map, sample_ball)
 from .quaternion import (_INF, ONE, ZERO, Quaternion, _fold_sum, _Frozen, _hamilton, _make,
-                         _norm, _slice_floats, _zero_bound)
-from .rational import RegularQuotient, _horner, _moduli_at, _values_at, as_quotient
-from .series import RegularPolynomial
+                         _norm, _setters, _slice_floats, _zero_bound)
+from .rational import _ONE_POLY, RegularQuotient, _horner, _moduli_at, _values_at, as_quotient
+from .series import RegularPolynomial, _from_parts
 
 DEFAULT_TOL = 1e-9
 EQUALITY_TOL = 1e-8
@@ -41,13 +42,13 @@ def stream(seed, label: str) -> random.Random:
 
 def sample_unit(rng: random.Random) -> Quaternion:
     """Uniform unit quaternion, from Marsaglia's two disk points (``_unit_floats``)."""
-    return _make(*_unit_floats(rng))
+    return _make(*_unit_floats(_disk_floats(rng)))
 
 
 def sample_unit_imaginary(rng: random.Random) -> Quaternion:
     """Uniform unit imaginary quaternion, Marsaglia's (1972) sphere point: a point
     (a, b) of the unit disk with s = a^2 + b^2 gives (a t, b t, 1 - 2s), t = 2 sqrt(1 - s)."""
-    a, b, s = _disk_floats(rng)
+    a, b, s = next(_disk_floats(rng))
     t = 2.0 * math.sqrt(1.0 - s)
     return _make(0.0, a * t, b * t, 1.0 - 2.0 * s)
 
@@ -62,12 +63,12 @@ def random_self_map(seed, degree: int) -> RegularPolynomial:
     rng = seed if isinstance(seed, random.Random) else stream(seed, "self-map")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    coeffs = [_cube_point(rng) for _ in range(degree + 1)]
-    while coeffs[-1].norm() < 1e-2:
-        coeffs[-1] = _cube_point(rng)
-    total = _fold_sum(c.norm() for c in coeffs)
-    target = (1.0 - 1e-6) * rng.uniform(0.35, 1.0)
-    return RegularPolynomial([c * (target / total) for c in coeffs])
+    coeffs = [_cube_floats(rng) for _ in range(degree + 1)]
+    while _norm(*coeffs[-1]) < 1e-2:
+        coeffs[-1] = _cube_floats(rng)
+    total = _fold_sum(starmap(_norm, coeffs))
+    s = (1.0 - 1e-6) * rng.uniform(0.35, 1.0) / total
+    return _from_parts([(w * s, x * s, y * s, z * s) for w, x, y, z in coeffs])
 
 
 def random_sp11(rng: random.Random) -> QuaternionMatrix2:
@@ -86,33 +87,45 @@ class VerificationReport(_Frozen):
 
     __slots__ = ("suite", "seed", "samples", "passed", "worst_margin", "witness", "properties")
 
+    def __init__(self, suite, seed, samples, passed, worst_margin, witness, properties):
+        _set_suite(self, suite)
+        _set_seed(self, seed)
+        _set_samples(self, samples)
+        _set_passed(self, passed)
+        _set_worst_margin(self, worst_margin)
+        _set_witness(self, witness)
+        _set_properties(self, properties)
+
     def to_json_dict(self) -> dict:
         return {"suite": self.suite, "seed": self.seed, "samples": self.samples,
                 "pass": self.passed, "worst_margin": self.worst_margin,
                 "witness": self.witness, "properties": self.properties}
 
 
+(_set_suite, _set_seed, _set_samples, _set_passed, _set_worst_margin, _set_witness,
+ _set_properties) = _setters(VerificationReport)
+
+
 def _margins(name: str, tol: float, rhs, lhs, witness) -> dict:
     """The summary of the margins ``rhs[i] - lhs[i]``, folded in order: the
     smallest margin with its witness (the earliest on a tie), the largest
     |margin| and the violations.  ``witness(i)`` gives the fields of the i-th
-    margin's witness; it is called only when that margin becomes the worst."""
-    worst, worst_abs, violations, found = None, 0.0, 0, {}
+    margin's witness; it is called once, for the worst margin's index."""
+    worst, worst_abs, violations, at = None, 0.0, 0, 0
     for i, (r, l) in enumerate(zip(rhs, lhs)):
         margin = r - l
         size = abs(margin)
         if size > worst_abs:  # max(worst_abs, size), NaN included
             worst_abs = size
         if worst is None or margin < worst:
-            worst = margin
-            found = dict(witness(i), property=name, margin=margin)
+            worst, at = margin, i
         if margin < -tol * (1.0 + abs(r)):
             violations += 1
     return {"worst_margin": worst,
             "max_abs_margin": worst_abs,
             "violations": violations,
             "checked": len(rhs),
-            "witness": found}
+            "witness": {} if worst is None else dict(witness(at), property=name, margin=worst)}
 
 
 def _fold(summaries) -> dict:
@@ -174,8 +187,9 @@ def check_schwarz_pick(f, q0, sample_count: int = 100, *, rng=None,
       (derivative)   |(d_c f * G^{-*})(q0)|  <=  1 / (1 - |q0|^2)
 
     Both left sides are built as right pairs, D * G_S^{-*} and
-    R_{q0} D * G_S^{-*}, from f = S^{-1} P: S is real and central, so
-    D = P - S c is S (f - c), G_S = S - conj(c) P is S G, and f's S cancels.
+    R_{q0} D * G_S^{-*}, over one sym and conjugate of G_S, from f = S^{-1} P:
+    S is real and central, so D = P - S c is S (f - c), G_S = S - conj(c) P is
+    S G, and f's S cancels.
     As D vanishes at q0, its remainder R_{q0} D there is S R_{q0} f.
 
     The derivative bound is a single number per call; the others are sampled.
@@ -194,10 +208,9 @@ def check_schwarz_pick(f, q0, sample_count: int = 100, *, rng=None,
     S, P = fq.sym, fq.conum
     D = P - S * c
     G = S - c.conjugate() * P
-    lhs13 = RegularQuotient(G, D, "right")
+    lhs13, lhs14 = RegularQuotient._pairs(G, "right", (D, D.remainder(q0)))
     rhs13 = regular_moebius_map(q0)
-    lhs14 = RegularQuotient(G, D.remainder(q0), "right")
-    rhs14 = RegularQuotient(_moebius_den(q0), RegularPolynomial([ONE]), "left")
+    rhs14, = RegularQuotient._pairs(rhs13.den, "left", (_ONE_POLY,), rhs13._sym)
     points = _ball_floats(rng, 0.95, sample_count)
     r13, l13, r14, l14 = _moduli_at((rhs13, lhs13, rhs14, lhs14), points)
 
@@ -377,7 +390,7 @@ def _schwarz_batch(rng, b, n, tol):
     if moebius:
         f = regular_moebius_map(sample_ball(rng, 0.7), sample_unit(rng))
     else:
-        f = random_self_map(rng, rng.randint(1, 4))
+        f = as_quotient(random_self_map(rng, rng.randint(1, 4)))  # lifted once for both checks
     out = []
     for _ in range(2):
         p = check_schwarz_pick(f, sample_ball(rng, 0.8), n // 2, rng=rng, tol=tol).properties
@@ -403,9 +416,9 @@ def _zero_batch(rng, b, n, tol):
 
 
 def _modulus_batch(rng, b, n, tol):
-    h = RegularPolynomial([_cube_point(rng) for _ in range(rng.randint(1, 4))])
+    h = _from_parts([_cube_floats(rng) for _ in range(rng.randint(1, 4))])
     if h.is_zero:
-        h = RegularPolynomial([ONE])
+        h = _ONE_POLY
     g = random_self_map(rng, rng.randint(1, 3))
     f = g * (sample_unit(rng) * rng.uniform(0.0, 1.0))
     return [check_modulus_product(h, f, g, n, rng=rng, tol=tol).properties]

@@ -6,15 +6,21 @@ path whose value differs, with its old and new value.  Leaves compare by
 their JSON text, so ``-0.0`` and ``0.0`` differ, NaN equals NaN, and ``1``,
 ``1.0`` and ``true`` are three values.
 
+Beside the four documents it pins the SHA-256 of each ``run_all(s, 200)``
+document for s = 0..39 (``DIGESTS``), as the CLI's ``--json`` form prints it:
+forty seeds of one sample count, which the four documents do not cover.
+
 Run as a script, it recomputes the pinned documents with
 ``python -S -m srq.cli verify all --seed S --samples N --json`` and prints, for
-each, how many paths moved per suite and per property::
+each, how many paths moved per suite and per property, then the seeds whose
+digest moved::
 
     python tests/docdiff.py               # report only
-    python tests/docdiff.py --regenerate  # report, then rewrite the documents
+    python tests/docdiff.py --regenerate  # report, then rewrite the documents and digests
 """
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -27,6 +33,10 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
 SRC = DATA.parent.parent / "src"
 #: The pinned documents' (seed, samples).
 PINNED = ((42, 200), (7, 1000), (99, 50), (11, 50))
+
+#: The seeds and the sample count of the pinned digests, and their file.
+DIGEST_SEEDS, DIGEST_SAMPLES = range(40), 200
+DIGESTS = DATA / "run_all_digests_seeds0-39_samples200.json"
 
 #: The value of a path that one of the documents does not have.
 ABSENT = "<absent>"
@@ -116,11 +126,41 @@ def recompute(seed: int, samples: int) -> str:
                           env=env, capture_output=True, text=True, check=True).stdout
 
 
+def digests(run_all) -> dict:
+    """``{"seed": SHA-256}`` of the ``--json`` document of ``run_all(seed, DIGEST_SAMPLES)``
+    for each seed of ``DIGEST_SEEDS``, in seed order."""
+    return {str(seed): hashlib.sha256((json.dumps(run_all(seed, DIGEST_SAMPLES), sort_keys=True)
+                                       + "\n").encode()).hexdigest()
+            for seed in DIGEST_SEEDS}
+
+
+def digests_text(found: dict) -> str:
+    """The text of the digest file for the digests ``found``."""
+    return json.dumps({"samples": DIGEST_SAMPLES, "sha256": found}, indent=1) + "\n"
+
+
+def moved_seeds(pinned_text: str, found: dict) -> list:
+    """The seeds whose digest differs from the pinned file's, as ints."""
+    old = json.loads(pinned_text)["sha256"]
+    return [int(seed) for seed in found if old.get(seed) != found[seed]]
+
+
+def recompute_digests() -> dict:
+    """``digests`` computed from the source tree, without site-packages."""
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); from docdiff import digests; "
+            "from srq.verify import run_all; print(json.dumps(digests(run_all)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(DATA.parent)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description="Count the moved paths of the pinned "
                                      "verify documents, and optionally rewrite them.")
     parser.add_argument("--regenerate", action="store_true",
-                        help="rewrite each pinned document with its recomputed text")
+                        help="rewrite each pinned document and the digests with their "
+                        "recomputed text")
     args = parser.parse_args(argv)
     for seed, samples in PINNED:
         path = pinned(seed, samples)
@@ -128,6 +168,12 @@ def main(argv=None) -> None:
         print(summary(path.name, path.read_text(), text))
         if args.regenerate:
             path.write_text(text)
+    found = recompute_digests()
+    seeds = moved_seeds(DIGESTS.read_text(), found)
+    print(f"{DIGESTS.name}: {len(seeds)} of {len(found)} seeds moved"
+          + (f" ({', '.join(map(str, seeds))})" if seeds else ""))
+    if args.regenerate:
+        DIGESTS.write_text(digests_text(found))
 
 
 if __name__ == "__main__":

@@ -425,15 +425,29 @@ def margins_per_margin(rhs, lhs, tol):
 @pytest.mark.parametrize("rhs, lhs, built_at", [
     # margins 0.5, -0.0, 0.0, nan, -2e-9, 3.0, -2e-9, -5.0
     ([1.0, -0.0, 0.5, math.nan, 1.0, 4.0, 1.0, 4.0],
-     [0.5, 0.0, 0.5, 1.0, 1.0 + 2e-9, 1.0, 1.0 + 2e-9, 9.0], [0, 1, 4, 7]),
-    ([math.nan, 1.0, 2.0, 1.0, 0.5, 1.0, 1.0, 9.0], [0.0, 2.0, 0.0, 1.0, 0.25, 5.0, 0.0, 9.0], [0]),
+     [0.5, 0.0, 0.5, 1.0, 1.0 + 2e-9, 1.0, 1.0 + 2e-9, 9.0], 7),
+    # a NaN first margin stays the worst: nothing compares below it
+    ([math.nan, 1.0, 2.0, 1.0, 0.5, 1.0, 1.0, 9.0], [0.0, 2.0, 0.0, 1.0, 0.25, 5.0, 0.0, 9.0], 0),
+    # margins 1.0, -4.0, 0.0, -4.0, -4.0: the earliest of the tied smallest
+    ([1.0, 1.0, 2.0, 0.0, 5.0], [0.0, 5.0, 2.0, 4.0, 9.0], 1),
+    # -0.0 and 0.0 tie too
+    ([0.0, 0.0, 1.0], [0.0, -0.0, 0.5], 0),
 ])
-def test_margins_over_a_batch_is_the_fold_of_one_margin_summaries_and_builds_only_new_worst_witnesses(
+def test_margins_over_a_batch_is_the_fold_of_one_margin_summaries_and_builds_one_witness(
         rhs, lhs, built_at):
+    # the witness is built once, for the earliest smallest margin; the oracle
+    # of the summary, margins_per_margin, builds one at each new smallest margin
     built = []
     batch = _margins("p", 1e-9, rhs, lhs, lambda i: built.append(i) or {"i": i})
     assert repr(batch) == repr(margins_per_margin(rhs, lhs, 1e-9))
-    assert built == built_at
+    assert built == [built_at]
     one_by_one = _fold([_margins("p", 1e-9, (r,), (l,), lambda _, i=i: {"i": i})
                         for i, (r, l) in enumerate(zip(rhs, lhs))])
     assert repr(one_by_one) == repr(batch)
+
+
+def test_margins_over_no_margin_build_no_witness():
+    def refuse(i):
+        raise AssertionError(f"witness({i}) built for an empty batch")
+    assert _margins("p", 1e-9, [], [], refuse) == {
+        "worst_margin": None, "max_abs_margin": 0.0, "violations": 0, "checked": 0, "witness": {}}

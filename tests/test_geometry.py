@@ -501,7 +501,7 @@ def test_geodesic_endpoints_random():
 
 # -- the float-level samplers against their quaternion-level oracles ---------------------
 #
-# _cube_point draws -1.0 + 2.0 * rng.random(), which is exactly rng.uniform(-1, 1);
+# _cube_floats draws -1.0 + 2.0 * rng.random(), which is exactly rng.uniform(-1, 1);
 # _modulus_batch relies on that draw order.  sample_ball draws as tests/sampling.py
 # writes it, from rng.random() alone.
 
@@ -519,7 +519,7 @@ def test_samplers_match_the_uniform_oracle_and_its_stream(radius):
     rng, oracle = random.Random(f"ball:{radius}"), random.Random(f"ball:{radius}")
     for _ in range(500):
         assert bits(geometry.sample_ball(rng, radius)) == bits(Quaternion(*ball_oracle(oracle, radius)))
-        assert bits(geometry._cube_point(rng)) == bits(uniform_cube_oracle(oracle))
+        assert bits(Quaternion(*geometry._cube_floats(rng))) == bits(uniform_cube_oracle(oracle))
     assert rng.getstate() == oracle.getstate()
 
 
@@ -561,7 +561,7 @@ def test_a_point_that_rounds_onto_the_bound_is_drawn_again_whole():
     r = radius * math.sqrt(math.sqrt(top))
     for seed in range(100):
         first = Scripted([], random.Random(seed))
-        if not _norm(*(v * r for v in geometry._unit_floats(first))) < radius:
+        if not _norm(*(v * r for v in geometry._unit_floats(geometry._disk_floats(first)))) < radius:
             break
     else:
         raise AssertionError("no unit of the first 100 seeds rounds past the bound")
@@ -580,7 +580,7 @@ def test_a_disk_point_at_the_centre_is_drawn_again():
     c, d = 2.0 * rest.random() - 1.0, 2.0 * rest.random() - 1.0
     assert 0.0 < c * c + d * d < 1.0  # the stream's first pair lies in the disk
     t = math.sqrt((1.0 - 0.5) / (c * c + d * d))
-    assert geometry._unit_floats(rng) == (-0.5, -0.5, c * t, d * t)
+    assert geometry._unit_floats(geometry._disk_floats(rng)) == (-0.5, -0.5, c * t, d * t)
 
 
 def test_geodesic_length_is_the_distance_and_adds_up_along_the_segment():

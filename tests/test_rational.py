@@ -96,6 +96,27 @@ def _refusal(build, value):
     return info.type, str(info.value)
 
 
+_signed_polys = st.lists(_signed_quats, max_size=4).map(RegularPolynomial)
+
+
+@given(_signed_polys, st.lists(_signed_polys, max_size=3), st.sampled_from(["left", "right"]),
+       st.booleans())
+@example(RegularPolynomial([Quaternion(-0.0, 1.0, -0.0, 0.0), Quaternion(0.0, -0.0, -0.0, -2.0)]),
+         [RegularPolynomial([Quaternion(-0.0, -0.0, 3.0, -0.0)]), RegularPolynomial()], "right", True)
+@example(RegularPolynomial([Quaternion(0.0, -0.0, -0.0, -0.0)]), [Q], "left", False)
+def test_pairs_over_one_denominator_match_the_quotient_slot_for_slot(den, nums, side, given_sym):
+    # one sym and one conjugate of den serve every pair, given or formed once
+    if den.is_zero:
+        expected = _refusal(lambda d: RegularQuotient(d, ONE, side), den)
+        assert expected == (ValueError, "denominator is identically zero")
+        assert _refusal(lambda d: RegularQuotient._pairs(d, side, nums), den) == expected
+        return
+    sym = RegularQuotient(den, ONE, side)._sym if given_sym else None
+    pairs = RegularQuotient._pairs(den, side, nums, sym)
+    assert [_slots(p) for p in pairs] == [_slots(RegularQuotient(den, num, side)) for num in nums]
+    assert all(p._sym is pairs[0]._sym for p in pairs)
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "q", None, [ONE], 1j])
 def test_a_lifted_polynomial_refuses_what_the_quotient_over_one_refuses(value):
     expected = _refusal(_lift_oracle, value)

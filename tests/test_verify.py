@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from docdiff import ABSENT, PINNED, assert_same_document, moved, pinned, summary
-from sampling import disk_oracle, unit_oracle
+from docdiff import (ABSENT, DIGESTS, PINNED, assert_same_document, digests,
+                     digests_text, moved, moved_seeds, pinned, summary)
+from sampling import ball_oracle, disk_oracle, unit_oracle
 from srq.errors import OutsideBall, PoleError
 from srq.geometry import _ball_floats, _moebius_den, regular_moebius_map
 from srq.quaternion import I, J, ONE, ZERO, Quaternion
@@ -333,6 +334,21 @@ def test_run_all_documents_are_the_same_on_every_python(seed, samples):
     assert_same_document(doc, pinned(seed, samples))
 
 
+def test_the_documents_of_forty_seeds_keep_their_pinned_digests():
+    # run_all(s, 200) for s = 0..39, each as `srq verify all --json` prints it;
+    # `python tests/docdiff.py --regenerate` rewrites the file
+    found = digests(run_all)
+    pinned_text = DIGESTS.read_text()
+    assert moved_seeds(pinned_text, found) == []
+    assert digests_text(found) == pinned_text
+
+
+def test_a_moved_digest_names_its_seed():
+    found = json.loads(DIGESTS.read_text())["sha256"]
+    planted = dict(found, **{"3": "0" * 64, "17": found["16"]})
+    assert moved_seeds(DIGESTS.read_text(), planted) == [3, 17]
+
+
 def test_a_moved_field_is_named_with_its_old_and_new_value():
     golden = pinned(42, 200)
     doc = json.loads(golden.read_text())
@@ -435,6 +451,32 @@ def test_unit_samplers_match_the_ball_oracle_and_its_stream(sampler, imaginary):
         got, expected = sampler(rng), unit_oracle_of(oracle, imaginary)
         assert [c.hex() for c in got.to_json()] == [c.hex() for c in expected.to_json()]
     assert rng.getstate() == oracle.getstate()
+
+
+def test_the_samplers_draw_what_the_oracles_draw_in_any_order():
+    # each call takes its disk points from a stream that draws a point only when
+    # it is asked for one: a stream that read ahead, or that lived on from one
+    # call to the next, would leave rng's state apart from the oracle's
+    order = random.Random(23)
+    rng, oracle = random.Random(29), random.Random(29)
+    for _ in range(600):
+        kind = order.randrange(5)
+        radius = order.choice((0.7, 0.95, 0.99))
+        if kind == 0:
+            count = order.randint(0, 5)
+            got = _ball_floats(rng, radius, count)
+            expected = [ball_oracle(oracle, radius) for _ in range(count)]
+        elif kind == 1:
+            got, expected = [sample_ball(rng, radius).to_json()], [ball_oracle(oracle, radius)]
+        elif kind == 2:
+            got, expected = [sample_unit(rng).to_json()], [unit_oracle(oracle)]
+        elif kind == 3:
+            got = [sample_unit_imaginary(rng).to_json()]
+            expected = [unit_oracle_of(oracle, True).to_json()]
+        else:  # a draw of another kind in between
+            got, expected = [(rng.random(),)], [(oracle.random(),)]
+        assert [[c.hex() for c in p] for p in got] == [[c.hex() for c in p] for p in expected]
+        assert rng.getstate() == oracle.getstate()
 
 
 def sphere_moment(d, k):
@@ -573,14 +615,14 @@ def test_random_self_map_redraws_a_leading_coefficient_below_one_hundredth(monke
     # redraw; a stand-in for the cube draws makes the leading one tiny twice
     import srq.verify as verify
 
-    cube_point, drawn = verify._cube_point, []
+    cube_floats, drawn = verify._cube_floats, []
 
     def tiny_lead_twice(rng):
-        q = Quaternion(0.0, 0.0, 5e-3) if len(drawn) in (2, 3) else cube_point(rng)
+        q = Quaternion(0.0, 0.0, 5e-3) if len(drawn) in (2, 3) else Quaternion(*cube_floats(rng))
         drawn.append(q)
-        return q
+        return q.w, q.x, q.y, q.z
 
-    monkeypatch.setattr(verify, "_cube_point", tiny_lead_twice)
+    monkeypatch.setattr(verify, "_cube_floats", tiny_lead_twice)
     f = random_self_map(3, 2)
     assert len(drawn) == 5 and f.degree == 2
     # every coefficient is its draw times one scale, the third draw replaced by the fifth
@@ -598,17 +640,17 @@ def test_modulus_batch_replaces_a_zero_h_with_one(monkeypatch):
     probe = random.Random()
     probe.setstate(rng.getstate())
     h_draws = probe.randint(1, 4)  # the batch draws h's length first
-    cube_point, drawn, checked = verify._cube_point, [], []
+    cube_floats, drawn, checked = verify._cube_floats, [], []
 
     def zero_for_h(r):
         drawn.append(1)
-        return ZERO if len(drawn) <= h_draws else cube_point(r)
+        return (0.0, 0.0, 0.0, 0.0) if len(drawn) <= h_draws else cube_floats(r)
 
     def recording(h, f, g, n, **kwargs):
         checked.append(h)
         return check_modulus_product(h, f, g, n, **kwargs)
 
-    monkeypatch.setattr(verify, "_cube_point", zero_for_h)
+    monkeypatch.setattr(verify, "_cube_floats", zero_for_h)
     monkeypatch.setattr(verify, "check_modulus_product", recording)
     summaries = verify._modulus_batch(rng, 0, 20, verify.DEFAULT_TOL)
     assert checked == [RegularPolynomial([ONE])]
